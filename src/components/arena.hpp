@@ -1,9 +1,9 @@
 // PacketArena / PacketRef: the zero-copy batched packet representation.
 //
-// The per-packet data plane (Packet with its own heap-owned payload vector)
-// pays one allocation per packet plus a copy at every size-changing filter.
-// The batched plane instead stores every payload of a batch contiguously in
-// an arena and passes lightweight views (PacketRef) between filters:
+// An owning Packet (its own heap payload vector) would cost one allocation
+// per packet plus a copy at every size-changing filter. Filters therefore
+// never see Packets: every payload of a batch lives contiguously in an arena
+// and filters pass lightweight views (PacketRef) to each other:
 //
 //   * PacketArena owns chunked, address-stable payload storage plus a stable
 //     deque of PacketHeader records. reset() recycles the chunks for the next
@@ -76,8 +76,9 @@ class PacketRef {
            payload_checksum(header_->data, header_->size) == header_->plaintext_checksum;
   }
 
-  /// Materializes an owning Packet (copies the payload) — the bridge back to
-  /// the per-packet world (transports, legacy sinks, the compat shim).
+  /// Materializes an owning Packet (copies the payload) — the exit from the
+  /// arena to the transport/wire form (FilterChain::submit's output, sinks
+  /// that keep packets past the arena's reset()).
   Packet to_packet() const;
 
   PacketHeader* header() const { return header_; }
@@ -112,7 +113,8 @@ class PacketArena {
   PacketRef make(std::uint64_t stream_id, std::uint64_t sequence,
                  std::span<const std::uint8_t> payload);
 
-  /// Copies an owning Packet into the arena (the compat-shim path).
+  /// Copies an owning Packet into the arena — the entry from the
+  /// transport/wire form (FilterChain::submit's batch of one).
   PacketRef adopt(const Packet& packet);
 
   /// Header-only packet whose payload the caller will rebind.

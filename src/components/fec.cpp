@@ -29,7 +29,7 @@ std::string_view format_data_tag(char (&buf)[48], std::uint64_t group) {
 std::string_view format_parity_tag(char (&buf)[48], std::uint64_t group, std::size_t k) {
   std::memcpy(buf, kParityPrefix.data(), kParityPrefix.size());
   char* p = buf + kParityPrefix.size();
-  p = std::to_chars(p, buf + sizeof(buf), group).ptr;
+  p = std::to_chars(p, buf + sizeof(buf) - 1, group).ptr;  // room for ':'
   *p++ = ':';
   p = std::to_chars(p, buf + sizeof(buf), k).ptr;
   return {buf, static_cast<std::size_t>(p - buf)};
@@ -68,14 +68,6 @@ XorFecEncoderFilter::XorFecEncoderFilter(std::string name, std::size_t group_siz
                                          runtime::Time processing_time)
     : Filter(std::move(name), processing_time), group_size_(std::max<std::size_t>(2, group_size)) {}
 
-std::optional<Packet> XorFecEncoderFilter::process(Packet packet) {
-  // Single-output view: tags the data packet but cannot carry parity.
-  // The chain always uses process_all(); this exists for direct invocation.
-  auto out = process_all(std::move(packet));
-  if (out.empty()) return std::nullopt;
-  return std::move(out.front());
-}
-
 void XorFecEncoderFilter::accumulate(std::uint64_t sequence, std::uint64_t checksum,
                                      std::span<const std::uint8_t> payload,
                                      const TagStack& stack) {
@@ -87,46 +79,6 @@ void XorFecEncoderFilter::accumulate(std::uint64_t sequence, std::uint64_t check
   ++accumulator_.count;
 }
 
-std::vector<Packet> XorFecEncoderFilter::process_all(Packet packet) {
-  accumulate(packet.sequence, packet.plaintext_checksum, packet.payload,
-             packet.encoding_stack);
-  note_processed();
-
-  char tag_buf[48];
-  Packet data = std::move(packet);
-  data.encoding_stack.push_back(format_data_tag(tag_buf, next_group_));
-
-  std::vector<Packet> out;
-  const std::uint64_t last_sequence = data.sequence;
-  const std::uint64_t last_stream = data.stream_id;
-  out.push_back(std::move(data));
-
-  if (accumulator_.count == group_size_) {
-    Packet parity;
-    parity.stream_id = last_stream;
-    parity.sequence = last_sequence;  // rides next to the group's tail
-    parity.plaintext_checksum = accumulator_.checksum_xor;
-    // Payload layout: [8B seq_xor][4B length_xor][payload_xor...].
-    parity.payload.reserve(12 + accumulator_.payload_xor.size());
-    for (int shift = 56; shift >= 0; shift -= 8) {
-      parity.payload.push_back(static_cast<std::uint8_t>(accumulator_.seq_xor >> shift));
-    }
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      parity.payload.push_back(static_cast<std::uint8_t>(accumulator_.length_xor >> shift));
-    }
-    parity.payload.insert(parity.payload.end(), accumulator_.payload_xor.begin(),
-                          accumulator_.payload_xor.end());
-    parity.encoding_stack = accumulator_.common_stack;
-    parity.encoding_stack.push_back(format_parity_tag(tag_buf, next_group_, group_size_));
-    out.push_back(std::move(parity));
-
-    ++parity_emitted_;
-    ++next_group_;
-    accumulator_ = Accumulator{};
-  }
-  return out;
-}
-
 void XorFecEncoderFilter::process_span(std::span<PacketRef> batch, PacketSink& sink) {
   char tag_buf[48];
   for (PacketRef& ref : batch) {
@@ -136,7 +88,7 @@ void XorFecEncoderFilter::process_span(std::span<PacketRef> batch, PacketSink& s
     sink.emit(ref);  // data packet forwarded zero-copy
 
     if (accumulator_.count == group_size_) {
-      // Build the parity packet directly in the arena, same layout as above.
+      // Parity payload layout: [8B seq_xor][4B length_xor][payload_xor...].
       PacketRef parity = sink.arena().make_blank(ref.stream_id(), ref.sequence(),
                                                  12 + accumulator_.payload_xor.size());
       std::uint8_t* p = parity.data();
@@ -172,12 +124,6 @@ StateSnapshot XorFecEncoderFilter::refract() const {
 
 XorFecDecoderFilter::XorFecDecoderFilter(std::string name, runtime::Time processing_time)
     : Filter(std::move(name), processing_time) {}
-
-std::optional<Packet> XorFecDecoderFilter::process(Packet packet) {
-  auto out = process_all(std::move(packet));
-  if (out.empty()) return std::nullopt;
-  return std::move(out.front());
-}
 
 void XorFecDecoderFilter::absorb_data(GroupState& group, std::uint64_t sequence,
                                       std::uint64_t checksum,
@@ -217,30 +163,6 @@ bool XorFecDecoderFilter::reconstruction_due(std::uint64_t group_id, GroupState&
   return true;
 }
 
-std::optional<Packet> XorFecDecoderFilter::try_reconstruct(std::uint64_t group_id,
-                                                           GroupState& group) {
-  if (!reconstruction_due(group_id, group)) return std::nullopt;
-  // Exactly one data packet missing: XOR of parity fields with the received
-  // packets' fields yields the lost packet verbatim.
-  Packet rebuilt;
-  rebuilt.sequence = group.parity_seq_xor ^ group.seq_xor;
-  rebuilt.plaintext_checksum = group.parity_checksum_xor ^ group.checksum_xor;
-  const std::uint32_t length = group.parity_length_xor ^ group.length_xor;
-  Payload payload = group.parity_payload_xor;
-  xor_into(payload, group.payload_xor);
-  if (length > payload.size()) {
-    SA_WARN("fec") << name() << ": inconsistent parity for group " << group_id;
-    groups_.erase(group_id);
-    return std::nullopt;
-  }
-  payload.resize(length);
-  rebuilt.payload = std::move(payload);
-  rebuilt.encoding_stack = group.parity_stack;  // the group's common residue
-  ++recovered_;
-  groups_.erase(group_id);
-  return rebuilt;
-}
-
 PacketRef XorFecDecoderFilter::try_reconstruct_into(std::uint64_t group_id,
                                                     GroupState& group,
                                                     std::uint64_t stream_id,
@@ -271,55 +193,6 @@ PacketRef XorFecDecoderFilter::try_reconstruct_into(std::uint64_t group_id,
   ++recovered_;
   groups_.erase(group_id);
   return rebuilt;
-}
-
-std::vector<Packet> XorFecDecoderFilter::process_all(Packet packet) {
-  std::vector<Packet> out;
-  if (packet.encoding_stack.empty()) {
-    note_bypassed();
-    out.push_back(std::move(packet));
-    return out;
-  }
-
-  if (const auto data = parse_data_tag(packet.encoding_stack.back())) {
-    packet.encoding_stack.pop_back();
-    GroupState& group = groups_[*data];
-    absorb_data(group, packet.sequence, packet.plaintext_checksum, packet.payload);
-    note_processed();
-    // stream_id rides along for reconstruction.
-    const std::uint64_t stream = packet.stream_id;
-    out.push_back(std::move(packet));
-    if (auto rebuilt = try_reconstruct(*data, group)) {
-      rebuilt->stream_id = stream;
-      out.push_back(std::move(*rebuilt));
-    }
-    prune();
-    return out;
-  }
-
-  if (const auto parity = parse_parity_tag(packet.encoding_stack.back())) {
-    const auto [group_id, k] = *parity;
-    if (packet.payload.size() < 12) {
-      note_dropped();
-      return out;
-    }
-    GroupState& group = groups_[group_id];
-    TagStack residue = packet.encoding_stack;
-    residue.pop_back();
-    absorb_parity(group, k, packet.plaintext_checksum, packet.payload, residue);
-    note_processed();
-    const std::uint64_t stream = packet.stream_id;
-    if (auto rebuilt = try_reconstruct(group_id, group)) {
-      rebuilt->stream_id = stream;
-      out.push_back(std::move(*rebuilt));
-    }
-    prune();
-    return out;  // parity itself is always absorbed
-  }
-
-  note_bypassed();
-  out.push_back(std::move(packet));
-  return out;
 }
 
 void XorFecDecoderFilter::process_span(std::span<PacketRef> batch, PacketSink& sink) {

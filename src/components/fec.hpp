@@ -33,12 +33,9 @@ class XorFecEncoderFilter final : public Filter {
   XorFecEncoderFilter(std::string name, std::size_t group_size,
                       runtime::Time processing_time = runtime::us(30));
 
-  std::optional<Packet> process(Packet packet) override;  ///< single-out view
-  std::vector<Packet> process_all(Packet packet) override;
-
-  /// Batched path: data packets are tagged in place and forwarded zero-copy;
-  /// parity packets are built directly in the sink's arena, interleaved in
-  /// the same positions as the per-packet path (…dk, parity, dk+1…).
+  /// Data packets are tagged in place and forwarded zero-copy; each parity
+  /// packet is built directly in the sink's arena and emitted right after the
+  /// data packet that completes its group (…dk, parity, dk+1…).
   void process_span(std::span<PacketRef> batch, PacketSink& sink) override;
 
   std::size_t group_size() const { return group_size_; }
@@ -71,13 +68,9 @@ class XorFecDecoderFilter final : public Filter {
  public:
   explicit XorFecDecoderFilter(std::string name, runtime::Time processing_time = runtime::us(30));
 
-  std::optional<Packet> process(Packet packet) override;  ///< single-out view
-  std::vector<Packet> process_all(Packet packet) override;
-
-  /// Batched path: data packets pop their tag in place and forward zero-copy;
-  /// parity packets are absorbed; reconstructed packets are built DIRECTLY in
-  /// the sink's arena (no owning-Packet intermediary, no adopt() copy) and
-  /// emitted right where the per-packet path would emit them.
+  /// Data packets pop their tag in place and forward zero-copy; parity
+  /// packets are absorbed; a reconstructed packet is built directly in the
+  /// sink's arena and emitted right after the packet that completed its group.
   void process_span(std::span<PacketRef> batch, PacketSink& sink) override;
 
   std::uint64_t recovered() const { return recovered_; }
@@ -111,9 +104,8 @@ class XorFecDecoderFilter final : public Filter {
   /// True when the group has its parity and is missing exactly one data
   /// packet; erases groups that completed with nothing to repair.
   bool reconstruction_due(std::uint64_t group_id, GroupState& group);
-  std::optional<Packet> try_reconstruct(std::uint64_t group_id, GroupState& group);
-  /// Batched-path variant: XORs the missing packet straight into a fresh
-  /// arena buffer. Returns an invalid ref when no reconstruction is due.
+  /// XORs the missing packet straight into a fresh arena buffer. Returns an
+  /// invalid ref when no reconstruction is due (or the parity is malformed).
   PacketRef try_reconstruct_into(std::uint64_t group_id, GroupState& group,
                                  std::uint64_t stream_id, PacketArena& arena);
   void prune();

@@ -2,16 +2,6 @@
 
 namespace sa::components {
 
-void Filter::process_span(std::span<PacketRef> batch, PacketSink& sink) {
-  // Compatibility shim: run the per-packet interface and copy results back
-  // into the arena. Correct for any filter (multi-output included); hot
-  // filters override with zero-copy in-arena implementations.
-  for (PacketRef& ref : batch) {
-    std::vector<Packet> produced = process_all(ref.to_packet());
-    for (Packet& out : produced) sink.emit(sink.arena().adopt(out));
-  }
-}
-
 StateSnapshot Filter::refract() const {
   auto snapshot = Component::refract();
   snapshot["processed"] = std::to_string(stats_.processed);

@@ -3,21 +3,16 @@
 // invocation interface; the crypto library provides the DES codec filters the
 // paper's case study uses.
 //
-// Invocation comes in two shapes:
-//   * the batched span interface process_span(batch, sink) — the data-plane
-//     hot path. Filters receive a whole batch of arena-backed PacketRef views
-//     and emit outputs (zero, one, or many per input) to the sink. The bypass
-//     rule forwards the SAME ref — no payload bytes are touched or copied.
-//   * the per-packet interface process()/process_all() — the legacy shape the
-//     clock-scheduled FilterChain path and the tests use. The default
-//     process_span() is a compatibility shim over process_all(), so a filter
-//     only implementing process() still works in batches (at per-packet cost).
+// A filter has exactly one invocation method, process_span(batch, sink): it
+// receives a span of arena-backed PacketRef views and emits its outputs
+// (zero, one, or many per input) to the sink. The bypass rule forwards the
+// SAME ref — no payload bytes are touched or copied. FilterChain drives every
+// filter through it: process_batch with whole batches, and the clock-scheduled
+// submit path with batches of one.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
-#include <vector>
 
 #include "components/arena.hpp"
 #include "components/component.hpp"
@@ -37,37 +32,14 @@ class Filter : public Component {
   Filter(std::string name, runtime::Time processing_time = runtime::us(50))
       : Component(std::move(name)), processing_time_(processing_time) {}
 
-  /// Invocation interface: transforms a packet. Returning nullopt drops it.
-  /// Implementations must either transform the packet or leave it bit-exact
-  /// (bypass); they record which via note_processed()/note_bypassed().
-  virtual std::optional<Packet> process(Packet packet) = 0;
-
-  /// General per-packet invocation used by the clock-scheduled FilterChain
-  /// path: one input packet may yield zero (absorbed), one (transformed /
-  /// bypassed), or several (e.g. an FEC encoder emitting a parity packet
-  /// alongside the data) outputs. The default adapts process() move-only —
-  /// the packet is moved in and the result moved out; the bypass path never
-  /// copies the payload buffer. Only multi-output filters override it.
-  virtual std::vector<Packet> process_all(Packet packet) {
-    std::vector<Packet> out;
-    if (auto result = process(std::move(packet))) {
-      out.reserve(1);
-      out.push_back(std::move(*result));
-    }
-    return out;
-  }
-
-  /// Batched invocation interface — the data-plane hot path. Transforms every
-  /// packet in `batch`, emitting outputs to `sink` in order (outputs of
-  /// batch[i] before outputs of batch[i+1]). Payloads live in the sink's
-  /// arena; transformed payloads are allocated there, and bypassed packets
-  /// MUST forward the input ref unchanged (zero-copy bypass).
-  ///
-  /// The default is a compatibility shim over process_all(): it materializes
-  /// each ref as an owning Packet and copies results back into the arena, so
-  /// single-packet filters work in batches unmodified. Hot filters override
-  /// it with in-arena implementations.
-  virtual void process_span(std::span<PacketRef> batch, PacketSink& sink);
+  /// The invocation interface. Transforms every packet in `batch`, emitting
+  /// outputs to `sink` in order (outputs of batch[i] before outputs of
+  /// batch[i+1]); not emitting an input drops it. Payloads live in the sink's
+  /// arena: transformed payloads are allocated there, and bypassed packets
+  /// MUST forward the input ref unchanged (zero-copy bypass). Implementations
+  /// record what they did per input via note_processed() / note_bypassed() /
+  /// note_dropped().
+  virtual void process_span(std::span<PacketRef> batch, PacketSink& sink) = 0;
 
   /// Virtual time one packet spends inside this filter.
   runtime::Time processing_time() const { return processing_time_; }
@@ -95,11 +67,6 @@ class PassThroughFilter final : public Filter {
   explicit PassThroughFilter(std::string name, runtime::Time processing_time = runtime::us(10))
       : Filter(std::move(name), processing_time) {}
 
-  std::optional<Packet> process(Packet packet) override {
-    note_processed();
-    return packet;
-  }
-
   void process_span(std::span<PacketRef> batch, PacketSink& sink) override {
     for (PacketRef& ref : batch) {
       note_processed();
@@ -114,12 +81,6 @@ class TagFilter final : public Filter {
  public:
   TagFilter(std::string name, std::string tag, runtime::Time processing_time = runtime::us(20))
       : Filter(std::move(name), processing_time), tag_(std::move(tag)) {}
-
-  std::optional<Packet> process(Packet packet) override {
-    packet.encoding_stack.push_back(tag_);
-    note_processed();
-    return packet;
-  }
 
   void process_span(std::span<PacketRef> batch, PacketSink& sink) override {
     for (PacketRef& ref : batch) {
@@ -144,16 +105,6 @@ class UntagFilter final : public Filter {
  public:
   UntagFilter(std::string name, std::string tag, runtime::Time processing_time = runtime::us(20))
       : Filter(std::move(name), processing_time), tag_(std::move(tag)) {}
-
-  std::optional<Packet> process(Packet packet) override {
-    if (!packet.encoding_stack.empty() && packet.encoding_stack.back() == tag_) {
-      packet.encoding_stack.pop_back();
-      note_processed();
-    } else {
-      note_bypassed();
-    }
-    return packet;
-  }
 
   void process_span(std::span<PacketRef> batch, PacketSink& sink) override {
     for (PacketRef& ref : batch) {

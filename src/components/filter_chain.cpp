@@ -65,27 +65,15 @@ std::size_t FilterChain::process_batch(std::span<PacketRef> batch, PacketSink& s
   ++stats_.batches;
   stats_.submitted += batch.size();
 
-  // One virtual-time accounting pass per batch — the per-packet path charges
+  // One virtual-time accounting pass per batch — the submit path charges
   // this same sum once per packet.
   runtime::Time duration = per_packet_overhead_;
   for (const FilterPtr& filter : filters_) duration += filter->processing_time();
   stats_.batch_virtual_time += duration;
 
-  batch_scratch_in_.assign(batch.begin(), batch.end());
-  for (const FilterPtr& filter : filters_) {
-    batch_scratch_out_.clear();
-    VectorSink stage(sink.arena(), batch_scratch_out_);
-    filter->process_span(batch_scratch_in_, stage);
-    if (batch_scratch_out_.size() < batch_scratch_in_.size()) {
-      stats_.dropped_by_filters += batch_scratch_in_.size() - batch_scratch_out_.size();
-    }
-    batch_scratch_in_.swap(batch_scratch_out_);
-    if (batch_scratch_in_.empty()) break;
-  }
-
-  const std::size_t emitted = batch_scratch_in_.size();
-  stats_.delivered += emitted;
-  for (PacketRef& ref : batch_scratch_in_) sink.emit(ref);
+  const std::span<PacketRef> survivors = run_stages(batch, sink.arena());
+  stats_.delivered += survivors.size();
+  for (PacketRef& ref : survivors) sink.emit(ref);
 
   busy_ = false;
   // §5.2 at batch granularity: a request that arrived mid-batch takes effect
@@ -93,7 +81,22 @@ std::size_t FilterChain::process_batch(std::span<PacketRef> batch, PacketSink& s
   if (resetting_ && (quiescence_mode_ == QuiescenceMode::Packet || queue_.empty())) {
     block_and_notify();
   }
-  return emitted;
+  return survivors.size();
+}
+
+std::span<PacketRef> FilterChain::run_stages(std::span<PacketRef> batch, PacketArena& arena) {
+  batch_scratch_in_.assign(batch.begin(), batch.end());
+  for (const FilterPtr& filter : filters_) {
+    batch_scratch_out_.clear();
+    VectorSink stage(arena, batch_scratch_out_);
+    filter->process_span(batch_scratch_in_, stage);
+    if (batch_scratch_out_.size() < batch_scratch_in_.size()) {
+      stats_.dropped_by_filters += batch_scratch_in_.size() - batch_scratch_out_.size();
+    }
+    batch_scratch_in_.swap(batch_scratch_out_);
+    if (batch_scratch_in_.empty()) break;
+  }
+  return batch_scratch_in_;
 }
 
 void FilterChain::request_quiescence(QuiescenceHandler on_quiescent, QuiescenceMode mode) {
@@ -144,37 +147,27 @@ void FilterChain::maybe_start_next() {
   runtime::Time duration = per_packet_overhead_;
   for (const FilterPtr& filter : filters_) duration += filter->processing_time();
 
-  clock_->schedule_after(duration, [this, pending = std::move(pending)]() mutable {
-    finish_packet(std::move(pending.packet), pending.entry_time);
+  clock_->schedule_after(duration, [this, pending = std::move(pending)] {
+    finish_packet(pending.packet, pending.entry_time);
   });
 }
 
-void FilterChain::finish_packet(Packet packet, runtime::Time entry_time) {
-  // The packet traverses every filter in order; each filter may absorb it,
-  // transform it, or fan it out (FEC parity). Filters see the packet only
+void FilterChain::finish_packet(const Packet& packet, runtime::Time entry_time) {
+  // A batch of one through the shared stage loop. Filters see the packet only
   // now, at completion time, which is equivalent to traversal-at-exit and
-  // keeps the event count low.
-  std::vector<Packet> current;
-  current.push_back(std::move(packet));
-  for (const FilterPtr& filter : filters_) {
-    std::vector<Packet> next;
-    for (Packet& in_flight : current) {
-      std::vector<Packet> produced = filter->process_all(std::move(in_flight));
-      for (Packet& out : produced) next.push_back(std::move(out));
-    }
-    current = std::move(next);
-    if (current.empty()) break;
-  }
-  if (current.empty()) {
-    ++stats_.dropped_by_filters;
-  } else {
+  // keeps the event count low. The owning Packet is the transport form, so
+  // it is copied into the chain's arena on entry and out again on exit.
+  arena_.reset();
+  PacketRef ref = arena_.adopt(packet);
+  const std::span<PacketRef> survivors = run_stages({&ref, 1}, arena_);
+  if (!survivors.empty()) {
     const runtime::Time delay = clock_->now() - entry_time;
     stats_.total_delay += delay;
     stats_.max_delay = std::max(stats_.max_delay, delay);
     if (log_delays_) delay_log_.push_back(delay);
-    for (Packet& out : current) {
+    for (const PacketRef& out : survivors) {
       ++stats_.delivered;
-      if (output_) output_(std::move(out));
+      if (output_) output_(out.to_packet());
     }
   }
 

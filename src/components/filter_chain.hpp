@@ -27,6 +27,10 @@ namespace sa::components {
 struct ChainStats {
   std::uint64_t submitted = 0;
   std::uint64_t delivered = 0;
+  /// Σ over filter stages of (packets into the stage − packets out of it),
+  /// counted only when a stage emits fewer than it received. A stage that
+  /// fans out (FEC parity) never counts; an absorbed parity packet does.
+  /// Both submit and process_batch count it this way.
   std::uint64_t dropped_by_filters = 0;
   runtime::Time total_delay = 0;  ///< sum over delivered packets of (exit - entry)
   runtime::Time max_delay = 0;
@@ -61,7 +65,11 @@ class FilterChain : public Component {
 
   // --- data path (invocations) ----------------------------------------------
 
-  /// Entry point: queues the packet for processing.
+  /// Clock-scheduled entry point: queues the packet for processing. Each
+  /// packet is charged overhead + Σ filter processing times of virtual time
+  /// and then runs through the filters as a batch of one (see process_batch)
+  /// at its completion time; per-packet delays go to total_delay/max_delay
+  /// and delay_log(). The batch counters are left untouched.
   void submit(Packet packet);
 
   /// Exit callback, invoked when a packet leaves the last filter.
@@ -119,8 +127,13 @@ class FilterChain : public Component {
 
  private:
   void maybe_start_next();
-  void finish_packet(Packet packet, runtime::Time entry_time);
+  void finish_packet(const Packet& packet, runtime::Time entry_time);
   void block_and_notify();
+
+  /// The stage loop both data paths share: runs `batch` through every filter
+  /// in order, allocating from `arena`, and returns the survivors (a view of
+  /// batch_scratch_in_, valid until the next call).
+  std::span<PacketRef> run_stages(std::span<PacketRef> batch, PacketArena& arena);
 
   runtime::Clock* clock_;
   runtime::Time per_packet_overhead_;
@@ -142,10 +155,12 @@ class FilterChain : public Component {
   bool log_delays_ = false;
   std::vector<runtime::Time> delay_log_;
 
-  // Scratch double-buffer for process_batch (kept to avoid per-batch heap
+  // Scratch double-buffer for run_stages (kept to avoid per-batch heap
   // traffic once warmed up).
   std::vector<PacketRef> batch_scratch_in_;
   std::vector<PacketRef> batch_scratch_out_;
+  // Holds the submit path's batch of one; reset before each packet.
+  PacketArena arena_{16 * 1024};
 };
 
 }  // namespace sa::components

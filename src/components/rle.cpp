@@ -5,32 +5,6 @@
 
 namespace sa::components {
 
-Payload rle_encode(const Payload& input) {
-  Payload out;
-  out.reserve(input.size() / 2 + 2);
-  std::size_t i = 0;
-  while (i < input.size()) {
-    const std::uint8_t byte = input[i];
-    std::size_t run = 1;
-    while (i + run < input.size() && input[i + run] == byte && run < 255) ++run;
-    out.push_back(static_cast<std::uint8_t>(run));
-    out.push_back(byte);
-    i += run;
-  }
-  return out;
-}
-
-std::optional<Payload> rle_decode(const Payload& input) {
-  if (input.size() % 2 != 0) return std::nullopt;
-  Payload out;
-  for (std::size_t i = 0; i < input.size(); i += 2) {
-    const std::uint8_t count = input[i];
-    if (count == 0) return std::nullopt;
-    out.insert(out.end(), count, input[i + 1]);
-  }
-  return out;
-}
-
 void RleCompressFilter::process_span(std::span<PacketRef> batch, PacketSink& sink) {
   for (PacketRef& ref : batch) {
     const std::span<const std::uint8_t> in = ref.payload();

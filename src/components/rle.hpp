@@ -14,29 +14,13 @@ namespace sa::components {
 
 inline constexpr const char* kTagRle = "rle";
 
-/// RLE-encodes `input`.
-Payload rle_encode(const Payload& input);
-
-/// Decodes rle_encode output; returns nullopt on malformed input (odd length).
-std::optional<Payload> rle_decode(const Payload& input);
-
 class RleCompressFilter final : public Filter {
  public:
   explicit RleCompressFilter(std::string name, runtime::Time processing_time = runtime::us(40))
       : Filter(std::move(name), processing_time) {}
 
-  std::optional<Packet> process(Packet packet) override {
-    bytes_in_ += packet.payload.size();
-    packet.payload = rle_encode(packet.payload);
-    bytes_out_ += packet.payload.size();
-    packet.encoding_stack.emplace_back(kTagRle);
-    note_processed();
-    return packet;
-  }
-
-  /// Native batched path: encodes straight into arena storage (worst case
-  /// 2x the input for alternating bytes) and rebinds — no owning Payload
-  /// vector, no per-packet Packet materialization.
+  /// Encodes straight into arena storage (worst case 2x the input for
+  /// alternating bytes) and rebinds the ref to it.
   void process_span(std::span<PacketRef> batch, PacketSink& sink) override;
 
   /// Observed compression ratio (output/input); > 1 means expansion.
@@ -62,26 +46,10 @@ class RleDecompressFilter final : public Filter {
   explicit RleDecompressFilter(std::string name, runtime::Time processing_time = runtime::us(40))
       : Filter(std::move(name), processing_time) {}
 
-  std::optional<Packet> process(Packet packet) override {
-    if (packet.encoding_stack.empty() || packet.encoding_stack.back() != kTagRle) {
-      note_bypassed();
-      return packet;
-    }
-    auto decoded = rle_decode(packet.payload);
-    if (!decoded) {
-      note_dropped();
-      return std::nullopt;
-    }
-    packet.payload = std::move(*decoded);
-    packet.encoding_stack.pop_back();
-    note_processed();
-    return packet;
-  }
-
-  /// Native batched path: validates and sizes the output in one scan of the
-  /// (count, byte) pairs, decodes into arena storage, rebinds. Bypass
-  /// forwards the same ref untouched; malformed payloads are dropped (not
-  /// emitted), exactly like the per-packet path.
+  /// Validates and sizes the output in one scan of the (count, byte) pairs,
+  /// decodes into arena storage, rebinds. Packets without a top "rle" tag
+  /// bypass (the same ref, untouched); malformed payloads — odd length or a
+  /// zero run count — are dropped (not emitted).
   void process_span(std::span<PacketRef> batch, PacketSink& sink) override;
 };
 

@@ -13,14 +13,6 @@ DesEncoderFilter::DesEncoderFilter(std::string name, Scheme scheme, DesKeys keys
       des64_(keys.key64),
       des128_(keys.key128a, keys.key128b) {}
 
-std::optional<components::Packet> DesEncoderFilter::process(components::Packet packet) {
-  packet.payload = scheme_ == Scheme::Des64 ? des64_.encrypt(packet.payload)
-                                            : des128_.encrypt(packet.payload);
-  packet.encoding_stack.emplace_back(scheme_tag(scheme_));
-  note_processed();
-  return packet;
-}
-
 void DesEncoderFilter::process_span(std::span<components::PacketRef> batch,
                                     components::PacketSink& sink) {
   const std::string_view tag = scheme_tag(scheme_);
@@ -58,25 +50,6 @@ DesDecoderFilter::DesDecoderFilter(std::string name, bool accept64, bool accept1
       accept128_(accept128),
       des64_(keys.key64),
       des128_(keys.key128a, keys.key128b) {}
-
-std::optional<components::Packet> DesDecoderFilter::process(components::Packet packet) {
-  if (packet.encoding_stack.empty()) {
-    note_bypassed();
-    return packet;
-  }
-  const std::string_view tag = packet.encoding_stack.back();
-  if (tag == kTagDes64 && accept64_) {
-    packet.payload = des64_.decrypt(packet.payload);
-  } else if (tag == kTagDes128 && accept128_) {
-    packet.payload = des128_.decrypt(packet.payload);
-  } else {
-    note_bypassed();
-    return packet;
-  }
-  packet.encoding_stack.pop_back();
-  note_processed();
-  return packet;
-}
 
 void DesDecoderFilter::process_span(std::span<components::PacketRef> batch,
                                     components::PacketSink& sink) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "components/filter.hpp"
@@ -44,10 +43,9 @@ class DesEncoderFilter final : public components::Filter {
                    runtime::Time processing_time = runtime::us(80));
 
   Scheme scheme() const { return scheme_; }
-  std::optional<components::Packet> process(components::Packet packet) override;
 
-  /// Batched path: pads + encrypts each payload into a fresh arena buffer
-  /// (one pass, no intermediate vector) and rebinds the ref to it.
+  /// Pads + encrypts each payload into a fresh arena buffer (one pass, no
+  /// intermediate vector) and rebinds the ref to it.
   void process_span(std::span<components::PacketRef> batch,
                     components::PacketSink& sink) override;
 
@@ -70,10 +68,11 @@ class DesDecoderFilter final : public components::Filter {
 
   bool accepts64() const { return accept64_; }
   bool accepts128() const { return accept128_; }
-  std::optional<components::Packet> process(components::Packet packet) override;
 
-  /// Batched path: decrypts each accepted payload IN PLACE in the arena and
-  /// truncates the ref past the stripped padding; bypasses zero-copy.
+  /// Decrypts each accepted payload IN PLACE in the arena and truncates the
+  /// ref past the stripped padding; bypasses zero-copy. A payload carrying an
+  /// accepted tag but not block-aligned cannot be ciphertext of this scheme,
+  /// so it bypasses too (tag kept) instead of failing the whole batch.
   void process_span(std::span<components::PacketRef> batch,
                     components::PacketSink& sink) override;
 

@@ -347,13 +347,6 @@ void store_block(std::uint8_t* bytes, std::uint64_t block) {
   }
 }
 
-Bytes pad_pkcs7(const Bytes& input) {
-  const std::size_t pad = 8 - input.size() % 8;
-  Bytes out = input;
-  out.insert(out.end(), pad, static_cast<std::uint8_t>(pad));
-  return out;
-}
-
 /// Writes `src` plus PKCS#7 padding into `dst` (padded_size(src) bytes).
 void pad_pkcs7_into(std::span<const std::uint8_t> src, std::uint8_t* dst) {
   if (!src.empty()) std::memcpy(dst, src.data(), src.size());
@@ -362,7 +355,7 @@ void pad_pkcs7_into(std::span<const std::uint8_t> src, std::uint8_t* dst) {
 }
 
 /// Valid-padding length of `[data, data+n)`, or `n` when padding is invalid —
-/// the garbage-tolerant contract (see Des64Cipher::decrypt).
+/// the garbage-tolerant contract (see Des64Cipher::decrypt_inplace).
 std::size_t stripped_size(const std::uint8_t* data, std::size_t n) {
   if (n == 0 || n % 8 != 0) return n;
   const std::uint8_t pad = data[n - 1];
@@ -371,12 +364,6 @@ std::size_t stripped_size(const std::uint8_t* data, std::size_t n) {
     if (data[i] != pad) return n;
   }
   return n - pad;
-}
-
-Bytes strip_pkcs7(Bytes decrypted) {
-  const std::size_t keep = stripped_size(decrypted.data(), decrypted.size());
-  if (keep < decrypted.size()) decrypted.resize(keep);
-  return decrypted;
 }
 
 void require_block_aligned(std::size_t n) {
@@ -404,27 +391,7 @@ void crypt_bytes_inplace(std::uint8_t* data, std::size_t n, BlocksFn&& fn) {
   }
 }
 
-template <typename BlockFn>
-Bytes map_blocks(const Bytes& input, BlockFn&& fn) {
-  require_block_aligned(input.size());
-  Bytes out(input.size());
-  for (std::size_t offset = 0; offset < input.size(); offset += 8) {
-    store_block(out.data() + offset, fn(load_block(input.data() + offset)));
-  }
-  return out;
-}
-
 }  // namespace
-
-Bytes Des64Cipher::encrypt(const Bytes& plaintext) const {
-  return map_blocks(pad_pkcs7(plaintext),
-                    [this](std::uint64_t b) { return des_encrypt_block(b, schedule_); });
-}
-
-Bytes Des64Cipher::decrypt(const Bytes& ciphertext) const {
-  return strip_pkcs7(map_blocks(
-      ciphertext, [this](std::uint64_t b) { return des_decrypt_block(b, schedule_); }));
-}
 
 void Des64Cipher::encrypt_into(std::span<const std::uint8_t> src, std::uint8_t* dst) const {
   pad_pkcs7_into(src, dst);
@@ -438,16 +405,6 @@ std::size_t Des64Cipher::decrypt_inplace(std::uint8_t* data, std::size_t n) cons
     des_decrypt_blocks(blocks, count, schedule_);
   });
   return stripped_size(data, n);
-}
-
-Bytes Des128Cipher::encrypt(const Bytes& plaintext) const {
-  return map_blocks(pad_pkcs7(plaintext),
-                    [this](std::uint64_t b) { return des_ede_encrypt_block(b, k1_, k2_); });
-}
-
-Bytes Des128Cipher::decrypt(const Bytes& ciphertext) const {
-  return strip_pkcs7(map_blocks(
-      ciphertext, [this](std::uint64_t b) { return des_ede_decrypt_block(b, k1_, k2_); }));
 }
 
 void Des128Cipher::encrypt_into(std::span<const std::uint8_t> src, std::uint8_t* dst) const {

@@ -80,13 +80,6 @@ class Des64Cipher {
  public:
   explicit Des64Cipher(std::uint64_t key) : schedule_(des_key_schedule(key)) {}
 
-  Bytes encrypt(const Bytes& plaintext) const;
-
-  /// Decrypts and strips padding. A wrong key produces garbage: if the
-  /// padding is invalid the raw decrypted bytes are returned unstripped, so
-  /// the corruption survives to the integrity check instead of throwing.
-  Bytes decrypt(const Bytes& ciphertext) const;
-
   /// Ciphertext size for an `n`-byte plaintext (PKCS#7 always pads).
   static std::size_t padded_size(std::size_t n) { return n + 8 - n % 8; }
 
@@ -94,9 +87,10 @@ class Des64Cipher {
   /// padded_size(src.size()) bytes) and encrypts the blocks in place there.
   void encrypt_into(std::span<const std::uint8_t> src, std::uint8_t* dst) const;
 
-  /// In-place decrypt of `n` bytes (n % 8 == 0; throws otherwise). Returns
-  /// the payload size after PKCS#7 strip — `n` unchanged when the padding is
-  /// invalid, same garbage-tolerant contract as decrypt().
+  /// In-place decrypt of `n` bytes (n % 8 == 0; throws std::invalid_argument
+  /// otherwise). Returns the payload size after the PKCS#7 strip. A wrong key
+  /// produces garbage: when the padding is invalid the size stays `n`, so the
+  /// corruption survives to the integrity check instead of throwing.
   std::size_t decrypt_inplace(std::uint8_t* data, std::size_t n) const;
 
  private:
@@ -108,9 +102,6 @@ class Des128Cipher {
  public:
   Des128Cipher(std::uint64_t key1, std::uint64_t key2)
       : k1_(des_key_schedule(key1)), k2_(des_key_schedule(key2)) {}
-
-  Bytes encrypt(const Bytes& plaintext) const;
-  Bytes decrypt(const Bytes& ciphertext) const;
 
   static std::size_t padded_size(std::size_t n) { return n + 8 - n % 8; }
   void encrypt_into(std::span<const std::uint8_t> src, std::uint8_t* dst) const;

@@ -57,11 +57,13 @@ struct DataPlanePump::Lane {
 
   // Adaptation handshake (cold path).
   std::atomic<bool> adapt_requested{false};
+  std::mutex adapt_mutex;  ///< serializes adapt_lane callers: one window each
   std::mutex mutex;
   std::condition_variable cv;
   bool parked = false;
   bool resume_requested = false;
   bool pump_exited = false;
+  std::uint64_t windows_closed = 0;  ///< bumped once both chains have resumed
 
   // Counters (written by the pump thread, read by reporters).
   std::atomic<std::uint64_t> generated{0};
@@ -272,6 +274,10 @@ void DataPlanePump::park_lane(Lane& lane) {
                               .count();
   lane.blocked_windows.fetch_add(1, std::memory_order_relaxed);
   lane.blocked_ns.fetch_add(static_cast<std::uint64_t>(blocked_ns), std::memory_order_relaxed);
+
+  lock.lock();
+  ++lane.windows_closed;
+  lane.cv.notify_all();
 }
 
 void DataPlanePump::adapt_lane(
@@ -279,6 +285,7 @@ void DataPlanePump::adapt_lane(
     const std::function<void(components::FilterChain&, components::FilterChain&)>& adapt) {
   if (lane_index >= lanes_.size()) throw std::out_of_range("adapt_lane: no such lane");
   Lane& lane = *lanes_[lane_index];
+  const std::lock_guard<std::mutex> serial(lane.adapt_mutex);
   std::unique_lock<std::mutex> lock(lane.mutex);
   if (lane.pump_exited) {
     // Pump finished; chains are idle — adapt directly.
@@ -291,6 +298,10 @@ void DataPlanePump::adapt_lane(
   if (lane.parked) {
     lane.resume_requested = true;
     lane.cv.notify_all();
+    // Return only once the window is closed (both chains resumed and the
+    // window counted), so the next call cannot join this one.
+    const std::uint64_t window = lane.windows_closed;
+    lane.cv.wait(lock, [&] { return lane.windows_closed != window || lane.pump_exited; });
   }
 }
 

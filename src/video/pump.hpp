@@ -93,8 +93,10 @@ class DataPlanePump {
 
   /// §5.2 handshake against a running lane: parks the lane's pump thread at
   /// the next batch boundary with both chains blocked, runs `adapt` from the
-  /// calling thread, then resumes. Safe to call concurrently for different
-  /// lanes. After the pump has finished, `adapt` runs directly (chains idle).
+  /// calling thread, then returns once the lane has resumed — every call
+  /// opens and closes its own blocked window (calls on one lane serialize).
+  /// Safe to call concurrently for different lanes. After the pump has
+  /// finished, `adapt` runs directly (chains idle).
   void adapt_lane(std::size_t lane,
                   const std::function<void(components::FilterChain& encode,
                                            components::FilterChain& decode)>& adapt);

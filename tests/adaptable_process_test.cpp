@@ -2,6 +2,7 @@
 
 #include "components/fec.hpp"
 #include "components/filter.hpp"
+#include "filter_harness.hpp"
 #include "proto/adaptable_process.hpp"
 #include "sim/simulator.hpp"
 
@@ -151,11 +152,11 @@ TEST_F(Fixture, ReplacementTransfersComponentState) {
   // Feed 2 of 4 data packets (one dropped later), leaving an open group.
   std::vector<components::Packet> wires;
   for (std::uint64_t seq = 0; seq < 2; ++seq) {
-    for (auto& wire : encoder.process_all(components::Packet::make(1, seq, {1, 2, 3}))) {
+    for (auto& wire : components::run_filter(encoder, components::Packet::make(1, seq, {1, 2, 3}))) {
       wires.push_back(std::move(wire));
     }
   }
-  for (auto& wire : wires) old_decoder->process_all(std::move(wire));
+  for (auto& wire : wires) components::run_filter(*old_decoder, std::move(wire));
 
   FilterChainProcess fec_process(chain, [](const std::string& name) -> components::FilterPtr {
     return std::make_shared<components::XorFecDecoderFilter>(name);
@@ -168,7 +169,7 @@ TEST_F(Fixture, ReplacementTransfersComponentState) {
   // decoder: reconstruction only succeeds if the group state was adopted.
   std::vector<components::Packet> tail;
   for (std::uint64_t seq = 2; seq < 4; ++seq) {
-    for (auto& wire : encoder.process_all(components::Packet::make(1, seq, {1, 2, 3}))) {
+    for (auto& wire : components::run_filter(encoder, components::Packet::make(1, seq, {1, 2, 3}))) {
       tail.push_back(std::move(wire));
     }
   }
@@ -182,7 +183,7 @@ TEST_F(Fixture, ReplacementTransfersComponentState) {
         wire.encoding_stack.back().starts_with("fec:")) {
       continue;  // lose data packet 2
     }
-    delivered += new_decoder->process_all(std::move(wire)).size();
+    delivered += components::run_filter(*new_decoder, std::move(wire)).size();
   }
   EXPECT_EQ(new_decoder->recovered(), 1U);
   EXPECT_EQ(delivered, 2U);  // packet 3 + reconstructed packet 2

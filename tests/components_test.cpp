@@ -3,6 +3,7 @@
 #include "components/filter.hpp"
 #include "components/filter_chain.hpp"
 #include "components/packet.hpp"
+#include "filter_harness.hpp"
 #include "sim/simulator.hpp"
 
 namespace sa::components {
@@ -77,21 +78,21 @@ TEST(Packet, ChecksumWordBatchingAgreesWithByteLoopAtAllLengths) {
 
 TEST(Filters, PassThroughCountsProcessed) {
   PassThroughFilter filter("p");
-  const auto out = filter.process(make_packet());
-  ASSERT_TRUE(out.has_value());
-  EXPECT_TRUE(out->intact());
+  const auto out = run_filter(filter, make_packet());
+  ASSERT_EQ(out.size(), 1U);
+  EXPECT_TRUE(out[0].intact());
   EXPECT_EQ(filter.stats().processed, 1U);
 }
 
 TEST(Filters, TagUntagRoundTrip) {
   TagFilter tag("t", "fec");
   UntagFilter untag("u", "fec");
-  auto tagged = tag.process(make_packet());
-  ASSERT_TRUE(tagged.has_value());
-  EXPECT_EQ(tagged->encoding_stack, (std::vector<std::string>{"fec"}));
-  auto untagged = untag.process(std::move(*tagged));
-  ASSERT_TRUE(untagged.has_value());
-  EXPECT_TRUE(untagged->intact());
+  auto tagged = run_filter(tag, make_packet());
+  ASSERT_EQ(tagged.size(), 1U);
+  EXPECT_EQ(tagged[0].encoding_stack, (std::vector<std::string>{"fec"}));
+  const auto untagged = run_filter(untag, std::move(tagged[0]));
+  ASSERT_EQ(untagged.size(), 1U);
+  EXPECT_TRUE(untagged[0].intact());
   EXPECT_EQ(untag.stats().processed, 1U);
   EXPECT_EQ(untag.stats().bypassed, 0U);
 }
@@ -100,15 +101,15 @@ TEST(Filters, UntagBypassesWrongTag) {
   UntagFilter untag("u", "fec");
   Packet packet = make_packet();
   packet.encoding_stack.push_back("other");
-  const auto out = untag.process(packet);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->encoding_stack, (std::vector<std::string>{"other"}));
+  const auto out = run_filter(untag, packet);
+  ASSERT_EQ(out.size(), 1U);
+  EXPECT_EQ(out[0].encoding_stack, (std::vector<std::string>{"other"}));
   EXPECT_EQ(untag.stats().bypassed, 1U);
 }
 
 TEST(Filters, RefractExposesStats) {
   PassThroughFilter filter("p", sim::us(33));
-  filter.process(make_packet());
+  run_filter(filter, make_packet());
   const auto snapshot = filter.refract();
   EXPECT_EQ(snapshot.at("name"), "p");
   EXPECT_EQ(snapshot.at("processed"), "1");
@@ -299,9 +300,8 @@ TEST_F(ChainFixture, DroppingFilterCountsDrops) {
   class DropAll final : public Filter {
    public:
     DropAll() : Filter("drop") {}
-    std::optional<Packet> process(Packet) override {
-      note_dropped();
-      return std::nullopt;
+    void process_span(std::span<PacketRef> batch, PacketSink&) override {
+      for (std::size_t i = 0; i < batch.size(); ++i) note_dropped();
     }
   };
   chain.append_filter(std::make_shared<DropAll>());

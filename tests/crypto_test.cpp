@@ -74,23 +74,41 @@ TEST(DesBlock, EdeWithEqualKeysDegeneratesToSingleDes) {
 
 // --- byte-stream ciphers ----------------------------------------------------------
 
+// The codecs' one byte-level implementation is encrypt_into / decrypt_inplace
+// (what the DES filters run on arena payloads); these wrap it for vectors.
+template <typename Cipher>
+Bytes encrypt(const Cipher& cipher, const Bytes& plaintext) {
+  Bytes out(Cipher::padded_size(plaintext.size()));
+  cipher.encrypt_into(plaintext, out.data());
+  return out;
+}
+
+template <typename Cipher>
+Bytes decrypt(const Cipher& cipher, Bytes wire) {
+  wire.resize(cipher.decrypt_inplace(wire.data(), wire.size()));
+  return wire;
+}
+
 TEST(Des64Cipher, RoundTripVariousLengths) {
   const Des64Cipher cipher(0x133457799BBCDFF1ULL);
   util::Rng rng(31);
-  for (const std::size_t length : {0UL, 1UL, 7UL, 8UL, 9UL, 255UL, 256UL, 1000UL}) {
+  std::vector<std::size_t> lengths(265);
+  for (std::size_t i = 0; i < lengths.size(); ++i) lengths[i] = i;
+  lengths.push_back(1000);
+  for (const std::size_t length : lengths) {
     Bytes plaintext(length);
     for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng.next_u64());
-    const Bytes ciphertext = cipher.encrypt(plaintext);
+    const Bytes ciphertext = encrypt(cipher, plaintext);
     EXPECT_EQ(ciphertext.size() % 8, 0U);
     EXPECT_GT(ciphertext.size(), plaintext.size());  // padding always added
-    EXPECT_EQ(cipher.decrypt(ciphertext), plaintext) << "length " << length;
+    EXPECT_EQ(decrypt(cipher, ciphertext), plaintext) << "length " << length;
   }
 }
 
 TEST(Des64Cipher, CiphertextDiffersFromPlaintext) {
   const Des64Cipher cipher(0x133457799BBCDFF1ULL);
   const Bytes plaintext(64, 0x42);
-  EXPECT_NE(cipher.encrypt(plaintext), plaintext);
+  EXPECT_NE(encrypt(cipher, plaintext), plaintext);
 }
 
 TEST(Des64Cipher, WrongKeyYieldsGarbageNotThrow) {
@@ -98,43 +116,53 @@ TEST(Des64Cipher, WrongKeyYieldsGarbageNotThrow) {
   const Des64Cipher bad(0x0123456789ABCDEFULL);
   Bytes plaintext(100);
   for (std::size_t i = 0; i < plaintext.size(); ++i) plaintext[i] = static_cast<std::uint8_t>(i);
-  const Bytes decrypted = bad.decrypt(good.encrypt(plaintext));
+  Bytes decrypted;
+  EXPECT_NO_THROW(decrypted = decrypt(bad, encrypt(good, plaintext)));
   EXPECT_NE(decrypted, plaintext);  // corruption, observable by checksums
 }
 
 TEST(Des64Cipher, DecryptRejectsUnalignedInput) {
-  const Des64Cipher cipher(1);
-  EXPECT_THROW(cipher.decrypt(Bytes{1, 2, 3}), std::invalid_argument);
+  const Des64Cipher des64(1);
+  const Des128Cipher des128(1, 2);
+  for (std::size_t length = 1; length < 24; ++length) {
+    if (length % 8 == 0) continue;
+    Bytes bad(length, 0x5A);
+    EXPECT_THROW(des64.decrypt_inplace(bad.data(), bad.size()), std::invalid_argument);
+    EXPECT_THROW(des128.decrypt_inplace(bad.data(), bad.size()), std::invalid_argument);
+    EXPECT_EQ(bad, Bytes(length, 0x5A)) << "rejected before touching the buffer";
+  }
 }
 
 TEST(Des128Cipher, RoundTrip) {
   const Des128Cipher cipher(0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL);
-  Bytes plaintext(123);
   util::Rng rng(37);
-  for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng.next_u64());
-  EXPECT_EQ(cipher.decrypt(cipher.encrypt(plaintext)), plaintext);
+  for (std::size_t length = 0; length <= 264; ++length) {
+    Bytes plaintext(length);
+    for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng.next_u64());
+    EXPECT_EQ(decrypt(cipher, encrypt(cipher, plaintext)), plaintext) << "length " << length;
+  }
 }
 
 TEST(Des128Cipher, KeyOrderMatters) {
   const Des128Cipher a(1, 2);
   const Des128Cipher b(2, 1);
   const Bytes plaintext(64, 0x11);
-  EXPECT_NE(a.encrypt(plaintext), b.encrypt(plaintext));
+  EXPECT_NE(encrypt(a, plaintext), encrypt(b, plaintext));
 }
 
 TEST(Des128Cipher, NotInterchangeableWithDes64) {
   const Des64Cipher des64(0x133457799BBCDFF1ULL);
   const Des128Cipher des128(0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL);
   Bytes plaintext(80, 0x3C);
-  EXPECT_NE(des64.decrypt(des128.encrypt(plaintext)), plaintext);
-  EXPECT_NE(des128.decrypt(des64.encrypt(plaintext)), plaintext);
+  EXPECT_NE(decrypt(des64, encrypt(des128, plaintext)), plaintext);
+  EXPECT_NE(decrypt(des128, encrypt(des64, plaintext)), plaintext);
 }
 
 // Property: ECB determinism — same block, same key, same ciphertext.
 TEST(CipherProperty, Deterministic) {
   const Des64Cipher cipher(42);
   const Bytes plaintext{9, 8, 7, 6, 5, 4, 3, 2, 1};
-  EXPECT_EQ(cipher.encrypt(plaintext), cipher.encrypt(plaintext));
+  EXPECT_EQ(encrypt(cipher, plaintext), encrypt(cipher, plaintext));
 }
 
 // --- table-driven fast path vs bit-by-bit reference ---------------------------
@@ -196,33 +224,67 @@ TEST(DesTables, SharedKeyScheduleMatchesDirectExpansion) {
   EXPECT_EQ(&shared, &shared_key_schedule(0x133457799BBCDFF1ULL));
 }
 
-// --- in-place byte APIs (the batched data plane's entry points) ---------------
+// --- in-place byte APIs vs the bit-by-bit reference -------------------------
+
+/// ECB over big-endian 8-byte blocks with a reference block function.
+template <typename BlockFn>
+Bytes reference_ecb(const Bytes& input, BlockFn&& block_fn) {
+  Bytes out(input.size());
+  for (std::size_t offset = 0; offset < input.size(); offset += 8) {
+    std::uint64_t block = 0;
+    for (std::size_t i = 0; i < 8; ++i) block = (block << 8) | input[offset + i];
+    block = block_fn(block);
+    for (std::size_t i = 0; i < 8; ++i) {
+      out[offset + i] = static_cast<std::uint8_t>(block >> (56 - 8 * i));
+    }
+  }
+  return out;
+}
+
+Bytes pkcs7_padded(Bytes plaintext) {
+  const std::size_t pad = 8 - plaintext.size() % 8;
+  plaintext.insert(plaintext.end(), pad, static_cast<std::uint8_t>(pad));
+  return plaintext;
+}
 
 TEST(CipherInplace, EncryptIntoMatchesEncrypt) {
-  const Des64Cipher des64(0x133457799BBCDFF1ULL);
-  const Des128Cipher des128(0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL);
+  const std::uint64_t key64 = 0x133457799BBCDFF1ULL;
+  const std::uint64_t key1 = 0x0123456789ABCDEFULL, key2 = 0xFEDCBA9876543210ULL;
+  const Des64Cipher des64(key64);
+  const Des128Cipher des128(key1, key2);
+  const auto s64 = des_key_schedule(key64);
+  const auto s1 = des_key_schedule(key1);
+  const auto s2 = des_key_schedule(key2);
   util::Rng rng(99);
   for (std::size_t len : {0U, 1U, 7U, 8U, 9U, 255U, 256U}) {
     Bytes plaintext(len);
     for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng.next_u64());
 
-    Bytes out64(Des64Cipher::padded_size(len));
-    des64.encrypt_into(plaintext, out64.data());
-    EXPECT_EQ(out64, des64.encrypt(plaintext)) << "len " << len;
-
-    Bytes out128(Des128Cipher::padded_size(len));
-    des128.encrypt_into(plaintext, out128.data());
-    EXPECT_EQ(out128, des128.encrypt(plaintext)) << "len " << len;
+    EXPECT_EQ(encrypt(des64, plaintext),
+              reference_ecb(pkcs7_padded(plaintext),
+                            [&](std::uint64_t b) { return des_encrypt_block_reference(b, s64); }))
+        << "len " << len;
+    EXPECT_EQ(encrypt(des128, plaintext),
+              reference_ecb(pkcs7_padded(plaintext),
+                            [&](std::uint64_t b) {
+                              return des_ede_encrypt_block_reference(b, s1, s2);
+                            }))
+        << "len " << len;
   }
 }
 
 TEST(CipherInplace, DecryptInplaceMatchesDecryptAndStripsPadding) {
-  const Des64Cipher cipher(0x133457799BBCDFF1ULL);
+  const std::uint64_t key = 0x133457799BBCDFF1ULL;
+  const Des64Cipher cipher(key);
+  const auto schedule = des_key_schedule(key);
   util::Rng rng(7);
   Bytes plaintext(61);
   for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng.next_u64());
-  Bytes wire = cipher.encrypt(plaintext);
+  Bytes wire = encrypt(cipher, plaintext);
+  const Bytes reference = reference_ecb(
+      wire, [&](std::uint64_t b) { return des_decrypt_block_reference(b, schedule); });
   const std::size_t stripped = cipher.decrypt_inplace(wire.data(), wire.size());
+  EXPECT_EQ(wire, reference);  // decrypted in place, padding bytes still there
   EXPECT_EQ(stripped, plaintext.size());
   wire.resize(stripped);
   EXPECT_EQ(wire, plaintext);
@@ -230,12 +292,15 @@ TEST(CipherInplace, DecryptInplaceMatchesDecryptAndStripsPadding) {
 
 TEST(CipherInplace, WrongKeyLeavesGarbageUnstripped) {
   const Des64Cipher right(1), wrong(2);
+  const auto wrong_schedule = des_key_schedule(2);
   Bytes plaintext(40, 0x5A);
-  Bytes wire = right.encrypt(plaintext);
-  const Bytes reference = wrong.decrypt(wire);
+  Bytes wire = encrypt(right, plaintext);
+  const Bytes reference = reference_ecb(
+      wire, [&](std::uint64_t b) { return des_decrypt_block_reference(b, wrong_schedule); });
   const std::size_t stripped = wrong.decrypt_inplace(wire.data(), wire.size());
-  wire.resize(stripped);
-  EXPECT_EQ(wire, reference);  // same garbage-tolerant contract as decrypt()
+  EXPECT_EQ(stripped, wire.size());  // invalid padding: nothing stripped, no throw
+  EXPECT_EQ(wire, reference);
+  EXPECT_NE(wire, pkcs7_padded(plaintext));
 }
 
 TEST(CipherInplace, DecryptInplaceRejectsUnalignedInput) {
