@@ -18,7 +18,8 @@
 
 #include "core/paper_scenario.hpp"
 #include "core/system.hpp"
-#include "sim/network.hpp"
+#include "inject/faulty_runtime.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace {
 
@@ -33,11 +34,15 @@ struct NullProcess : proto::AdaptableProcess {
   void resume() override {}
 };
 
+/// The paper system on the simulator behind the fault decorators.
 struct Harness {
+  runtime::SimRuntime sim;
+  inject::FaultyRuntime faulty;
   core::SafeAdaptationSystem system;
   NullProcess server, handheld, laptop;
 
-  explicit Harness(core::SystemConfig config = {}) : system(config) {
+  explicit Harness(core::SystemConfig config = {})
+      : sim(config.seed), faulty(sim, config.seed), system(faulty, config) {
     core::configure_paper_system(system);
     system.attach_process(core::kServerProcess, server, 0);
     system.attach_process(core::kHandheldProcess, handheld, 1);
@@ -88,7 +93,7 @@ void print_fail_to_reset_outcomes() {
         core::paper_target(harness.system.registry()),
         [&result](const proto::AdaptationResult& r) { result = r; });
     std::size_t events = 0;
-    while (!result && events < 1'000'000 && harness.system.simulator().step()) {
+    while (!result && events < 1'000'000 && harness.sim.simulator().step()) {
       ++events;
       if (!harness.system.manager().step_log().empty() &&
           harness.system.manager().step_log().front().rolled_back) {
@@ -119,7 +124,7 @@ void print_fail_to_reset_outcomes() {
 
   {  // unreachable agent from the start
     Harness harness;
-    harness.system.network().partition_pair(
+    harness.faulty.faulty_transport().partition_pair(
         harness.system.manager_node(), harness.system.agent_node(core::kHandheldProcess), true);
     const auto result =
         harness.system.adapt_and_wait(core::paper_target(harness.system.registry()), 5'000'000);
@@ -137,7 +142,7 @@ void BM_AdaptationWithTransientFailure(benchmark::State& state) {
         core::paper_target(harness.system.registry()),
         [&result](const proto::AdaptationResult& r) { result = r; });
     std::size_t events = 0;
-    while (!result && events < 1'000'000 && harness.system.simulator().step()) {
+    while (!result && events < 1'000'000 && harness.sim.simulator().step()) {
       ++events;
       if (!harness.system.manager().step_log().empty() &&
           harness.system.manager().step_log().front().rolled_back) {

@@ -70,8 +70,9 @@ int main() {
                   handheld.sink().missing(server.packets_emitted())));
 
   // The environment degrades: 8%% loss appears on both data channels.
-  net.channel(server_data, handheld_data).set_loss_probability(0.08);
-  net.channel(server_data, laptop_data).set_loss_probability(0.08);
+  lossy.loss_probability = 0.08;
+  net.link(server_data, handheld_data, lossy);
+  net.link(server_data, laptop_data, lossy);
   const std::uint64_t emitted_at_degrade = server.packets_emitted();
   system.simulator().run_until(sim::seconds(4));
   const std::uint64_t lost_unprotected =

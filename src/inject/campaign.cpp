@@ -69,55 +69,16 @@ void capture_tail(const obs::TraceRecorder& tracer, RunResult& out) {
   out.trace_tail = tail.str();
 }
 
-/// Wires one plan event's open/close callbacks onto the *inner* (unskewed)
-/// clock, so fault windows fire at their literal plan times even while a
-/// TimerSkew window is stretching every protocol timer.
-void arm_event(const FaultEvent& event, runtime::Clock& clock, FaultyRuntime& frt,
-               core::SafeAdaptationSystem& system) {
-  FaultyTransport& net = frt.faulty_transport();
-  switch (event.kind) {
-    case FaultKind::Loss:
-      clock.schedule_at(event.start, [&net, p = event.probability] { net.set_extra_loss(p); });
-      clock.schedule_at(event.end, [&net] { net.set_extra_loss(0.0); });
-      break;
-    case FaultKind::Duplicate:
-      clock.schedule_at(event.start,
-                        [&net, p = event.probability] { net.set_extra_duplication(p); });
-      clock.schedule_at(event.end, [&net] { net.set_extra_duplication(0.0); });
-      break;
-    case FaultKind::TimerSkew:
-      clock.schedule_at(event.start,
-                        [&frt, f = event.factor] { frt.faulty_clock().set_skew(f); });
-      clock.schedule_at(event.end, [&frt] { frt.faulty_clock().set_skew(1.0); });
-      break;
-    case FaultKind::PartitionNode: {
-      const runtime::NodeId node = system.agent_node(event.process);
-      clock.schedule_at(event.start, [&net, node] { net.partition_node(node, true); });
-      clock.schedule_at(event.end, [&net, node] { net.partition_node(node, false); });
-      break;
-    }
-    case FaultKind::PartitionPair: {
-      const runtime::NodeId manager = system.manager_node();
-      const runtime::NodeId node = system.agent_node(event.process);
-      clock.schedule_at(event.start,
-                        [&net, manager, node] { net.partition_pair(manager, node, true); });
-      clock.schedule_at(event.end,
-                        [&net, manager, node] { net.partition_pair(manager, node, false); });
-      break;
-    }
-    case FaultKind::Crash: {
-      const runtime::NodeId node = system.agent_node(event.process);
-      clock.schedule_at(event.start, [&net, node] { net.set_crashed(node, true); });
-      clock.schedule_at(event.end, [&net, node] { net.set_crashed(node, false); });
-      break;
-    }
-    case FaultKind::FailToReset: {
-      proto::AdaptationAgent& agent = system.agent(event.process);
-      clock.schedule_at(event.start, [&agent] { agent.set_fail_to_reset(true); });
-      clock.schedule_at(event.end, [&agent] { agent.set_fail_to_reset(false); });
-      break;
-    }
-  }
+/// The paper and video scenarios target agent processes: a partition pair
+/// cuts the manager <-> agent link, node faults take out the agent.
+PlanTargets agent_targets(core::SafeAdaptationSystem& system) {
+  return PlanTargets{
+      [&system](config::ProcessId process) {
+        return std::pair{system.manager_node(), system.agent_node(process)};
+      },
+      [&system](config::ProcessId process, bool open) {
+        system.agent(process).set_fail_to_reset(open);
+      }};
 }
 
 runtime::Time plan_horizon(const FaultPlan& plan) {
@@ -126,98 +87,143 @@ runtime::Time plan_horizon(const FaultPlan& plan) {
   return horizon;
 }
 
+/// What a finished paper or video run left behind, in backend-neutral terms.
+/// The sim path reads it off the in-process system, the socket path off the
+/// supervisor's report; check_terminal() runs the same oracles over both.
+struct TerminalSummary {
+  const config::ComponentRegistry& registry;
+  const config::InvariantSet& invariants;
+  const actions::ActionTable& actions;
+  config::Configuration source;
+  config::Configuration target;
+  /// Where the system rests; unknown when no node reported back.
+  std::optional<config::Configuration> resting;
+  /// The manager's reported outcome and final configuration; the outcome is
+  /// empty when the request never reported one (then `resting` may be unset).
+  std::string outcome;
+  config::Configuration reported;
+  /// (label, proto::to_string(AgentState)) per agent.
+  std::vector<std::pair<std::string, std::string>> agents;
+  /// Names of the committed steps, in commit order.
+  std::vector<std::string> committed;
+  const std::vector<runtime::TraceEntry>& trace;  ///< delivered control messages
+  runtime::NodeId manager_node;
+};
+
 /// Runs every post-termination oracle; each violation is prefixed with its
 /// class ("unsafe-rest:", "conformance:", ...) so shrinking can match by
 /// failure class instead of exact message text.
-void check_oracles(core::SafeAdaptationSystem& system, const FaultyRuntime& frt,
-                   const config::Configuration& source, const config::Configuration& target,
-                   const std::optional<proto::AdaptationResult>& result,
-                   std::vector<std::string>& violations) {
-  const auto& registry = system.registry();
+void check_terminal(const TerminalSummary& run, std::vector<std::string>& violations) {
+  const auto& registry = run.registry;
   const auto violate = [&violations](const std::string& what) { violations.push_back(what); };
 
   // -- the system rests only in safe configurations ---------------------------
-  const config::Configuration resting = system.current_configuration();
-  if (!system.invariants().satisfied(resting)) {
-    violate("unsafe-rest: terminal configuration " + resting.describe(registry) +
+  if (run.resting && !run.invariants.satisfied(*run.resting)) {
+    violate("unsafe-rest: terminal configuration " + run.resting->describe(registry) +
             " violates an invariant");
   }
 
-  if (result.has_value()) {
-    if (!(result->final_config == resting)) {
+  if (!run.outcome.empty() && run.resting) {
+    const config::Configuration& resting = *run.resting;
+    const config::Configuration& reported = run.reported;
+    if (!(reported == resting)) {
       violate("unsafe-rest: manager rests at " + resting.describe(registry) +
-              " but reported final configuration " + result->final_config.describe(registry));
+              " but reported final configuration " + reported.describe(registry));
     }
 
     // -- terminal outcome in the §4.4 legal set -------------------------------
-    const auto outcome = result->outcome;
-    const std::string outcome_name(proto::to_string(outcome));
-    if (outcome == proto::AdaptationOutcome::Success) {
-      if (!(result->final_config == target)) {
+    const auto is = [&run](proto::AdaptationOutcome outcome) {
+      return run.outcome == proto::to_string(outcome);
+    };
+    if (is(proto::AdaptationOutcome::Success)) {
+      if (!(reported == run.target)) {
         violate("illegal-outcome: success but final configuration is " +
-                result->final_config.describe(registry) + ", not the target");
+                reported.describe(registry) + ", not the target");
       }
-      for (const config::ProcessId process : paper_processes()) {
-        const proto::AgentState state = system.agent(process).state();
-        if (state != proto::AgentState::Running) {
-          violate("illegal-outcome: success but agent " + std::to_string(process) +
-                  " is not running");
+      for (const auto& [label, state] : run.agents) {
+        if (state != proto::to_string(proto::AgentState::Running)) {
+          violate("illegal-outcome: success but agent " + label + " is not running");
         }
       }
-    } else if (outcome == proto::AdaptationOutcome::NoPathFound ||
-               outcome == proto::AdaptationOutcome::RolledBackToSource) {
-      if (!(result->final_config == source)) {
-        violate("illegal-outcome: " + outcome_name + " but final configuration is " +
-                result->final_config.describe(registry) + ", not the source");
+    } else if (is(proto::AdaptationOutcome::NoPathFound) ||
+               is(proto::AdaptationOutcome::RolledBackToSource)) {
+      if (!(reported == run.source)) {
+        violate("illegal-outcome: " + run.outcome + " but final configuration is " +
+                reported.describe(registry) + ", not the source");
       }
     }
     // UserInterventionRequired / StalledAfterResume park at any safe
     // configuration; the unsafe-rest oracle above already covers them.
 
     // -- committed step log replays from source to the terminal config --------
-    const auto& table = system.action_table();
-    config::Configuration replayed = source;
+    config::Configuration replayed = run.source;
     bool replay_ok = true;
-    for (const proto::StepRecord& record : system.manager().step_log()) {
-      if (!record.committed) continue;
-      const auto id = table.find(record.action_name);
+    for (const std::string& name : run.committed) {
+      const auto id = run.actions.find(name);
       if (!id) {
-        violate("step-replay: committed step names unknown action " + record.action_name);
+        violate("step-replay: committed step names unknown action " + name);
         replay_ok = false;
         break;
       }
-      const actions::AdaptiveAction& action = table.action(*id);
+      const actions::AdaptiveAction& action = run.actions.action(*id);
       if (!action.applicable_to(replayed)) {
-        violate("step-replay: committed action " + record.action_name +
-                " is not applicable to " + replayed.describe(registry));
+        violate("step-replay: committed action " + name + " is not applicable to " +
+                replayed.describe(registry));
         replay_ok = false;
         break;
       }
       replayed = action.apply(replayed);
-      if (!system.invariants().satisfied(replayed)) {
-        violate("step-replay: committed action " + record.action_name +
+      if (!run.invariants.satisfied(replayed)) {
+        violate("step-replay: committed action " + name +
                 " passes through unsafe configuration " + replayed.describe(registry));
       }
     }
-    if (replay_ok && !(replayed == result->final_config)) {
+    if (replay_ok && !(replayed == reported)) {
       violate("step-replay: committed steps replay to " + replayed.describe(registry) +
-              " but the manager reported " + result->final_config.describe(registry));
+              " but the manager reported " + reported.describe(registry));
     }
   }
 
   // -- delivered control trace conforms to the Fig. 1 / Fig. 2 automata -------
-  const proto::ConformanceChecker checker(system.manager_node());
-  for (const proto::ConformanceViolation& v :
-       checker.check(frt.faulty_transport().trace())) {
+  const proto::ConformanceChecker checker(run.manager_node);
+  for (const proto::ConformanceViolation& v : checker.check(run.trace)) {
     violate("conformance: " + v.description);
   }
+}
 
-  // -- obs metrics agree with the manager's own accounting --------------------
+/// The sim path's summary plus its one in-process-only oracle: the obs
+/// metrics must agree with the manager's own accounting.
+void check_oracles(core::SafeAdaptationSystem& system, const FaultyRuntime& frt,
+                   const config::Configuration& source, const config::Configuration& target,
+                   const std::optional<proto::AdaptationResult>& result,
+                   std::vector<std::string>& violations) {
+  TerminalSummary run{system.registry(),
+                      system.invariants(),
+                      system.action_table(),
+                      source,
+                      target,
+                      system.current_configuration(),
+                      result ? std::string(proto::to_string(result->outcome)) : std::string(),
+                      result ? result->final_config : config::Configuration{},
+                      {},
+                      {},
+                      frt.faulty_transport().trace(),
+                      system.manager_node()};
+  for (const config::ProcessId process : paper_processes()) {
+    run.agents.emplace_back(std::to_string(process),
+                            std::string(proto::to_string(system.agent(process).state())));
+  }
+  for (const proto::StepRecord& record : system.manager().step_log()) {
+    if (record.committed) run.committed.push_back(record.action_name);
+  }
+  check_terminal(run, violations);
+
   const double histogram = system.metrics().histogram_family_sum("sa_blocked_time_us");
   const auto reported = static_cast<double>(system.manager().total_blocked_reported());
   if (histogram != reported) {
-    violate("metrics-mismatch: sa_blocked_time_us sums to " + std::to_string(histogram) +
-            " but the manager reported " + std::to_string(reported) + "us blocked");
+    violations.push_back("metrics-mismatch: sa_blocked_time_us sums to " +
+                         std::to_string(histogram) + " but the manager reported " +
+                         std::to_string(reported) + "us blocked");
   }
 }
 
@@ -243,7 +249,7 @@ RunResult run_paper(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
   if (options.fault != proto::ManagerFault::None) system.manager().inject_fault(options.fault);
 
   frt.faulty_transport().set_tracing(true);
-  for (const FaultEvent& event : plan.events) arm_event(event, sim.clock(), frt, system);
+  arm_plan(plan, frt, agent_targets(system));
 
   RunResult out;
   std::optional<proto::AdaptationResult> result;
@@ -268,11 +274,11 @@ RunResult run_paper(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
 /// Socket backend: the same seed -> plan -> run -> oracles contract, but the
 /// run is core::run_distributed_paper — real OS processes over loopback
 /// sockets. Crash windows become the supervisor's kill -9 / re-exec; every
-/// other window is armed in-transport by the nodes themselves. The oracles
-/// mirror check_oracles over the supervisor's report and merged wall-clock
-/// trace; metrics-mismatch does not apply (there is no cross-process obs
-/// registry to compare against), and infra failures surface as the
-/// "supervisor:" violation class.
+/// other window is armed by the nodes themselves on their fault decorators.
+/// check_terminal runs over a summary of the supervisor's report and merged
+/// wall-clock trace; metrics-mismatch does not apply (there is no
+/// cross-process obs registry to compare against), and infra failures
+/// surface as the "supervisor:" violation class.
 RunResult run_socket_paper(std::uint64_t seed, const FaultPlan& plan,
                            const CampaignOptions& options) {
   core::DistributedOptions dopt;
@@ -301,78 +307,29 @@ RunResult run_socket_paper(std::uint64_t seed, const FaultPlan& plan,
   const auto violate = [&out](const std::string& what) { out.violations.push_back(what); };
   for (const std::string& error : report.infra_errors) violate(error);
 
-  const core::PaperScenario scenario = core::make_paper_scenario();
-  const auto& registry = *scenario.registry;
-  const config::Configuration source = scenario.source;
-  const config::Configuration target = scenario.target;
-
   if (report.outcome.empty()) {
     violate("non-termination: the distributed manager never reported an outcome");
-  } else {
-    const config::Configuration resting(report.final_config_bits);
-
-    // -- the system rests only in safe configurations -------------------------
-    if (!scenario.invariants->satisfied(resting)) {
-      violate("unsafe-rest: terminal configuration " + resting.describe(registry) +
-              " violates an invariant");
-    }
-
-    // -- terminal outcome in the §4.4 legal set -------------------------------
-    if (report.outcome == "did-not-terminate") {
-      violate("non-termination: the adaptation did not terminate within the real-time cap");
-    } else if (report.outcome == proto::to_string(proto::AdaptationOutcome::Success)) {
-      if (!(resting == target)) {
-        violate("illegal-outcome: success but final configuration is " +
-                resting.describe(registry) + ", not the target");
-      }
-      for (const auto& [name, state] : report.agent_states) {
-        if (state != "running") {
-          violate("illegal-outcome: success but agent " + name + " is " + state);
-        }
-      }
-    } else if (report.outcome == proto::to_string(proto::AdaptationOutcome::NoPathFound) ||
-               report.outcome ==
-                   proto::to_string(proto::AdaptationOutcome::RolledBackToSource)) {
-      if (!(resting == source)) {
-        violate("illegal-outcome: " + report.outcome + " but final configuration is " +
-                resting.describe(registry) + ", not the source");
-      }
-    }
-
-    // -- committed step log replays from source to the terminal config --------
-    config::Configuration replayed = source;
-    bool replay_ok = true;
-    for (const std::string& name : report.committed_actions) {
-      const auto id = scenario.actions->find(name);
-      if (!id) {
-        violate("step-replay: committed step names unknown action " + name);
-        replay_ok = false;
-        break;
-      }
-      const actions::AdaptiveAction& action = scenario.actions->action(*id);
-      if (!action.applicable_to(replayed)) {
-        violate("step-replay: committed action " + name + " is not applicable to " +
-                replayed.describe(registry));
-        replay_ok = false;
-        break;
-      }
-      replayed = action.apply(replayed);
-      if (!scenario.invariants->satisfied(replayed)) {
-        violate("step-replay: committed action " + name +
-                " passes through unsafe configuration " + replayed.describe(registry));
-      }
-    }
-    if (replay_ok && !(replayed == resting)) {
-      violate("step-replay: committed steps replay to " + replayed.describe(registry) +
-              " but the manager reported " + resting.describe(registry));
-    }
+  } else if (report.outcome == "did-not-terminate") {
+    violate("non-termination: the adaptation did not terminate within the real-time cap");
   }
 
-  // -- merged cross-process trace conforms to the Fig. 1 / Fig. 2 automata ----
-  const proto::ConformanceChecker checker(runtime::NodeId{0});
-  for (const proto::ConformanceViolation& v : checker.check(report.merged_trace)) {
-    violate("conformance: " + v.description);
-  }
+  const core::PaperScenario scenario = core::make_paper_scenario();
+  TerminalSummary run{*scenario.registry,
+                      *scenario.invariants,
+                      *scenario.actions,
+                      scenario.source,
+                      scenario.target,
+                      std::nullopt,
+                      report.outcome,
+                      config::Configuration(report.final_config_bits),
+                      {report.agent_states.begin(), report.agent_states.end()},
+                      report.committed_actions,
+                      report.merged_trace,
+                      runtime::NodeId{0}};
+  // result.json carries one configuration: where the manager rests is what it
+  // reported.
+  if (!report.outcome.empty()) run.resting = run.reported;
+  check_terminal(run, out.violations);
   return out;
 }
 
@@ -392,7 +349,7 @@ RunResult run_video(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
   if (options.fault != proto::ManagerFault::None) system.manager().inject_fault(options.fault);
 
   frt.faulty_transport().set_tracing(true);
-  for (const FaultEvent& event : plan.events) arm_event(event, sim.clock(), frt, system);
+  arm_plan(plan, frt, agent_targets(system));
 
   testbed.start_stream();
   RunResult out;
@@ -489,45 +446,12 @@ RunResult run_fleet(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
   frt.faulty_transport().set_tracing(true);
   FaultyTransport& net = frt.faulty_transport();
   const auto& links = system.coordinator_links();
-  for (const FaultEvent& event : plan.events) {
-    const auto [parent, child] = links[event.process % links.size()];
-    switch (event.kind) {
-      case FaultKind::Loss:
-        sim.clock().schedule_at(event.start,
-                                [&net, p = event.probability] { net.set_extra_loss(p); });
-        sim.clock().schedule_at(event.end, [&net] { net.set_extra_loss(0.0); });
-        break;
-      case FaultKind::Duplicate:
-        sim.clock().schedule_at(event.start,
-                                [&net, p = event.probability] { net.set_extra_duplication(p); });
-        sim.clock().schedule_at(event.end, [&net] { net.set_extra_duplication(0.0); });
-        break;
-      case FaultKind::TimerSkew:
-        sim.clock().schedule_at(event.start,
-                                [&frt, f = event.factor] { frt.faulty_clock().set_skew(f); });
-        sim.clock().schedule_at(event.end, [&frt] { frt.faulty_clock().set_skew(1.0); });
-        break;
-      case FaultKind::PartitionPair:
-        sim.clock().schedule_at(event.start, [&net, parent, child] {
-          net.partition_pair(parent, child, true);
-        });
-        sim.clock().schedule_at(event.end, [&net, parent, child] {
-          net.partition_pair(parent, child, false);
-        });
-        break;
-      case FaultKind::PartitionNode:
-      case FaultKind::FailToReset:
-        sim.clock().schedule_at(event.start,
-                                [&net, child] { net.partition_node(child, true); });
-        sim.clock().schedule_at(event.end,
-                                [&net, child] { net.partition_node(child, false); });
-        break;
-      case FaultKind::Crash:
-        sim.clock().schedule_at(event.start, [&net, child] { net.set_crashed(child, true); });
-        sim.clock().schedule_at(event.end, [&net, child] { net.set_crashed(child, false); });
-        break;
-    }
-  }
+  const auto link = [&links](config::ProcessId process) { return links[process % links.size()]; };
+  // Coordinators have no fail-to-reset hook: the window takes the child out.
+  arm_plan(plan, frt,
+           PlanTargets{link, [&net, link](config::ProcessId process, bool open) {
+                         net.partition_node(link(process).second, open);
+                       }});
 
   RunResult out;
   std::optional<core::CompositeResult> result;

@@ -43,7 +43,7 @@ enum class EventKind : std::uint8_t {
   // --- message-level records (transports) -----------------------------------
   MessageSent,        ///< accepted onto the channel
   MessageDelivered,   ///< handed to the receiving endpoint
-  MessageDropped,     ///< lost (detail = "loss" or "partition")
+  MessageDropped,     ///< lost on the link (detail = "loss")
   MessageDuplicated,  ///< channel scheduled a duplicate delivery
 
   // --- protocol timers ------------------------------------------------------

@@ -49,8 +49,8 @@ void MessageObserver::on_delivered(runtime::Time t, runtime::NodeId from, runtim
 }
 
 void MessageObserver::on_dropped(runtime::Time t, runtime::NodeId from, runtime::NodeId to,
-                                 const std::string& type, std::string_view reason) {
-  record(EventKind::MessageDropped, t, from, to, type, reason);
+                                 const std::string& type) {
+  record(EventKind::MessageDropped, t, from, to, type, "loss");
 }
 
 void MessageObserver::on_duplicated(runtime::Time t, runtime::NodeId from, runtime::NodeId to,

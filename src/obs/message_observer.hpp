@@ -33,9 +33,9 @@ class MessageObserver {
                const std::string& type);
   void on_delivered(runtime::Time t, runtime::NodeId from, runtime::NodeId to,
                     const std::string& type);
-  /// `reason` is "loss" or "partition".
+  /// Recorded with detail "loss": the only drop a backend makes itself.
   void on_dropped(runtime::Time t, runtime::NodeId from, runtime::NodeId to,
-                  const std::string& type, std::string_view reason);
+                  const std::string& type);
   void on_duplicated(runtime::Time t, runtime::NodeId from, runtime::NodeId to,
                      const std::string& type);
 

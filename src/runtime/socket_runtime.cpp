@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -60,7 +59,6 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
       rng_(options_.seed) {
   handlers_.resize(options_.topology.size());
   in_handler_.assign(options_.topology.size(), false);
-  node_partitioned_.assign(options_.topology.size(), false);
 
   send_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (send_fd_ < 0) throw std::runtime_error("socket transport: cannot create send socket");
@@ -206,13 +204,7 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
   ++channel.stats.sent;
   if (stopping_.load()) return false;
 
-  if (node_partitioned_[from] || node_partitioned_[to] || channel.pair_partitioned) {
-    ++channel.stats.dropped_partition;
-    record(wall_clock_us(), from, to, message->type_name(), false, message);
-    return false;
-  }
-  const double loss =
-      std::min(1.0, channel.config.loss_probability + extra_loss_);
+  const double loss = channel.config.loss_probability;
   if (loss > 0.0 && rng_.next_bool(loss)) {
     ++channel.stats.dropped_loss;
     record(wall_clock_us(), from, to, message->type_name(), false, message);
@@ -228,8 +220,7 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
     return false;
   }
 
-  const double dup =
-      std::min(1.0, channel.config.duplicate_probability + extra_duplication_);
+  const double dup = channel.config.duplicate_probability;
   int copies = 1;
   if (dup > 0.0 && rng_.next_bool(dup)) {
     ++copies;
@@ -279,26 +270,6 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
   return sent;
 }
 
-void SocketTransport::partition_node(NodeId node, bool partitioned) {
-  std::lock_guard lock(mutex_);
-  if (node >= node_partitioned_.size()) {
-    throw std::out_of_range("socket transport: bad node id in partition_node");
-  }
-  node_partitioned_[node] = partitioned;
-}
-
-void SocketTransport::partition_pair(NodeId a, NodeId b, bool partitioned) {
-  std::lock_guard lock(mutex_);
-  channels_[{a, b}].pair_partitioned = partitioned;
-  channels_[{b, a}].pair_partitioned = partitioned;
-}
-
-void SocketTransport::set_loss(NodeId from, NodeId to, double probability) {
-  checked_probability(probability, "socket loss probability");
-  std::lock_guard lock(mutex_);
-  channels_[{from, to}].config.loss_probability = probability;
-}
-
 ChannelStats SocketTransport::channel_stats(NodeId from, NodeId to) const {
   std::lock_guard lock(mutex_);
   const auto it = channels_.find({from, to});
@@ -326,18 +297,6 @@ void SocketTransport::set_endpoint_port(NodeId node, std::uint16_t port) {
     throw std::out_of_range("socket transport: bad node id in set_endpoint_port");
   }
   options_.topology[node].port = port;
-}
-
-void SocketTransport::set_extra_loss(double probability) {
-  checked_probability(probability, "socket extra loss");
-  std::lock_guard lock(mutex_);
-  extra_loss_ = probability;
-}
-
-void SocketTransport::set_extra_duplication(double probability) {
-  checked_probability(probability, "socket extra duplication");
-  std::lock_guard lock(mutex_);
-  extra_duplication_ = probability;
 }
 
 void SocketTransport::record(Time time, NodeId from, NodeId to, const std::string& type,
@@ -385,15 +344,6 @@ void SocketTransport::handle_datagram(const std::uint8_t* data, std::size_t size
     wm.seq = frame.seq;
 
     ChannelState& channel = channels_[{frame.from, frame.to}];
-    if (node_partitioned_[frame.from] || node_partitioned_[frame.to] ||
-        channel.pair_partitioned) {
-      // Receiver-side half of a partition window: the peer may not have
-      // armed (or opened) its window yet, so the cut must hold here too.
-      ++channel.stats.dropped_partition;
-      record(wall_clock_us(), frame.from, frame.to, frame.message->type_name(), false,
-             frame.message);
-      return;
-    }
     handler = handlers_[frame.to];
     if (!handler) {
       ++channel.stats.dropped_loss;
@@ -523,20 +473,6 @@ void SocketTransport::stop() {
     close_fd(wake_pipe_[0]);
     close_fd(wake_pipe_[1]);
   });
-}
-
-TimerId SocketClock::schedule_at(Time t, std::function<void()> fn) {
-  const Time base = std::max<Time>(0, t - inner_.now());
-  return schedule_after(base, std::move(fn));
-}
-
-TimerId SocketClock::schedule_after(Time delay, std::function<void()> fn) {
-  const double factor = skew_.load();
-  Time scaled = delay;
-  if (factor != 1.0) {
-    scaled = static_cast<Time>(static_cast<double>(delay) * std::max(0.0, factor));
-  }
-  return inner_.schedule_after(scaled, std::move(fn));
 }
 
 SocketRuntime::SocketRuntime(SocketRuntimeOptions options)

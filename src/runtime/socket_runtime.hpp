@@ -19,19 +19,22 @@
 //     and a respawned sender's fresh incarnation resets the watermark, so
 //     `kill -9` + re-exec does not mute the channel.
 //
-//     Fault knobs (partition_node / partition_pair / set_loss, plus the
-//     campaign's set_extra_loss / set_extra_duplication) are implemented
-//     natively under the transport mutex: FaultPlan partitions become
-//     in-transport drops on BOTH sides of the cut (each process arms its own
-//     windows), no iptables required. The FaultyTransport decorator is
-//     single-threaded by design and must NOT be layered on this backend.
-//
 //     ChannelConfig latency/jitter/bandwidth knobs are accepted but not
 //     simulated — the loopback is the real link; loss/duplication knobs are
 //     honored.
 //
-//   * SocketClock — ThreadedClock plus an atomic skew factor, so FaultPlan
-//     TimerSkew windows work without the (single-threaded) FaultyClock.
+//     Run-time faults are not this transport's business: sa_node runs its
+//     role over an inject::FaultyRuntime wrapping this runtime, and every
+//     process arms the same FaultPlan through inject::arm_plan. Partitions
+//     therefore drop at the SENDER, in the decorator, and since each
+//     process cuts its own outbound side, both directions of a cut hold.
+//     There is no receiver-side check: a frame already sent when the window
+//     opens still arrives (as on the other backends), and the few
+//     milliseconds by which two processes arm the plan apart shift each
+//     side's window edges by that much. No iptables required.
+//
+//   * Clock — a plain ThreadedClock; TimerSkew windows come from the
+//     decorator's FaultyClock.
 //
 //   * Trace entries are stamped with CLOCK_REALTIME microseconds, not
 //     steady-clock-since-start: the supervisor merges per-process trace
@@ -99,10 +102,6 @@ class SocketTransport final : public Transport {
 
   bool send(NodeId from, NodeId to, MessagePtr message) override;
 
-  void partition_node(NodeId node, bool partitioned) override;
-  void partition_pair(NodeId a, NodeId b, bool partitioned) override;
-  void set_loss(NodeId from, NodeId to, double probability) override;
-
   ChannelStats channel_stats(NodeId from, NodeId to) const override;
 
   void set_tracing(bool enabled) override;
@@ -117,11 +116,6 @@ class SocketTransport final : public Transport {
   /// supervisor's endpoint exchange). Sends to a port-0 endpoint drop.
   void set_endpoint_port(NodeId node, std::uint16_t port);
 
-  /// Campaign knobs: extra loss / duplication applied to every outbound
-  /// frame, layered on the per-channel config (FaultPlan Loss / Duplicate).
-  void set_extra_loss(double probability);
-  void set_extra_duplication(double probability);
-
   /// Datagrams that failed frame decoding (garbage, truncation, unknown
   /// codec) and frames dropped by the FIFO watermark, respectively.
   std::uint64_t malformed_frames() const { return malformed_frames_.load(); }
@@ -135,7 +129,6 @@ class SocketTransport final : public Transport {
   struct ChannelState {
     ChannelConfig config;
     ChannelStats stats;
-    bool pair_partitioned = false;
   };
   /// Receiver-side FIFO watermark for one (from, to) ordered channel.
   struct RecvWatermark {
@@ -172,9 +165,6 @@ class SocketTransport final : public Transport {
   std::map<std::pair<NodeId, NodeId>, ChannelState> channels_;
   std::map<std::pair<NodeId, NodeId>, std::uint64_t> send_seq_;
   std::map<std::pair<NodeId, NodeId>, RecvWatermark> recv_seq_;
-  std::vector<bool> node_partitioned_;
-  double extra_loss_ = 0.0;
-  double extra_duplication_ = 0.0;
 
   std::vector<LocalSocket> local_sockets_;
   int send_fd_ = -1;      ///< shared unbound UDP socket for outbound datagrams
@@ -187,23 +177,6 @@ class SocketTransport final : public Transport {
   std::vector<TraceEntry> trace_;
   std::atomic<std::uint64_t> malformed_frames_{0};
   std::atomic<std::uint64_t> stale_frames_{0};
-};
-
-/// ThreadedClock with a FaultPlan TimerSkew knob: every delay scheduled while
-/// skew != 1 is scaled. Safe to flip from any thread.
-class SocketClock final : public Clock {
- public:
-  Time now() const override { return inner_.now(); }
-  TimerId schedule_at(Time t, std::function<void()> fn) override;
-  TimerId schedule_after(Time delay, std::function<void()> fn) override;
-  bool cancel(TimerId id) override { return inner_.cancel(id); }
-
-  void set_skew(double factor) { skew_.store(factor); }
-  void stop() { inner_.stop(); }
-
- private:
-  ThreadedClock inner_;
-  std::atomic<double> skew_{1.0};
 };
 
 struct SocketRuntimeOptions {
@@ -231,7 +204,6 @@ class SocketRuntime final : public Runtime {
   bool wait_until(const std::function<bool()>& done,
                   std::size_t max_events = SIZE_MAX) override;
 
-  SocketClock& socket_clock() { return clock_; }
   SocketTransport& socket_transport() { return transport_; }
 
   /// Stops timers first (no new protocol actions), then the receiver, then
@@ -240,7 +212,7 @@ class SocketRuntime final : public Runtime {
 
  private:
   SocketRuntimeOptions options_;
-  SocketClock clock_;
+  ThreadedClock clock_;
   ThreadedExecutor executor_;
   SocketTransport transport_;
 };

@@ -171,7 +171,7 @@ void ThreadedTransport::connect(NodeId from, NodeId to, ChannelConfig config) {
     throw std::out_of_range("ThreadedTransport::connect: unknown node");
   }
   checked_channel_config(config);
-  channels_[{from, to}] = ChannelState{config, {}, false, 0, 0};
+  channels_[{from, to}] = ChannelState{config, {}, 0, 0};
 }
 
 void ThreadedTransport::connect_bidirectional(NodeId a, NodeId b, ChannelConfig config) {
@@ -194,20 +194,12 @@ bool ThreadedTransport::send(NodeId from, NodeId to, MessagePtr message) {
     }
     ChannelState& ch = it->second;
     ++ch.stats.sent;
-    const bool dropped_partition = ch.partitioned;
-    const bool dropped_loss = !dropped_partition && ch.config.loss_probability > 0.0 &&
-                              rng_.next_bool(ch.config.loss_probability);
-    if (dropped_partition || dropped_loss) {
-      if (dropped_partition) {
-        ++ch.stats.dropped_partition;
-      } else {
-        ++ch.stats.dropped_loss;
-      }
+    if (ch.config.loss_probability > 0.0 && rng_.next_bool(ch.config.loss_probability)) {
+      ++ch.stats.dropped_loss;
       if (tracing_.load(std::memory_order_relaxed)) {
         trace_.push_back(TraceEntry{clock_->now(), from, to, message->type_name(), false, nullptr});
       }
-      observer_.on_dropped(clock_->now(), from, to, message->type_name(),
-                           dropped_partition ? "partition" : "loss");
+      observer_.on_dropped(clock_->now(), from, to, message->type_name());
       return false;
     }
 
@@ -301,28 +293,6 @@ void ThreadedTransport::drain_mailbox(NodeId node) {
     }
   }
   endpoint.draining = false;
-}
-
-void ThreadedTransport::partition_node(NodeId node, bool partitioned) {
-  std::lock_guard lock(mutex_);
-  for (auto& [key, channel] : channels_) {
-    if (key.first == node || key.second == node) channel.partitioned = partitioned;
-  }
-}
-
-void ThreadedTransport::partition_pair(NodeId a, NodeId b, bool partitioned) {
-  std::lock_guard lock(mutex_);
-  for (auto& [key, channel] : channels_) {
-    if ((key.first == a && key.second == b) || (key.first == b && key.second == a)) {
-      channel.partitioned = partitioned;
-    }
-  }
-}
-
-void ThreadedTransport::set_loss(NodeId from, NodeId to, double probability) {
-  checked_probability(probability, "loss probability");
-  std::lock_guard lock(mutex_);
-  channels_.at({from, to}).config.loss_probability = probability;
 }
 
 ChannelStats ThreadedTransport::channel_stats(NodeId from, NodeId to) const {

@@ -13,9 +13,10 @@
 //                 on the worker pool one-at-a-time per endpoint, so each
 //                 endpoint's handler runs serialized and in arrival order.
 //
-// Loss, duplication, and partition injection use the same knobs and the same
-// Rng family as the simulated network, so failure experiments port across
-// backends unchanged. Entities whose handlers share state across endpoints
+// Channel loss and duplication use the same ChannelConfig knobs and the same
+// Rng family as the simulated network; run-time faults (partitions, crashes,
+// loss windows) come from inject::FaultyRuntime layered on top, so failure
+// experiments port across backends unchanged. Entities whose handlers share state across endpoints
 // and timers (manager, agents) serialize themselves with their own mutex.
 #pragma once
 
@@ -98,10 +99,6 @@ class ThreadedTransport final : public Transport {
 
   bool send(NodeId from, NodeId to, MessagePtr message) override;
 
-  void partition_node(NodeId node, bool partitioned) override;
-  void partition_pair(NodeId a, NodeId b, bool partitioned) override;
-  void set_loss(NodeId from, NodeId to, double probability) override;
-
   ChannelStats channel_stats(NodeId from, NodeId to) const override;
 
   void set_tracing(bool enabled) override;
@@ -115,7 +112,6 @@ class ThreadedTransport final : public Transport {
   struct ChannelState {
     ChannelConfig config;
     ChannelStats stats;
-    bool partitioned = false;
     Time last_delivery = 0;  // FIFO clamp
     Time link_free_at = 0;   // bandwidth serialization
   };

@@ -1,11 +1,16 @@
-// Transport: named endpoints connected by directed channels with
-// configurable latency, jitter, loss, duplication, and partitions.
+// Transport: named endpoints connected by directed channels whose
+// ChannelConfig models the link — latency, jitter, loss, duplication and
+// bandwidth.
 //
 // This is the abstraction the protocol (manager/agent), the video testbed,
 // and the experiment harnesses send messages through. Backends:
-// sa::sim::Network (virtual-time discrete-event delivery) and
-// ThreadedRuntime's in-process queue transport (real threads, per-endpoint
-// FIFO mailboxes).
+// sa::sim::Network (virtual-time discrete-event delivery), ThreadedRuntime's
+// in-process queue transport (real threads, per-endpoint FIFO mailboxes) and
+// SocketTransport (real processes over loopback sockets).
+//
+// Run-time faults — partitions, crashes, loss and duplication windows — are
+// not part of this interface: inject::FaultyTransport decorates any backend
+// with them, so one implementation serves all three.
 #pragma once
 
 #include <cmath>
@@ -84,7 +89,6 @@ struct ChannelStats {
   std::uint64_t delivered = 0;
   std::uint64_t duplicated = 0;
   std::uint64_t dropped_loss = 0;
-  std::uint64_t dropped_partition = 0;
 };
 
 /// Trace record of a delivered (or dropped) message, for protocol tests and
@@ -124,11 +128,6 @@ class Transport {
   /// Sends over the from->to channel; throws std::out_of_range when no such
   /// channel exists. Returns false if the channel dropped the message.
   virtual bool send(NodeId from, NodeId to, MessagePtr message) = 0;
-
-  // --- fault-injection knobs -------------------------------------------------
-  virtual void partition_node(NodeId node, bool partitioned) = 0;
-  virtual void partition_pair(NodeId a, NodeId b, bool partitioned) = 0;
-  virtual void set_loss(NodeId from, NodeId to, double probability) = 0;
 
   virtual ChannelStats channel_stats(NodeId from, NodeId to) const = 0;
 

@@ -10,10 +10,6 @@ namespace sa::sim {
 
 bool Channel::send(MessagePtr message, const std::function<void(NodeId, MessagePtr)>& deliver) {
   ++stats_.sent;
-  if (partitioned_) {
-    ++stats_.dropped_partition;
-    return false;
-  }
   if (config_.loss_probability > 0.0 && rng_->next_bool(config_.loss_probability)) {
     ++stats_.dropped_loss;
     return false;
@@ -91,10 +87,6 @@ void Network::connect_bidirectional(NodeId a, NodeId b, ChannelConfig config) {
   link_bidirectional(a, b, config);
 }
 
-void Network::set_loss(NodeId from, NodeId to, double probability) {
-  channel(from, to).set_loss_probability(probability);
-}
-
 ChannelStats Network::channel_stats(NodeId from, NodeId to) const {
   const auto it = channels_.find({from, to});
   if (it == channels_.end()) {
@@ -118,7 +110,7 @@ bool Network::has_channel(NodeId from, NodeId to) const {
 bool Network::send(NodeId from, NodeId to, MessagePtr message) {
   Channel& ch = channel(from, to);
   const std::string type = message->type_name();
-  const ChannelStats before = ch.stats();
+  const std::uint64_t duplicated_before = ch.stats().duplicated;
   const bool accepted = ch.send(std::move(message), [this, to](NodeId sender, MessagePtr msg) {
     const std::string delivered_type = msg->type_name();
     if (tracing_) {
@@ -127,29 +119,17 @@ bool Network::send(NodeId from, NodeId to, MessagePtr message) {
     observer_.on_delivered(sim_->now(), sender, to, delivered_type);
     if (handlers_.at(to)) handlers_[to](sender, std::move(msg));
   });
-  const ChannelStats& after = ch.stats();
   if (accepted) {
     observer_.on_sent(sim_->now(), from, to, type);
-    if (after.duplicated > before.duplicated) observer_.on_duplicated(sim_->now(), from, to, type);
+    if (ch.stats().duplicated > duplicated_before) {
+      observer_.on_duplicated(sim_->now(), from, to, type);
+    }
   } else {
     SA_DEBUG("network") << names_[from] << " -> " << names_[to] << " dropped " << type;
     if (tracing_) trace_.push_back(TraceEntry{sim_->now(), from, to, type, false, nullptr});
-    observer_.on_dropped(sim_->now(), from, to, type,
-                         after.dropped_partition > before.dropped_partition ? "partition"
-                                                                            : "loss");
+    observer_.on_dropped(sim_->now(), from, to, type);
   }
   return accepted;
-}
-
-void Network::partition_node(NodeId node, bool partitioned) {
-  for (auto& [key, channel] : channels_) {
-    if (key.first == node || key.second == node) channel->set_partitioned(partitioned);
-  }
-}
-
-void Network::partition_pair(NodeId a, NodeId b, bool partitioned) {
-  if (has_channel(a, b)) channel(a, b).set_partitioned(partitioned);
-  if (has_channel(b, a)) channel(b, a).set_partitioned(partitioned);
 }
 
 }  // namespace sa::sim

@@ -1,11 +1,11 @@
 // Simulated network: named nodes connected by directed channels with
-// configurable latency, jitter, loss, and partitions.
+// configurable latency, jitter, loss, duplication and bandwidth.
 //
 // This substitutes for the paper's physical testbed (802.11 multicast between
 // a server, an iPAQ hand-held, and a Toughbook laptop).  Channels can be
 // FIFO-ordered (a TCP-like manager/agent control connection) or unordered and
-// lossy (UDP-like data multicast); partitions model the paper's "long-term
-// network failure" that triggers loss-of-message handling.
+// lossy (UDP-like data multicast). The paper's "long-term network failure"
+// (a partition) is injected by inject::FaultyTransport over this network.
 //
 // The Network IS the sim backend's runtime::Transport: protocol and
 // application layers talk to that interface and reach this implementation
@@ -44,15 +44,7 @@ class Channel {
   const ChannelConfig& config() const { return config_; }
   const ChannelStats& stats() const { return stats_; }
 
-  /// Failure injection: while partitioned, every message is dropped.
-  void set_partitioned(bool partitioned) { partitioned_ = partitioned; }
-  bool partitioned() const { return partitioned_; }
-
-  void set_loss_probability(double p) {
-    config_.loss_probability = runtime::checked_probability(p, "loss probability");
-  }
-
-  /// Queues `message` for delivery to `deliver` subject to loss/partition;
+  /// Queues `message` for delivery to `deliver` subject to loss;
   /// returns true if the message was accepted (i.e. not dropped).
   bool send(MessagePtr message, const std::function<void(NodeId, MessagePtr)>& deliver);
 
@@ -63,7 +55,6 @@ class Channel {
   NodeId to_;
   ChannelConfig config_;
   ChannelStats stats_;
-  bool partitioned_ = false;
   Time last_delivery_ = 0;   // FIFO clamp
   Time link_free_at_ = 0;    // bandwidth serialization
 };
@@ -95,11 +86,6 @@ class Network final : public runtime::Transport {
   /// Sends over the from->to channel; throws std::out_of_range when no such
   /// channel exists. Returns false if the channel dropped the message.
   bool send(NodeId from, NodeId to, MessagePtr message) override;
-
-  /// Failure injection helpers for the loss-of-message experiments.
-  void partition_node(NodeId node, bool partitioned) override;
-  void partition_pair(NodeId a, NodeId b, bool partitioned) override;
-  void set_loss(NodeId from, NodeId to, double probability) override;
 
   ChannelStats channel_stats(NodeId from, NodeId to) const override;
 

@@ -14,9 +14,10 @@
 
 #include "core/paper_scenario.hpp"
 #include "core/system.hpp"
+#include "inject/faulty_runtime.hpp"
 #include "proto/conformance.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "runtime/threaded_runtime.hpp"
-#include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -69,13 +70,16 @@ TEST(ConformanceMatrix, SimBackendRandomSeedsStayClean) {
     config.seed = point.seed;
     config.control_channel.loss_probability = point.loss;
     config.control_channel.duplicate_probability = point.duplicate;
-    core::SafeAdaptationSystem system(config);
+    runtime::SimRuntime sim(point.seed);
+    inject::FaultyRuntime faulty(sim, point.seed);
+    inject::FaultyTransport& faults = faulty.faulty_transport();
+    core::SafeAdaptationSystem system(faulty, config);
     NullProcess server, handheld, laptop;
     attach_null_processes(system, server, handheld, laptop);
-    system.network().set_tracing(true);
+    faults.set_tracing(true);
     if (point.partition_handheld) {
-      system.network().partition_pair(system.manager_node(),
-                                      system.agent_node(core::kHandheldProcess), true);
+      faults.partition_pair(system.manager_node(), system.agent_node(core::kHandheldProcess),
+                            true);
     }
 
     std::optional<proto::AdaptationResult> result;
@@ -83,11 +87,11 @@ TEST(ConformanceMatrix, SimBackendRandomSeedsStayClean) {
         core::paper_target(system.registry()),
         [&result](const proto::AdaptationResult& r) { result = r; });
     std::size_t events = 0;
-    while (!result && events < 2'000'000 && system.simulator().step()) ++events;
+    while (!result && events < 2'000'000 && sim.simulator().step()) ++events;
     ASSERT_TRUE(result.has_value()) << point.describe();
 
     const auto violations =
-        proto::ConformanceChecker(system.manager_node()).check(system.network().trace());
+        proto::ConformanceChecker(system.manager_node()).check(faults.trace());
     for (const auto& violation : violations) {
       ADD_FAILURE() << point.describe() << " t=" << violation.time << ": "
                     << violation.description;

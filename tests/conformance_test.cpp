@@ -7,7 +7,9 @@
 
 #include "core/paper_scenario.hpp"
 #include "core/system.hpp"
+#include "inject/faulty_runtime.hpp"
 #include "proto/conformance.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
 
@@ -23,18 +25,24 @@ struct NullProcess : AdaptableProcess {
   void resume() override {}
 };
 
+/// The paper system on the simulator behind the fault decorators: `faults`
+/// partitions links and records the delivered trace the checker reads.
 struct Harness {
+  runtime::SimRuntime sim;
+  inject::FaultyRuntime faulty;
+  inject::FaultyTransport& faults = faulty.faulty_transport();
   core::SafeAdaptationSystem system;
   NullProcess server, handheld, laptop;
 
-  explicit Harness(core::SystemConfig config = {}) : system(config) {
+  explicit Harness(core::SystemConfig config = {})
+      : sim(config.seed), faulty(sim, config.seed), system(faulty, config) {
     core::configure_paper_system(system);
     system.attach_process(core::kServerProcess, server, 0);
     system.attach_process(core::kHandheldProcess, handheld, 1);
     system.attach_process(core::kLaptopProcess, laptop, 1);
     system.finalize();
     system.set_current_configuration(core::paper_source(system.registry()));
-    system.network().set_tracing(true);
+    faults.set_tracing(true);
   }
 
   std::vector<ConformanceViolation> run_and_check(std::size_t max_events = 2'000'000) {
@@ -42,9 +50,9 @@ struct Harness {
     system.request_adaptation(core::paper_target(system.registry()),
                               [&result](const AdaptationResult& r) { result = r; });
     std::size_t events = 0;
-    while (!result && events < max_events && system.simulator().step()) ++events;
+    while (!result && events < max_events && sim.simulator().step()) ++events;
     const ConformanceChecker checker(system.manager_node());
-    return checker.check(system.network().trace());
+    return checker.check(faults.trace());
   }
 };
 
@@ -66,9 +74,8 @@ TEST(Conformance, FailToResetWithRollbacksIsClean) {
 
 TEST(Conformance, PartitionedAgentTraceIsClean) {
   Harness harness;
-  harness.system.network().partition_pair(harness.system.manager_node(),
-                                          harness.system.agent_node(core::kHandheldProcess),
-                                          true);
+  harness.faults.partition_pair(harness.system.manager_node(),
+                                harness.system.agent_node(core::kHandheldProcess), true);
   const auto violations = harness.run_and_check();
   for (const auto& v : violations) ADD_FAILURE() << v.time << ": " << v.description;
 }
@@ -173,13 +180,13 @@ TEST_P(ProtocolSweep, EveryExecutionConformsAndTerminatesConsistently) {
   harness.system.request_adaptation(core::paper_target(harness.system.registry()),
                                     [&result](const AdaptationResult& r) { result = r; });
   std::size_t events = 0;
-  while (!result && events < 2'000'000 && harness.system.simulator().step()) ++events;
+  while (!result && events < 2'000'000 && harness.sim.simulator().step()) ++events;
 
   // Termination: the request always resolves.
   ASSERT_TRUE(result.has_value()) << "seed " << seed;
   // Conformance: no execution, however lossy, bends the protocol rules.
   const auto violations =
-      ConformanceChecker(harness.system.manager_node()).check(harness.system.network().trace());
+      ConformanceChecker(harness.system.manager_node()).check(harness.faults.trace());
   for (const auto& v : violations) {
     ADD_FAILURE() << "seed " << seed << " loss " << loss_percent << "%: " << v.time << ": "
                   << v.description;
@@ -214,25 +221,24 @@ TEST_P(PartitionFlapSweep, TerminatesConformsAndStaysSafe) {
     if (!flapping) return;
     const config::ProcessId victim = processes[rng.next_below(processes.size())];
     const bool down = rng.next_bool(0.5);
-    harness.system.network().partition_pair(manager_node,
-                                            harness.system.agent_node(victim), down);
-    harness.system.simulator().schedule_after(
+    harness.faults.partition_pair(manager_node, harness.system.agent_node(victim), down);
+    harness.sim.simulator().schedule_after(
         sim::ms(static_cast<std::int64_t>(20 + rng.next_below(180))), flap);
   };
-  harness.system.simulator().schedule_after(sim::ms(10), flap);
+  harness.sim.simulator().schedule_after(sim::ms(10), flap);
 
   std::optional<AdaptationResult> result;
   harness.system.request_adaptation(core::paper_target(harness.system.registry()),
                                     [&result](const AdaptationResult& r) { result = r; });
   std::size_t events = 0;
-  while (!result && events < 5'000'000 && harness.system.simulator().step()) ++events;
+  while (!result && events < 5'000'000 && harness.sim.simulator().step()) ++events;
   flapping = false;
 
   ASSERT_TRUE(result.has_value()) << "seed " << seed << " did not terminate";
   EXPECT_FALSE(harness.system.manager().busy());
   EXPECT_TRUE(harness.system.invariants().satisfied(result->final_config)) << "seed " << seed;
   const auto violations =
-      ConformanceChecker(manager_node).check(harness.system.network().trace());
+      ConformanceChecker(manager_node).check(harness.faults.trace());
   for (const auto& v : violations) {
     ADD_FAILURE() << "seed " << seed << ": " << v.time << ": " << v.description;
   }

@@ -9,7 +9,8 @@
 
 #include "core/paper_scenario.hpp"
 #include "core/system.hpp"
-#include "sim/network.hpp"
+#include "inject/faulty_runtime.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace sa::core {
 namespace {
@@ -23,11 +24,15 @@ struct NullProcess : proto::AdaptableProcess {
   void resume() override {}
 };
 
+/// The paper system on the simulator behind the fault decorators.
 struct Harness {
+  runtime::SimRuntime sim;
+  inject::FaultyRuntime faulty;
   SafeAdaptationSystem system;
   NullProcess server, handheld, laptop;
 
-  explicit Harness(SystemConfig config = {}) : system(config) {
+  explicit Harness(SystemConfig config = {})
+      : sim(config.seed), faulty(sim, config.seed), system(faulty, config) {
     configure_paper_system(system);
     system.attach_process(kServerProcess, server, 0);
     system.attach_process(kHandheldProcess, handheld, 1);
@@ -84,7 +89,7 @@ TEST(FailureRecovery, TransientFailToResetCostsOneRollbackThenSucceeds) {
   harness.system.request_adaptation(
       harness.target(), [&result](const proto::AdaptationResult& r) { result = r; });
   std::size_t events = 0;
-  while (!result && events < 1'000'000 && harness.system.simulator().step()) {
+  while (!result && events < 1'000'000 && harness.sim.simulator().step()) {
     ++events;
     if (!harness.system.manager().step_log().empty() &&
         harness.system.manager().step_log().front().rolled_back) {
@@ -117,8 +122,8 @@ TEST(FailureRecovery, PartitionedAgentTerminatesWithoutReachingTarget) {
   // the request. The protocol must terminate (bounded retries), not succeed,
   // and leave the system resting in a safe configuration.
   Harness harness;
-  harness.system.network().partition_pair(harness.system.manager_node(),
-                                          harness.system.agent_node(kHandheldProcess), true);
+  harness.faulty.faulty_transport().partition_pair(
+      harness.system.manager_node(), harness.system.agent_node(kHandheldProcess), true);
   const auto result = harness.system.adapt_and_wait(harness.target(), 5'000'000);
   EXPECT_NE(result.outcome, proto::AdaptationOutcome::Success);
   EXPECT_TRUE(harness.system.invariants().satisfied(result.final_config));

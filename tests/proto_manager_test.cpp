@@ -7,8 +7,9 @@
 
 #include "core/paper_scenario.hpp"
 #include "core/system.hpp"
+#include "inject/faulty_runtime.hpp"
 #include "proto/manager.hpp"
-#include "sim/network.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace sa::proto {
 namespace {
@@ -45,14 +46,19 @@ struct ScriptedProcess : AdaptableProcess {
   void resume() override { ++resumes; }
 };
 
+/// The paper system on the simulator behind the fault decorators.
 struct ManagerFixture : ::testing::Test {
   core::SystemConfig sys_config;
+  std::unique_ptr<runtime::SimRuntime> sim;
+  std::unique_ptr<inject::FaultyRuntime> faulty;
   std::unique_ptr<core::SafeAdaptationSystem> system;
   ScriptedProcess server, handheld, laptop;
 
   void build(std::function<void(core::SystemConfig&)> tweak = nullptr) {
     if (tweak) tweak(sys_config);
-    system = std::make_unique<core::SafeAdaptationSystem>(sys_config);
+    sim = std::make_unique<runtime::SimRuntime>(sys_config.seed);
+    faulty = std::make_unique<inject::FaultyRuntime>(*sim, sys_config.seed);
+    system = std::make_unique<core::SafeAdaptationSystem>(*faulty, sys_config);
     core::configure_paper_system(*system);
     system->attach_process(kServerProcess, server, /*stage=*/0);
     system->attach_process(kHandheldProcess, handheld, /*stage=*/1);
@@ -68,7 +74,7 @@ struct ManagerFixture : ::testing::Test {
   template <typename Predicate>
   bool run_until(Predicate predicate, std::size_t max_events = 500'000) {
     std::size_t events = 0;
-    while (!predicate() && events < max_events && system->simulator().step()) ++events;
+    while (!predicate() && events < max_events && sim->simulator().step()) ++events;
     return predicate();
   }
 };
@@ -312,7 +318,9 @@ TEST(ManagerRunToCompletion, PartitionBeforeResumeDeliveryStallsButCommits) {
   core::SystemConfig cfg;
   cfg.manager.resume_timeout = sim::ms(20);
   cfg.manager.run_to_completion_retries = 3;
-  core::SafeAdaptationSystem system(cfg);
+  runtime::SimRuntime sim(cfg.seed);
+  inject::FaultyRuntime faulty(sim, cfg.seed);
+  core::SafeAdaptationSystem system(faulty, cfg);
   system.registry().add("X0", 0);
   system.registry().add("X1", 1);
   system.registry().add("Y0", 0);
@@ -337,13 +345,13 @@ TEST(ManagerRunToCompletion, PartitionBeforeResumeDeliveryStallsButCommits) {
   // the manager will enter resuming — but the resume message is lost forever.
   std::size_t events = 0;
   while (system.agent(1).state() != AgentState::Adapted && events < 100000 &&
-         system.simulator().step()) {
+         sim.simulator().step()) {
     ++events;
   }
   ASSERT_EQ(system.agent(1).state(), AgentState::Adapted);
-  system.network().partition_pair(system.manager_node(), system.agent_node(1), true);
+  faulty.faulty_transport().partition_pair(system.manager_node(), system.agent_node(1), true);
 
-  while (!result && events < 200000 && system.simulator().step()) ++events;
+  while (!result && events < 200000 && sim.simulator().step()) ++events;
   ASSERT_TRUE(result.has_value());
 
   EXPECT_EQ(result->outcome, AdaptationOutcome::StalledAfterResume);
@@ -362,8 +370,8 @@ TEST_F(ManagerFixture, TotalPartitionRequiresUserIntervention) {
   build();
   // The hand-held is unreachable from the very start: resets are lost, the
   // reset timeout fires, rollback messages are lost too -> user intervention.
-  system->network().partition_pair(system->manager_node(),
-                                   system->agent_node(kHandheldProcess), true);
+  faulty->faulty_transport().partition_pair(system->manager_node(),
+                                            system->agent_node(kHandheldProcess), true);
   const auto result = system->adapt_and_wait(target());
   EXPECT_EQ(result.outcome, AdaptationOutcome::UserInterventionRequired);
   // No structural change was ever applied anywhere.
@@ -404,7 +412,7 @@ TEST_F(ManagerFixture, EnqueuedRequestsRunInOrder) {
     completions.push_back("second:" + std::string(to_string(r.outcome)));
   });
   EXPECT_EQ(system->manager().queued_requests(), 1U);
-  system->simulator().run(500'000);
+  sim->simulator().run(500'000);
   EXPECT_EQ(completions,
             (std::vector<std::string>{"first:success", "second:success"}));
   EXPECT_EQ(system->current_configuration(), target());
@@ -417,7 +425,7 @@ TEST_F(ManagerFixture, EnqueueWhileIdleStartsImmediately) {
   system->manager().enqueue_adaptation(target(), [&](const AdaptationResult&) { done = true; });
   EXPECT_TRUE(system->manager().busy());
   EXPECT_EQ(system->manager().queued_requests(), 0U);
-  system->simulator().run(500'000);
+  sim->simulator().run(500'000);
   EXPECT_TRUE(done);
 }
 

@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "inject/faulty_runtime.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -213,35 +215,44 @@ TEST_F(NetFixture, LosslessByDefault) {
   EXPECT_EQ(received.size(), 100U);
 }
 
+// Partitions are injected by the fault decorator layered over this network
+// (the same one every backend uses); the channel below never sees the send.
 TEST_F(NetFixture, PartitionDropsEverything) {
+  runtime::SimRuntime rt(sim, net);
+  inject::FaultyRuntime faulty(rt, 1);
+  inject::FaultyTransport& faults = faulty.faulty_transport();
   net.link(a, b, ChannelConfig{ms(1), 0, 0.0, true});
-  net.partition_pair(a, b, true);
-  EXPECT_FALSE(net.send(a, b, std::make_shared<TextMsg>("lost")));
+  faults.partition_pair(a, b, true);
+  EXPECT_FALSE(faults.send(a, b, std::make_shared<TextMsg>("lost")));
   sim.run();
   EXPECT_TRUE(received.empty());
-  EXPECT_EQ(net.channel(a, b).stats().dropped_partition, 1U);
+  EXPECT_EQ(faults.stats().dropped_partition, 1U);
+  EXPECT_EQ(net.channel(a, b).stats().sent, 0U);
 
-  net.partition_pair(a, b, false);
-  EXPECT_TRUE(net.send(a, b, std::make_shared<TextMsg>("healed")));
+  faults.partition_pair(a, b, false);
+  EXPECT_TRUE(faults.send(a, b, std::make_shared<TextMsg>("healed")));
   sim.run();
   ASSERT_EQ(received.size(), 1U);
   EXPECT_EQ(received[0].second, "healed");
 }
 
 TEST_F(NetFixture, PartitionNodeCutsAllItsChannels) {
+  runtime::SimRuntime rt(sim, net);
+  inject::FaultyRuntime faulty(rt, 1);
+  inject::FaultyTransport& faults = faulty.faulty_transport();
   const NodeId c = net.add_node("c");
   net.link(a, b, {});
   net.link(c, b, {});
-  net.partition_node(b, true);
-  EXPECT_FALSE(net.send(a, b, std::make_shared<TextMsg>("x")));
-  EXPECT_FALSE(net.send(c, b, std::make_shared<TextMsg>("y")));
+  faults.partition_node(b, true);
+  EXPECT_FALSE(faults.send(a, b, std::make_shared<TextMsg>("x")));
+  EXPECT_FALSE(faults.send(c, b, std::make_shared<TextMsg>("y")));
 }
 
 TEST_F(NetFixture, TraceRecordsDeliveriesAndDrops) {
   net.link(a, b, ChannelConfig{ms(1), 0, 0.0, true});
   net.set_tracing(true);
   net.send(a, b, std::make_shared<TextMsg>("one"));
-  net.partition_pair(a, b, true);
+  net.link(a, b, ChannelConfig{ms(1), 0, /*loss=*/1.0, true});
   net.send(a, b, std::make_shared<TextMsg>("two"));
   sim.run();
   ASSERT_EQ(net.trace().size(), 2U);

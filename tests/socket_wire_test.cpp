@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "components/packet.hpp"
+#include "inject/faulty_runtime.hpp"
 #include "proto/messages.hpp"
 #include "proto/wire_codecs.hpp"
 #include "runtime/socket_runtime.hpp"
@@ -387,15 +388,23 @@ TEST_F(SocketTransportTest, LargeFramesUseTcpFallback) {
   EXPECT_TRUE(packet->packet.intact());
 }
 
+// Faults over sockets come from the same decorator every backend uses; the
+// cut drops at the sender, before a frame is ever encoded.
 TEST_F(SocketTransportTest, PartitionDropsInsteadOfDelivering) {
-  transport->partition_node(b, true);
-  // send() reports the drop (false), mirroring the other backends' contract.
-  EXPECT_FALSE(transport->send(a, b, step_msg(1)));
+  runtime::ThreadedClock clock;
+  inject::FaultyTransport faults(*transport, clock, 7);
+  faults.partition_node(b, true);
+  // send() reports the drop (false), mirroring the other backends' contract,
+  // and one process's window cuts both directions.
+  EXPECT_FALSE(faults.send(a, b, step_msg(1)));
+  EXPECT_FALSE(faults.send(b, a, step_msg(1)));
   EXPECT_FALSE(inbox_b.wait_for_count(1, std::chrono::milliseconds(200)));
-  EXPECT_EQ(transport->channel_stats(a, b).dropped_partition, 1u);
+  EXPECT_EQ(inbox_a.snapshot().size(), 0u);
+  EXPECT_EQ(faults.stats().dropped_partition, 2u);
+  EXPECT_EQ(transport->channel_stats(a, b).sent, 0u);
 
-  transport->partition_node(b, false);
-  ASSERT_TRUE(transport->send(a, b, step_msg(2)));
+  faults.partition_node(b, false);
+  ASSERT_TRUE(faults.send(a, b, step_msg(2)));
   ASSERT_TRUE(inbox_b.wait_for_count(1, std::chrono::seconds(5)));
   auto received = inbox_b.snapshot();
   auto msg = std::dynamic_pointer_cast<const proto::ResetDoneMsg>(received[0].second);
@@ -404,10 +413,12 @@ TEST_F(SocketTransportTest, PartitionDropsInsteadOfDelivering) {
 }
 
 TEST_F(SocketTransportTest, DuplicationDeliversExtraCopies) {
-  transport->set_extra_duplication(1.0);  // every frame sent twice
-  ASSERT_TRUE(transport->send(a, b, step_msg(1)));
+  runtime::ThreadedClock clock;
+  inject::FaultyTransport faults(*transport, clock, 7);
+  faults.set_extra_duplication(1.0);  // every frame sent twice
+  ASSERT_TRUE(faults.send(a, b, step_msg(1)));
   ASSERT_TRUE(inbox_b.wait_for_count(2, std::chrono::seconds(5)));
-  transport->set_extra_duplication(0.0);
+  faults.set_extra_duplication(0.0);
   // Duplicates carry fresh sequence numbers, so the FIFO watermark passes
   // both through — deduplication is the protocol drivers' job (by StepRef).
   EXPECT_GE(inbox_b.snapshot().size(), 2u);

@@ -11,10 +11,12 @@
 //            disk on every change so a kill -9 + re-exec restores it, and
 //            writing its terminal state file on SIGTERM.
 //
-// FaultPlan windows (--plan) are armed in-process on the socket transport and
-// clock: partitions/loss/duplication become in-transport drops, TimerSkew
-// scales the real timers, FailToReset flips the owning agent. Crash events
-// are executed by the supervisor as real kill -9 / re-exec, not here.
+// Every role runs over an inject::FaultyRuntime wrapping the SocketRuntime,
+// and FaultPlan windows (--plan) are armed on it with inject::arm_plan, the
+// same function the simulated campaign uses: partitions/loss/duplication
+// drop at the sender in the decorator, TimerSkew scales the real timers,
+// FailToReset flips the owning agent. Crash events are executed by the
+// supervisor as real kill -9 / re-exec, not here.
 //
 // Exit codes: 0 clean (agents: after SIGTERM), 2 usage, 3 setup failure.
 #include <signal.h>
@@ -36,6 +38,7 @@
 #include "check/explorer.hpp"  // fault_from_string
 #include "core/paper_scenario.hpp"
 #include "inject/fault_plan.hpp"
+#include "inject/faulty_runtime.hpp"
 #include "obs/export.hpp"  // json_escape
 #include "proto/agent.hpp"
 #include "proto/manager.hpp"
@@ -48,6 +51,10 @@ namespace {
 
 using sa::runtime::NodeId;
 using sa::runtime::Time;
+
+constexpr NodeId kManagerNode = 0;
+/// Seeds the fault decorator apart from the socket transport's own stream.
+constexpr std::uint64_t kFaultStream = 0xbf58476d1ce4e5b9ULL;
 
 volatile sig_atomic_t g_sigterm = 0;
 void on_sigterm(int) { g_sigterm = 1; }
@@ -122,51 +129,23 @@ std::map<std::string, std::uint16_t> parse_endpoints(const std::string& text) {
   return out;
 }
 
-/// Arms every non-Crash FaultPlan window on the real clock. `agent` and
-/// `my_process` bind FailToReset to the one process that owns it; both are
-/// ignored in the manager role. Window times are relative to "now" (each node
-/// arms right after learning the endpoints; see supervisor.cpp on the small
-/// cross-process offset this implies).
-void arm_plan(sa::runtime::SocketRuntime& rt, const sa::inject::FaultPlan& plan,
-              sa::proto::AdaptationAgent* agent, sa::config::ProcessId my_process) {
-  auto& clock = rt.socket_clock();
-  auto& transport = rt.socket_transport();
-  constexpr NodeId kManagerNode = 0;
-  for (const sa::inject::FaultEvent& event : plan.events) {
-    const NodeId target = static_cast<NodeId>(event.process) + 1;  // agent node
-    std::function<void(bool)> toggle;
-    switch (event.kind) {
-      case sa::inject::FaultKind::Crash:
-        continue;  // the supervisor's job: real kill -9 / re-exec
-      case sa::inject::FaultKind::Loss:
-        toggle = [&transport, p = event.probability](bool open) {
-          transport.set_extra_loss(open ? p : 0.0);
-        };
-        break;
-      case sa::inject::FaultKind::Duplicate:
-        toggle = [&transport, p = event.probability](bool open) {
-          transport.set_extra_duplication(open ? p : 0.0);
-        };
-        break;
-      case sa::inject::FaultKind::PartitionNode:
-        toggle = [&transport, target](bool open) { transport.partition_node(target, open); };
-        break;
-      case sa::inject::FaultKind::PartitionPair:
-        toggle = [&transport, target](bool open) {
-          transport.partition_pair(kManagerNode, target, open);
-        };
-        break;
-      case sa::inject::FaultKind::FailToReset:
-        if (agent == nullptr || event.process != my_process) continue;
-        toggle = [agent](bool open) { agent->set_fail_to_reset(open); };
-        break;
-      case sa::inject::FaultKind::TimerSkew:
-        toggle = [&clock, f = event.factor](bool open) { clock.set_skew(open ? f : 1.0); };
-        break;
-    }
-    clock.schedule_after(event.start, [toggle] { toggle(true); });
-    clock.schedule_after(event.end, [toggle] { toggle(false); });
+/// Arms the plan's windows on this process's fault decorator, at times
+/// counted from now (each node arms right after learning the endpoints; see
+/// supervisor.cpp on the small cross-process offset this implies). Agent
+/// process p is node p + 1 and the manager node 0. `agent` binds FailToReset
+/// to the one process that owns it; the manager role passes null.
+void arm(sa::inject::FaultyRuntime& frt, const sa::inject::FaultPlan& plan,
+         sa::proto::AdaptationAgent* agent, sa::config::ProcessId my_process) {
+  sa::inject::PlanTargets targets;
+  targets.link = [](sa::config::ProcessId process) {
+    return std::pair<NodeId, NodeId>{kManagerNode, static_cast<NodeId>(process) + 1};
+  };
+  if (agent != nullptr) {
+    targets.fail_to_reset = [agent, my_process](sa::config::ProcessId process, bool open) {
+      if (process == my_process) agent->set_fail_to_reset(open);
+    };
   }
+  sa::inject::arm_plan(plan, frt, targets);
 }
 
 /// Serializes the transport trace as one JSONL line per entry, each carrying
@@ -229,14 +208,13 @@ std::string journal_json(const std::optional<sa::proto::StepRef>& step, Time blo
   return out.str();
 }
 
-int run_agent(const Args& args, sa::runtime::SocketRuntime& rt, NodeId my_id,
-              const NodeInfo& me, const sa::inject::FaultPlan& plan) {
-  auto& transport = rt.socket_transport();
-  transport.connect_bidirectional(my_id, /*manager=*/0);
+int run_agent(const Args& args, sa::inject::FaultyRuntime& frt,
+              sa::runtime::SocketTransport& transport, NodeId my_id, const NodeInfo& me,
+              const sa::inject::FaultPlan& plan) {
+  frt.transport().connect_bidirectional(my_id, kManagerNode);
 
   StubProcess process;
-  sa::proto::AdaptationAgent agent(rt.clock(), rt.transport(), my_id, /*manager_node=*/0,
-                                   process);
+  sa::proto::AdaptationAgent agent(frt.clock(), frt.transport(), my_id, kManagerNode, process);
 
   // §4.4 crash recovery: a re-exec'd incarnation restores the journaled
   // re-ack key before any manager retransmission can reach it.
@@ -271,7 +249,7 @@ int run_agent(const Args& args, sa::runtime::SocketRuntime& rt, NodeId my_id,
   }
   write_file_atomic(journal_path, journal_json(restored_step, restored_blocked, recoveries));
 
-  arm_plan(rt, plan, &agent, me.process);
+  arm(frt, plan, &agent, me.process);
 
   // Journal poll loop: rewrite on every recovery-state change, until SIGTERM.
   std::optional<sa::proto::StepRef> last_step = restored_step;
@@ -299,9 +277,9 @@ int run_agent(const Args& args, sa::runtime::SocketRuntime& rt, NodeId my_id,
 // ---------------------------------------------------------------------------
 // manager role
 
-int run_manager(const Args& args, sa::runtime::SocketRuntime& rt,
-                const std::vector<NodeInfo>& topology, const sa::inject::FaultPlan& plan) {
-  auto& transport = rt.socket_transport();
+int run_manager(const Args& args, sa::inject::FaultyRuntime& frt,
+                sa::runtime::SocketTransport& transport, const std::vector<NodeInfo>& topology,
+                const sa::inject::FaultPlan& plan) {
   const sa::core::PaperScenario scenario = sa::core::make_paper_scenario();
 
   // Slightly deeper retry budget than the simulated campaigns: real crash
@@ -310,10 +288,10 @@ int run_manager(const Args& args, sa::runtime::SocketRuntime& rt,
   sa::proto::ManagerConfig config;
   config.message_retries = 3;
   config.run_to_completion_retries = 10;
-  sa::proto::AdaptationManager manager(rt, /*node=*/0, *scenario.invariants,
+  sa::proto::AdaptationManager manager(frt, kManagerNode, *scenario.invariants,
                                        *scenario.actions, config);
   for (NodeId id = 1; id < topology.size(); ++id) {
-    transport.connect_bidirectional(0, id);
+    frt.transport().connect_bidirectional(kManagerNode, id);
     manager.register_agent(topology[id].process, id, topology[id].stage);
   }
   manager.set_current_configuration(scenario.source);
@@ -325,7 +303,7 @@ int run_manager(const Args& args, sa::runtime::SocketRuntime& rt,
   // sent into a not-yet-listening socket is recoverable loss, but the settle
   // delay keeps clean runs clean.
   sleep_us(sa::runtime::ms(200));
-  arm_plan(rt, plan, nullptr, 0);
+  arm(frt, plan, nullptr, 0);
 
   std::atomic<bool> done{false};
   sa::proto::AdaptationResult result;
@@ -335,7 +313,7 @@ int run_manager(const Args& args, sa::runtime::SocketRuntime& rt,
     result = r;
     done.store(true);
   });
-  const bool finished = rt.wait_until([&] { return done.load(); });
+  const bool finished = frt.wait_until([&] { return done.load(); }, SIZE_MAX);
 
   std::lock_guard lock(result_mutex);
   std::ostringstream out;
@@ -432,11 +410,13 @@ int main(int argc, char** argv) {
     }
     topt.local = {my_id};
     topt.seed = args.seed ^ (static_cast<std::uint64_t>(my_id) << 32);
+    const std::uint64_t fault_seed = topt.seed ^ kFaultStream;
 
     sa::runtime::SocketRuntimeOptions ropt;
     ropt.transport = std::move(topt);
     ropt.wait_cap = args.max_wait;
     sa::runtime::SocketRuntime rt(std::move(ropt));
+    sa::inject::FaultyRuntime frt(rt, fault_seed);
     auto& transport = rt.socket_transport();
     transport.add_node(me.name);
     transport.set_tracing(true);
@@ -468,11 +448,19 @@ int main(int argc, char** argv) {
     if (!args.plan_path.empty()) {
       plan = sa::inject::plan_from_json(read_file(args.plan_path));
     }
+    // Crash windows are the supervisor's: real kill -9 / re-exec.
+    std::erase_if(plan.events, [](const sa::inject::FaultEvent& event) {
+      return event.kind == sa::inject::FaultKind::Crash;
+    });
 
-    if (me.role == "manager") return run_manager(args, rt, topology, plan);
-    if (me.role == "agent") return run_agent(args, rt, my_id, me, plan);
-    std::cerr << "sa_node: unknown role \"" << me.role << "\"\n";
-    return 2;
+    if (me.role != "manager" && me.role != "agent") {
+      std::cerr << "sa_node: unknown role \"" << me.role << "\"\n";
+      return 2;
+    }
+    const int code = me.role == "manager" ? run_manager(args, frt, transport, topology, plan)
+                                          : run_agent(args, frt, transport, my_id, me, plan);
+    rt.shutdown();  // no window edge may fire into the decorator once it is gone
+    return code;
   } catch (const std::exception& e) {
     std::cerr << "sa_node: " << e.what() << "\n";
     return 3;
