@@ -26,6 +26,7 @@
 #include "components/filter_chain.hpp"
 #include "crypto/codec_filters.hpp"
 #include "crypto/des.hpp"
+#include "des_reference.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "video/pump.hpp"

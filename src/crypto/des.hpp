@@ -7,17 +7,15 @@
 // decoder holding the wrong keys produces garbage that downstream checksum
 // verification catches — exactly the corruption unsafe adaptation causes.
 //
-// Two implementations coexist:
-//   * the table-driven fast path (the default): combined SP-boxes (S-box
-//     substitution and P-permutation folded into eight 64-entry uint32
-//     tables), the E-expansion done with one shift trick instead of a 48-bit
-//     permutation, and IP/FP as per-byte table lookups. Tables are built once
-//     per process and shared by every stream. Batched entry points
-//     (des_*_blocks, encrypt_into / decrypt_inplace) amortize call overhead
-//     across a span of packets and avoid intermediate buffers.
-//   * the bit-by-bit reference (`*_reference`): the original straight-from-
-//     the-standard permutation walk, kept as ground truth for equivalence
-//     tests and as the honest "seed path" in throughput comparisons.
+// The implementation is table-driven: combined SP-boxes (S-box substitution
+// and P-permutation folded into eight 64-entry uint32 tables), the
+// E-expansion done with one shift trick instead of a 48-bit permutation, and
+// IP/FP as per-byte table lookups, all built once per process from the FIPS
+// tables in des_fips.hpp and shared by every stream. Batched entry points
+// (des_*_blocks, encrypt_into / decrypt_inplace) amortize call overhead
+// across a span of packets and avoid intermediate buffers. The bit-by-bit
+// reference it is checked against lives with the tests
+// (tests/des_reference.hpp), outside the library.
 //
 // This is a simulation codec, not hardened crypto (ECB mode, no timing
 // defenses); DES itself is long obsolete for security purposes.
@@ -63,15 +61,6 @@ void des_ede_encrypt_blocks(std::uint64_t* blocks, std::size_t count, const DesK
                             const DesKeySchedule& k2);
 void des_ede_decrypt_blocks(std::uint64_t* blocks, std::size_t count, const DesKeySchedule& k1,
                             const DesKeySchedule& k2);
-
-// --- bit-by-bit reference (seed implementation, kept as ground truth) ---------
-
-std::uint64_t des_encrypt_block_reference(std::uint64_t block, const DesKeySchedule& schedule);
-std::uint64_t des_decrypt_block_reference(std::uint64_t block, const DesKeySchedule& schedule);
-std::uint64_t des_ede_encrypt_block_reference(std::uint64_t block, const DesKeySchedule& k1,
-                                              const DesKeySchedule& k2);
-std::uint64_t des_ede_decrypt_block_reference(std::uint64_t block, const DesKeySchedule& k1,
-                                              const DesKeySchedule& k2);
 
 using Bytes = std::vector<std::uint8_t>;
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/des.hpp"
+#include "des_reference.hpp"
 #include "util/rng.hpp"
 
 namespace sa::crypto {
