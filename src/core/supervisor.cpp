@@ -339,11 +339,11 @@ DistributedReport run_distributed_paper(const DistributedOptions& options) {
   }
 
   // --- run loop: crash windows + manager completion --------------------------
-  // t0 anchors plan-relative times. Nodes arm their own (in-transport) fault
-  // windows relative to when they observe endpoints.json; the supervisor's
-  // crash clock is necessarily a few ms offset from each node's — fault
-  // windows are stochastic stress, not precision events, and the oracles
-  // never depend on exact timing.
+  // t0 anchors plan-relative times. Nodes arm their own fault windows (on
+  // their FaultyRuntime) relative to when they observe endpoints.json; the
+  // supervisor's crash clock is necessarily a few ms offset from each
+  // node's — fault windows are stochastic stress, not precision events, and
+  // the oracles never depend on exact timing.
   struct CrashAction {
     runtime::Time at = 0;
     bool kill = false;  ///< true = SIGKILL, false = respawn

@@ -48,8 +48,9 @@ struct CampaignOptions {
   /// "sim" runs the scenario in-process on SimRuntime behind the fault
   /// decorators; "socket" (scenario "paper" only) runs it as real OS
   /// processes over SocketTransport via core::run_distributed_paper — Crash
-  /// events become real kill -9 + re-exec, partitions become in-transport
-  /// drops, and the oracles run over the supervisor's merged report. Socket
+  /// events become real kill -9 + re-exec, every other window is armed by
+  /// each node on its own fault decorator, and the oracles run over the
+  /// supervisor's merged report. Socket
   /// runs are real-time and not byte-deterministic, so shrinking is skipped
   /// and the metrics-mismatch oracle (which needs the in-process obs
   /// registry) does not apply.
