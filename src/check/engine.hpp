@@ -10,13 +10,19 @@
 //   * the pool is seeded by expanding a breadth-first prefix of the tree
 //     until there are a few frames per worker to spread across the deques;
 //   * visited-state deduplication goes through a sharded open-addressing
-//     fingerprint set (util/fingerprint_set.hpp) pre-reserved from
-//     max_states, so inserts are allocation-free and a lock covers only
-//     1/Nth of the space;
-//   * a frame is expanded by applying each enabled choice to a fork of its
-//     model; the last child steals the parent's model, so a node with k
-//     children costs k-1 copies, and a quiescent leaf is finalized in place
-//     (no defensive copy).
+//     fingerprint set (util/fingerprint_set.hpp) reserved from max_states:
+//     an insert is one lock-free compare-and-swap on the slot, and the
+//     state cap is checked against per-worker fresh-insert counts published
+//     in batches (exact at one thread), so no shared counter is touched on
+//     each edge;
+//   * a frame owns its model through a unique_ptr drawn from a per-worker
+//     pool; it is expanded by applying each enabled choice to a fork of the
+//     model, a copy-assignment into a recycled model that reuses its
+//     buffers and does not allocate. The last child steals the parent's
+//     model, so a node with k children costs k-1 copies, and a quiescent
+//     leaf is finalized in place (no defensive copy);
+//   * per-worker stats and queues and the shared counters each sit on their
+//     own cache line.
 //
 // Determinism: with threads == 1 frames expand in depth-first preorder and
 // results are bit-identical run to run. With N threads the expansion order is

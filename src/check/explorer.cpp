@@ -43,7 +43,7 @@ ReplayResult replay(const Scenario& scenario, const ExploreOptions& options,
   // that actually drained the run gets the end-of-run checks.
   if (result.schedule_valid && model.choices().empty()) model.finalize();
   result.violations = model.violations();
-  result.outcome = model.outcome();
+  if (model.outcome() != nullptr) result.outcome = *model.outcome();
   result.transitions = model.transitions();
   return result;
 }

@@ -1,6 +1,7 @@
 #include "check/model.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <utility>
@@ -51,6 +52,36 @@ std::uint64_t message_fingerprint(const runtime::MessagePtr& message) {
   }
   return h;
 }
+
+/// A core step's output buffer, owned per thread: one per nesting depth,
+/// because applying an agent's outputs can step the same agent again (a
+/// ProcessPrepare completes synchronously into PrepareSucceeded) while the
+/// outer list is still being read. Buffers keep their capacity, so a step
+/// allocates only the messages its core sends.
+class OutputSink {
+ public:
+  OutputSink() : outputs(acquire()) {}
+  ~OutputSink() { --depth(); }
+  OutputSink(const OutputSink&) = delete;
+  OutputSink& operator=(const OutputSink&) = delete;
+
+  std::vector<proto::Output>& outputs;
+
+ private:
+  static std::size_t& depth() {
+    thread_local std::size_t current = 0;
+    return current;
+  }
+  static std::vector<proto::Output>& acquire() {
+    thread_local std::deque<std::vector<proto::Output>> buffers;  // stable addresses
+    std::size_t& d = depth();
+    if (d == buffers.size()) buffers.emplace_back();
+    return buffers[d++];
+  }
+};
+
+/// Seed of the cached per-core sub-fingerprints.
+constexpr std::uint64_t kCoreSeed = 0x9ae16a3b2f90404fULL;
 
 }  // namespace
 
@@ -129,8 +160,24 @@ void Model::set_fail_to_reset(config::ProcessId process, bool fail) {
 }
 
 void Model::start() {
-  apply_manager_outputs(
-      manager_.step(proto::ManagerInput{now_, proto::ManagerInput::AdaptCommand{scenario_->target}}));
+  step_manager(proto::ManagerInput{now_, proto::ManagerInput::AdaptCommand{scenario_->target}});
+}
+
+void Model::step_manager(const proto::ManagerInput& input) {
+  manager_fp_valid_ = false;
+  manager_shared_fp_valid_ = false;
+  manager_bits_valid_ = false;
+  const OutputSink sink;
+  manager_.step(input, sink.outputs);
+  apply_manager_outputs(sink.outputs);
+}
+
+void Model::step_agent(config::ProcessId process, const proto::AgentInput& input) {
+  AgentEntity& entity = agent_at(process);
+  entity.core_fp_valid = false;
+  const OutputSink sink;
+  entity.core.step(input, sink.outputs);
+  apply_agent_outputs(process, sink.outputs);
 }
 
 bool Model::deliverable(const InFlight& m) const {
@@ -198,19 +245,18 @@ bool Model::apply(const Choice& choice) {
       return true;
     };
     if (fire(mgr_protocol_)) {
-      apply_manager_outputs(manager_.step(proto::ManagerInput{
-          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::Protocol}}));
+      step_manager(proto::ManagerInput{
+          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::Protocol}});
       return true;
     }
     if (fire(mgr_stage_)) {
-      apply_manager_outputs(manager_.step(proto::ManagerInput{
-          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::StageDelay}}));
+      step_manager(proto::ManagerInput{
+          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::StageDelay}});
       return true;
     }
     for (auto& [process, entity] : agents_) {
       if (fire(entity.timer)) {
-        apply_agent_outputs(process, entity.core.step(proto::AgentInput{
-                                         now_, proto::AgentInput::TimerFired{}}));
+        step_agent(process, proto::AgentInput{now_, proto::AgentInput::TimerFired{}});
         return true;
       }
     }
@@ -250,12 +296,11 @@ bool Model::apply(const Choice& choice) {
 void Model::deliver(const InFlight& m) {
   if (m.to_manager) {
     note_manager_delivery(m.agent, m.message);
-    apply_manager_outputs(manager_.step(
-        proto::ManagerInput{now_, proto::ManagerInput::MessageDelivered{m.agent, m.message}}));
+    step_manager(
+        proto::ManagerInput{now_, proto::ManagerInput::MessageDelivered{m.agent, m.message}});
   } else {
-    apply_agent_outputs(m.agent,
-                        agent_at(m.agent).core.step(proto::AgentInput{
-                            now_, proto::AgentInput::MessageDelivered{m.message}}));
+    step_agent(m.agent,
+               proto::AgentInput{now_, proto::AgentInput::MessageDelivered{m.message}});
   }
 }
 
@@ -358,7 +403,7 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
         }
         break;
       case proto::OutputKind::Outcome:
-        outcome_ = out.result;
+        outcome_ = std::make_shared<const proto::AdaptationResult>(out.result);
         if (out.result.outcome == proto::AdaptationOutcome::Success &&
             !(out.result.final_config == scenario_->target)) {
           violation("success outcome but final configuration " +
@@ -373,8 +418,7 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
 }
 
 void Model::dispatch_agent_local(config::ProcessId process, proto::AgentLocalEvent event) {
-  apply_agent_outputs(process,
-                      agent_at(process).core.step(proto::AgentInput{now_, event}));
+  step_agent(process, proto::AgentInput{now_, event});
 }
 
 void Model::apply_agent_outputs(config::ProcessId process,
@@ -457,14 +501,36 @@ void Model::violation(std::string description) {
   violations_.push_back(Violation{std::move(description)});
 }
 
+std::uint64_t Model::agent_core_fp(const AgentEntity& entity) const {
+  if (!entity.core_fp_valid) {
+    entity.core_fp = kCoreSeed;
+    entity.core.fingerprint(entity.core_fp);
+    entity.core_fp_valid = true;
+  }
+  return entity.core_fp;
+}
+
+void Model::refresh_manager_bits() const {
+  if (manager_bits_valid_) return;
+  for (const auto& [process, entity] : agents_) {
+    entity.manager_bits = manager_.process_fingerprint(process);
+  }
+  manager_bits_valid_ = true;
+}
+
 std::uint64_t Model::fingerprint() const {
+  if (!manager_fp_valid_) {
+    manager_fp_ = kCoreSeed;
+    manager_.fingerprint(manager_fp_);
+    manager_fp_valid_ = true;
+  }
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  manager_.fingerprint(h);
+  mix(h, manager_fp_);
   mix(h, mgr_protocol_.armed);
   mix(h, mgr_stage_.armed);
   for (const auto& [process, entity] : agents_) {
     mix(h, process);
-    entity.core.fingerprint(h);
+    mix(h, agent_core_fp(entity));
     mix(h, entity.blocked);
     mix(h, entity.timer.armed);
   }
@@ -475,7 +541,7 @@ std::uint64_t Model::fingerprint() const {
   }
   mix(h, static_cast<std::uint64_t>(drops_left_));
   mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_.has_value());
+  mix(h, outcome_ != nullptr);
   // P2/P3 bookkeeping is intentionally not mixed in: for the current step it
   // is a function of the manager core's own per-step state (involved set,
   // acks, resume flag), and completed steps can never influence future sends.
@@ -483,8 +549,14 @@ std::uint64_t Model::fingerprint() const {
 }
 
 std::uint64_t Model::canonical_fingerprint() const {
+  if (!manager_shared_fp_valid_) {
+    manager_shared_fp_ = kCoreSeed;
+    manager_.fingerprint_shared(manager_shared_fp_);
+    manager_shared_fp_valid_ = true;
+  }
+  refresh_manager_bits();
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  manager_.fingerprint_shared(h);
+  mix(h, manager_shared_fp_);
   mix(h, mgr_protocol_.armed);
   mix(h, mgr_stage_.armed);
   util::SmallVector<std::uint64_t, 8> subs;
@@ -492,14 +564,14 @@ std::uint64_t Model::canonical_fingerprint() const {
     std::uint64_t sub = 0x9ae16a3b2f90404fULL;
     mix(sub, entity.role_fp);
     mix(sub, entity.fail_to_reset);
-    entity.core.fingerprint(sub);
+    mix(sub, agent_core_fp(entity));
     mix(sub, entity.blocked);
     mix(sub, entity.timer.armed);
     // The agent's slice of the manager's per-process bookkeeping travels with
     // the agent, not with the manager: a permutation of agents permutes these
     // bits the same way it permutes core states, so the sorted representative
     // stays consistent.
-    mix(sub, manager_.process_fingerprint(process));
+    mix(sub, entity.manager_bits);
     // Both directed channels of this agent, in FIFO order. Hashing channels
     // here (instead of the global creation-order walk fingerprint() does)
     // also erases the interleaving of sends on *distinct* channels — already
@@ -518,7 +590,7 @@ std::uint64_t Model::canonical_fingerprint() const {
   for (const std::uint64_t sub : subs) mix(h, sub);
   mix(h, static_cast<std::uint64_t>(drops_left_));
   mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_.has_value());
+  mix(h, outcome_ != nullptr);
   return h;
 }
 

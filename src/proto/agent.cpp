@@ -64,15 +64,21 @@ void AdaptationAgent::on_message(runtime::NodeId from, runtime::MessagePtr messa
 }
 
 void AdaptationAgent::dispatch(AgentInput::MessageDelivered delivered) {
-  apply(core_.step(AgentInput{clock_->now(), std::move(delivered)}));
+  std::vector<Output> outputs;
+  core_.step(AgentInput{clock_->now(), std::move(delivered)}, outputs);
+  apply(outputs);
 }
 
 void AdaptationAgent::dispatch(AgentInput::TimerFired fired) {
-  apply(core_.step(AgentInput{clock_->now(), fired}));
+  std::vector<Output> outputs;
+  core_.step(AgentInput{clock_->now(), fired}, outputs);
+  apply(outputs);
 }
 
 void AdaptationAgent::dispatch(AgentLocalEvent event) {
-  apply(core_.step(AgentInput{clock_->now(), event}));
+  std::vector<Output> outputs;
+  core_.step(AgentInput{clock_->now(), event}, outputs);
+  apply(outputs);
 }
 
 void AdaptationAgent::apply(const std::vector<Output>& outputs) {
@@ -112,7 +118,7 @@ void AdaptationAgent::apply(const std::vector<Output>& outputs) {
         }
         break;
       case OutputKind::ProcessPrepare:
-        if (process_->prepare(out.command)) {
+        if (process_->prepare(*out.command)) {
           dispatch(AgentLocalEvent::PrepareSucceeded);
         } else {
           SA_WARN("agent") << "node " << node_
@@ -130,7 +136,7 @@ void AdaptationAgent::apply(const std::vector<Output>& outputs) {
         process_->abort_safe_state();
         break;
       case OutputKind::ProcessApply:
-        if (process_->apply(out.command)) {
+        if (process_->apply(*out.command)) {
           dispatch(AgentLocalEvent::ApplySucceeded);
         } else {
           SA_WARN("agent") << "node " << node_ << ": in-action failed; holding in safe state";
@@ -138,13 +144,13 @@ void AdaptationAgent::apply(const std::vector<Output>& outputs) {
         }
         break;
       case OutputKind::ProcessUndo:
-        process_->undo(out.command);
+        process_->undo(*out.command);
         break;
       case OutputKind::ProcessResume:
         process_->resume();
         break;
       case OutputKind::ProcessCleanup:
-        process_->cleanup(out.command);
+        process_->cleanup(*out.command);
         break;
       default:
         break;  // manager-only kinds never appear in agent output

@@ -15,7 +15,8 @@ inline void mix_ref(std::uint64_t& h, const StepRef& ref) {
   mix(h, ref.attempt);
 }
 
-inline void mix_command(std::uint64_t& h, const LocalCommand& command) {
+std::uint64_t hash_command(const LocalCommand& command) {
+  std::uint64_t h = 0;
   for (const std::string& name : command.remove) {
     for (const char c : name) mix(h, static_cast<std::uint64_t>(c));
   }
@@ -23,12 +24,23 @@ inline void mix_command(std::uint64_t& h, const LocalCommand& command) {
   for (const std::string& name : command.add) {
     for (const char c : name) mix(h, static_cast<std::uint64_t>(c));
   }
+  return h;
+}
+
+/// The command of a core that has not been reset yet.
+const std::shared_ptr<const LocalCommand>& empty_command() {
+  static const std::shared_ptr<const LocalCommand> empty = std::make_shared<const LocalCommand>();
+  return empty;
 }
 
 }  // namespace
 
+AgentCore::AgentCore(AgentConfig config)
+    : config_(config), current_command_(empty_command()),
+      command_hash_(hash_command(*current_command_)) {}
+
 Output& AgentCore::emit(OutputKind kind) {
-  Output& out = out_.emplace_back();
+  Output& out = out_->emplace_back();
   out.kind = kind;
   if (current_step_) out.ref = *current_step_;
   out.request_id = out.ref.request_id;
@@ -72,11 +84,12 @@ void AgentCore::note_duplicate(const char* type) {
   out.label = type;
 }
 
-std::vector<Output> AgentCore::step(const AgentInput& input) {
-  out_.clear();
-  // out_ leaves by move every step, so it re-starts with zero capacity; one
-  // up-front block avoids a realloc cascade of ~300-byte Outputs per input.
-  out_.reserve(8);
+void AgentCore::step(const AgentInput& input, std::vector<Output>& out) {
+  out.clear();
+  // One up-front block avoids a realloc cascade of ~300-byte Outputs in a
+  // fresh buffer; a reused buffer already has it.
+  out.reserve(8);
+  out_ = &out;
   now_ = input.now;
   if (const auto* msg = std::get_if<AgentInput::MessageDelivered>(&input.event)) {
     on_message(msg->message);
@@ -85,7 +98,6 @@ std::vector<Output> AgentCore::step(const AgentInput& input) {
   } else if (const auto* local = std::get_if<AgentLocalEvent>(&input.event)) {
     on_local(*local);
   }
-  return std::move(out_);
 }
 
 void AgentCore::on_message(const runtime::MessagePtr& message) {
@@ -93,7 +105,7 @@ void AgentCore::on_message(const runtime::MessagePtr& message) {
   if (proto == nullptr) return;  // non-protocol traffic is the driver's business
   switch (proto->kind()) {
     case MsgKind::Reset:
-      on_reset(static_cast<const ResetMsg&>(*proto));
+      on_reset(message, static_cast<const ResetMsg&>(*proto));
       break;
     case MsgKind::Resume:
       on_resume(static_cast<const ResumeMsg&>(*proto));
@@ -106,7 +118,7 @@ void AgentCore::on_message(const runtime::MessagePtr& message) {
   }
 }
 
-void AgentCore::on_reset(const ResetMsg& msg) {
+void AgentCore::on_reset(const runtime::MessagePtr& message, const ResetMsg& msg) {
   if (current_step_ && *current_step_ == msg.step && state_ != AgentState::Running) {
     // Retransmission of the step we are working on: re-acknowledge progress.
     note_duplicate("reset");
@@ -135,7 +147,8 @@ void AgentCore::on_reset(const ResetMsg& msg) {
   // Fresh step: running -> resetting.
   ++stats_.resets_handled;
   current_step_ = msg.step;
-  current_command_ = msg.command;
+  current_command_ = std::shared_ptr<const LocalCommand>(message, &msg.command);
+  command_hash_ = hash_command(msg.command);
   sole_participant_ = msg.sole_participant;
   prepared_ = false;
   drain_ = msg.drain;
@@ -328,7 +341,7 @@ void AgentCore::fingerprint(std::uint64_t& h) const {
   mix(h, static_cast<std::uint64_t>(state_));
   mix(h, current_step_.has_value() ? 1 : 0);
   if (current_step_) mix_ref(h, *current_step_);
-  mix_command(h, current_command_);
+  mix(h, command_hash_);
   mix(h, sole_participant_ ? 1 : 0);
   mix(h, prepared_ ? 1 : 0);
   mix(h, drain_ ? 1 : 0);

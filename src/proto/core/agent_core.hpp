@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -39,7 +40,7 @@ struct AgentStats {
 
 class AgentCore {
  public:
-  explicit AgentCore(AgentConfig config = {}) : config_(config) {}
+  explicit AgentCore(AgentConfig config = {});
 
   AgentState state() const { return state_; }
   const AgentStats& stats() const { return stats_; }
@@ -61,10 +62,11 @@ class AgentCore {
     stats_.total_blocked = total_blocked;
   }
 
-  /// Consumes one input and returns the ordered side effects it caused.
+  /// Consumes one input: clears `out` and fills it with the ordered side
+  /// effects the input caused (the caller owns and may reuse the buffer).
   /// Every Send is addressed to the manager; every Process* operation to the
   /// agent's own AdaptableProcess.
-  std::vector<Output> step(const AgentInput& input);
+  void step(const AgentInput& input, std::vector<Output>& out);
 
   /// Mixes all protocol-relevant state (not timestamps) into `h`.
   void fingerprint(std::uint64_t& h) const;
@@ -76,7 +78,7 @@ class AgentCore {
   enum class SafeWait : std::uint8_t { None, Reset, Compensate };
 
   void on_message(const runtime::MessagePtr& message);
-  void on_reset(const ResetMsg& msg);
+  void on_reset(const runtime::MessagePtr& message, const ResetMsg& msg);
   void on_resume(const ResumeMsg& msg);
   void on_rollback(const RollbackMsg& msg);
   void on_timer_fired();
@@ -96,7 +98,12 @@ class AgentCore {
 
   AgentState state_ = AgentState::Running;
   std::optional<StepRef> current_step_;
-  LocalCommand current_command_;
+  /// The command of the current step, aliasing the ResetMsg that carried it:
+  /// set once per fresh reset, so forking the core copies a pointer rather
+  /// than two vectors of names. command_hash_ is its fingerprint contribution,
+  /// computed in the same place.
+  std::shared_ptr<const LocalCommand> current_command_;
+  std::uint64_t command_hash_;
   bool sole_participant_ = false;
   bool prepared_ = false;
   bool drain_ = false;  ///< drain flag of the step being reset
@@ -115,8 +122,10 @@ class AgentCore {
 
   AgentStats stats_;
 
-  runtime::Time now_ = 0;    ///< timestamp of the input being processed
-  std::vector<Output> out_;  ///< effects of the input being processed
+  runtime::Time now_ = 0;  ///< timestamp of the input being processed
+  /// The caller's buffer for the input being processed; set by step() and
+  /// only dereferenced inside it.
+  std::vector<Output>* out_ = nullptr;
 };
 
 }  // namespace sa::proto

@@ -12,8 +12,10 @@ inline void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
 }
 
-inline void mix_str(std::uint64_t& h, const char* s) {
+std::uint64_t hash_str(const char* s) {
+  std::uint64_t h = 0;
   for (; *s != '\0'; ++s) mix(h, static_cast<std::uint64_t>(*s));
+  return h;
 }
 
 }  // namespace
@@ -24,14 +26,15 @@ ManagerCore::ManagerCore(const config::InvariantSet& invariants,
     : invariants_(&invariants), table_(&table), planner_(&planner), config_(config) {}
 
 void ManagerCore::register_agent(config::ProcessId process, int stage) {
-  const auto it = std::lower_bound(
-      stages_.begin(), stages_.end(), process,
-      [](const auto& entry, config::ProcessId p) { return entry.first < p; });
-  if (it != stages_.end() && it->first == process) {
-    it->second = stage;
-  } else {
-    stages_.insert(it, {process, stage});
+  for (auto& [p, s] : stages_) {
+    if (p == process) {
+      s = stage;
+      return;
+    }
   }
+  stages_.emplace_back(process, stage);
+  std::sort(stages_.begin(), stages_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 int ManagerCore::stage_of(config::ProcessId process) const {
@@ -49,18 +52,19 @@ bool ManagerCore::has_agent(config::ProcessId process) const {
 }
 
 Output& ManagerCore::emit(OutputKind kind) {
-  Output& out = out_.emplace_back();
+  Output& out = out_->emplace_back();
   out.kind = kind;
   out.ref = current_ref();
   out.request_id = request_id_;
   return out;
 }
 
-std::vector<Output> ManagerCore::step(const ManagerInput& input) {
-  out_.clear();
-  // out_ leaves by move every step, so it re-starts with zero capacity; one
-  // up-front block avoids a realloc cascade of ~300-byte Outputs per input.
-  out_.reserve(8);
+void ManagerCore::step(const ManagerInput& input, std::vector<Output>& out) {
+  out.clear();
+  // One up-front block avoids a realloc cascade of ~300-byte Outputs in a
+  // fresh buffer; a reused buffer already has it.
+  out.reserve(8);
+  out_ = &out;
   now_ = input.now;
   if (const auto* cmd = std::get_if<ManagerInput::AdaptCommand>(&input.event)) {
     if (busy()) throw std::logic_error("adaptation request while another is in flight");
@@ -70,17 +74,16 @@ std::vector<Output> ManagerCore::step(const ManagerInput& input) {
     handle_message(msg->from, msg->message);
   } else if (const auto* fired = std::get_if<ManagerInput::TimerFired>(&input.event)) {
     if (fired->timer == ManagerTimer::Protocol) {
-      if (!protocol_timer_armed_) return std::move(out_);  // stale fire
+      if (!protocol_timer_armed_) return;  // stale fire
       protocol_timer_armed_ = false;
       on_timeout(ManagerTimer::Protocol);
     } else {
-      if (!stage_delay_armed_) return std::move(out_);
+      if (!stage_delay_armed_) return;
       stage_delay_armed_ = false;
       send_stage_resets(stage_delay_stage_);
       arm_timer(config_.reset_timeout, "reset-timeout");
     }
   }
-  return std::move(out_);
 }
 
 void ManagerCore::set_phase(ManagerPhase next) {
@@ -100,6 +103,7 @@ void ManagerCore::send(config::ProcessId to, runtime::MessagePtr message) {
 void ManagerCore::arm_timer(runtime::Time timeout, const char* label) {
   disarm_timer();
   protocol_timer_label_ = label;
+  protocol_timer_label_hash_ = hash_str(label);
   protocol_timer_armed_ = true;
   Output& out = emit(OutputKind::ArmTimer);
   out.timer = ManagerTimer::Protocol;
@@ -123,7 +127,7 @@ void ManagerCore::disarm_timer() {
 }
 
 LocalCommand ManagerCore::command_for(config::ProcessId process) const {
-  const actions::AdaptiveAction& action = table_->action(plan_.steps[step_index_].action);
+  const actions::AdaptiveAction& action = table_->action(plan_steps_[step_index_].action);
   const auto& registry = table_->registry();
   LocalCommand command;
   for (const config::ComponentId id : action.removes.components(registry.size())) {
@@ -166,26 +170,32 @@ void ManagerCore::handle_request(const config::Configuration& target) {
   start_plan(*plan);
 }
 
-void ManagerCore::start_plan(actions::AdaptationPlan plan) {
-  plan_ = std::move(plan);
+void ManagerCore::start_plan(const actions::AdaptationPlan& plan) {
+  plan_steps_.assign(plan.steps.begin(), plan.steps.end());
+  plan_hash_ = 0;
+  for (const actions::PlanStep& s : plan_steps_) {
+    mix(plan_hash_, s.action);
+    mix(plan_hash_, s.to.bits());
+  }
   plan_number_ = plan_counter_++;
   step_index_ = 0;
   step_attempt_ = 0;
   Output& out = emit(OutputKind::PlanComputed);
   out.name = "map";
-  out.detail = plan_.action_names(*table_);
-  out.value = plan_.total_cost;
+  out.detail = plan.action_names(*table_);
+  out.value = plan.total_cost;
   out.has_value = true;
-  out.extra = static_cast<double>(plan_.steps.size());
+  out.extra = static_cast<double>(plan.steps.size());
   execute_current_step();
 }
 
 void ManagerCore::execute_current_step() {
-  const actions::PlanStep& plan_step = plan_.steps[step_index_];
+  const actions::PlanStep& plan_step = plan_steps_[step_index_];
   const actions::AdaptiveAction& action = table_->action(plan_step.action);
   const auto& registry = table_->registry();
 
-  involved_ = action.affected_processes(registry, registry.size());
+  const std::vector<config::ProcessId> involved = action.affected_processes(registry, registry.size());
+  involved_.assign(involved.begin(), involved.end());
   for (const config::ProcessId process : involved_) {
     if (!has_agent(process)) {
       throw std::logic_error("no agent registered for process " + std::to_string(process));
@@ -351,12 +361,12 @@ void ManagerCore::on_resume_done(config::ProcessId process, const ResumeDoneMsg&
 void ManagerCore::commit_step() {
   disarm_timer();
   set_phase(ManagerPhase::Resumed);
-  current_ = plan_.steps[step_index_].to;
+  current_ = plan_steps_[step_index_].to;
   ++result_.steps_committed;
   Output& out = emit(OutputKind::StepCommitted);
-  out.name = table_->action(plan_.steps[step_index_].action).name;
+  out.name = table_->action(plan_steps_[step_index_].action).name;
   out.config = current_;
-  if (step_index_ + 1 < plan_.steps.size()) {
+  if (step_index_ + 1 < plan_steps_.size()) {
     ++step_index_;
     step_attempt_ = 0;
     execute_current_step();
@@ -399,7 +409,7 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
         // not yet finished its in-action; agents re-acknowledge idempotently.
         // Stages of involved processes are the registration stages, small
         // non-negative ints in practice — collect ascending and dedup flat.
-        std::vector<int> stages_to_resend;
+        util::SmallVector<int, 8> stages_to_resend;
         for (const config::ProcessId process : involved_) {
           const int stage = stage_of(process);
           if (stage <= current_stage_ && !adapt_acked_.contains(process)) {
@@ -407,9 +417,10 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
           }
         }
         std::sort(stages_to_resend.begin(), stages_to_resend.end());
-        stages_to_resend.erase(std::unique(stages_to_resend.begin(), stages_to_resend.end()),
-                               stages_to_resend.end());
-        for (const int stage : stages_to_resend) send_stage_resets(stage);
+        const int* const last = std::unique(stages_to_resend.begin(), stages_to_resend.end());
+        for (const int* stage = stages_to_resend.begin(); stage != last; ++stage) {
+          send_stage_resets(*stage);
+        }
         maybe_advance_stage();
         arm_timer(config_.reset_timeout, "reset-timeout");
         return;
@@ -431,10 +442,10 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
       // if acknowledgements never arrive the structure is adapted everywhere
       // (all adapt done collected) so the step is committed, but the operator
       // is told the protocol stalled.
-      current_ = plan_.steps[step_index_].to;
+      current_ = plan_steps_[step_index_].to;
       ++result_.steps_committed;
       Output& out = emit(OutputKind::StepCommitted);
-      out.name = table_->action(plan_.steps[step_index_].action).name;
+      out.name = table_->action(plan_steps_[step_index_].action).name;
       out.config = current_;
       out.flag = true;  // stalled
       finish(AdaptationOutcome::StalledAfterResume,
@@ -481,7 +492,7 @@ void ManagerCore::step_failed_after_rollback() {
   disarm_timer();
   ++result_.step_failures;
   Output& out = emit(OutputKind::StepRolledBack);
-  out.name = table_->action(plan_.steps[step_index_].action).name;
+  out.name = table_->action(plan_steps_[step_index_].action).name;
   try_next_strategy();
 }
 
@@ -528,13 +539,15 @@ void ManagerCore::finish(AdaptationOutcome outcome, std::string detail) {
   result_.outcome = outcome;
   result_.final_config = current_;
   result_.finished = now_;
-  result_.detail = std::move(detail);
   Output& out = emit(OutputKind::Outcome);
   out.name = std::string(to_string(outcome));
   out.parent_span = cause_span_;
-  out.detail = result_.detail;
+  out.detail = detail;
   out.config = result_.final_config;
   out.result = result_;
+  // The detail travels only in the output: the core's copy of the result
+  // stays string-free, so forking a finished core does not allocate.
+  out.result.detail = std::move(detail);
 }
 
 void ManagerCore::fingerprint(std::uint64_t& h) const {
@@ -549,10 +562,7 @@ void ManagerCore::fingerprint(std::uint64_t& h) const {
   mix(h, plan_counter_);
   mix(h, step_index_);
   mix(h, step_attempt_);
-  for (const actions::PlanStep& s : plan_.steps) {
-    mix(h, s.action);
-    mix(h, s.to.bits());
-  }
+  mix(h, plan_hash_);
   for (const config::ProcessId p : involved_) mix(h, p);
   mix(h, drain_set_.mask());
   mix(h, static_cast<std::uint64_t>(current_stage_));
@@ -565,7 +575,7 @@ void ManagerCore::fingerprint(std::uint64_t& h) const {
   mix(h, resume_sent_ ? 1 : 0);
   mix(h, static_cast<std::uint64_t>(retries_left_));
   mix(h, protocol_timer_armed_ ? 1 : 0);
-  if (protocol_timer_armed_) mix_str(h, protocol_timer_label_);
+  if (protocol_timer_armed_) mix(h, protocol_timer_label_hash_);
   mix(h, stage_delay_armed_ ? 1 : 0);
   mix(h, static_cast<std::uint64_t>(stage_delay_stage_));
 }
@@ -582,10 +592,7 @@ void ManagerCore::fingerprint_shared(std::uint64_t& h) const {
   mix(h, plan_counter_);
   mix(h, step_index_);
   mix(h, step_attempt_);
-  for (const actions::PlanStep& s : plan_.steps) {
-    mix(h, s.action);
-    mix(h, s.to.bits());
-  }
+  mix(h, plan_hash_);
   // Per-process membership (involved/drain/acked sets) is deliberately left
   // out — it is folded into each agent's orbit sub-fingerprint via
   // process_fingerprint(), so states that differ only by a permutation of
@@ -602,7 +609,7 @@ void ManagerCore::fingerprint_shared(std::uint64_t& h) const {
   mix(h, resume_sent_ ? 1 : 0);
   mix(h, static_cast<std::uint64_t>(retries_left_));
   mix(h, protocol_timer_armed_ ? 1 : 0);
-  if (protocol_timer_armed_) mix_str(h, protocol_timer_label_);
+  if (protocol_timer_armed_) mix(h, protocol_timer_label_hash_);
   mix(h, stage_delay_armed_ ? 1 : 0);
   mix(h, static_cast<std::uint64_t>(stage_delay_stage_));
 }

@@ -24,6 +24,7 @@
 #include "proto/core/states.hpp"
 #include "proto/messages.hpp"
 #include "util/bitset64.hpp"
+#include "util/small_vector.hpp"
 
 namespace sa::proto {
 
@@ -76,13 +77,15 @@ class ManagerCore {
   }
   std::uint64_t request_id() const { return request_id_; }
 
-  /// Consumes one input and returns the ordered side effects it caused.
+  /// Consumes one input: clears `out` and fills it with the ordered side
+  /// effects the input caused. The caller owns the buffer, so a caller that
+  /// reuses it steps without allocating for the output list.
   /// Calling step(AdaptCommand) while busy() is a logic error (the driver
   /// guards and throws; the explorer never does it).
-  std::vector<Output> step(const ManagerInput& input);
+  void step(const ManagerInput& input, std::vector<Output>& out);
 
   // --- introspection for the explorer and tests -----------------------------
-  const std::vector<config::ProcessId>& involved() const { return involved_; }
+  const util::SmallVector<config::ProcessId, 8>& involved() const { return involved_; }
   const util::IdSet64& adapt_acked() const { return adapt_acked_; }
   const util::IdSet64& resume_acked() const { return resume_acked_; }
   bool resume_sent() const { return resume_sent_; }
@@ -114,7 +117,7 @@ class ManagerCore {
   void on_adapt_done(config::ProcessId process);
   void on_resume_done(config::ProcessId process, const ResumeDoneMsg& msg);
   void on_rollback_done(config::ProcessId process);
-  void start_plan(actions::AdaptationPlan plan);
+  void start_plan(const actions::AdaptationPlan& plan);
   void execute_current_step();
   void send_stage_resets(int stage);
   void maybe_advance_stage();
@@ -147,11 +150,11 @@ class ManagerCore {
   ManagerConfig config_;
   ManagerFault fault_ = ManagerFault::None;
 
-  /// Agent topology, sorted by process id. Flat (not a std::map) because the
-  /// explorer copies the core at every fork: copying this is one allocation
-  /// and a memcpy instead of a node allocation per agent. Lookups are linear
-  /// — the involved set of a step is a handful of processes.
-  std::vector<std::pair<config::ProcessId, int>> stages_;
+  /// Agent topology, sorted by process id. Inline (not a std::map or a
+  /// std::vector) because the explorer copies the core at every fork: a copy
+  /// is a memcpy-sized loop with no allocation. Lookups are linear — the
+  /// involved set of a step is a handful of processes.
+  util::SmallVector<std::pair<config::ProcessId, int>, 8> stages_;
   config::Configuration current_;
 
   // --- in-flight request state ---
@@ -165,7 +168,11 @@ class ManagerCore {
   bool returning_to_source_ = false;
   std::size_t alternatives_tried_ = 0;
 
-  actions::AdaptationPlan plan_;
+  /// Steps of the plan being executed, inline for the same reason as
+  /// stages_, and their hash, computed once in start_plan() so fingerprint()
+  /// mixes one word instead of walking the steps.
+  util::SmallVector<actions::PlanStep, 8> plan_steps_;
+  std::uint64_t plan_hash_ = 0;
   std::uint32_t plan_number_ = 0;   ///< disambiguates re-planned paths
   std::uint32_t plan_counter_ = 0;  ///< next plan number within the request
   std::size_t step_index_ = 0;
@@ -173,7 +180,7 @@ class ManagerCore {
 
   // per-step bookkeeping (bitmask sets: copied by value at every explorer
   // fork, so a std::set node allocation per member would dominate fork cost)
-  std::vector<config::ProcessId> involved_;
+  util::SmallVector<config::ProcessId, 8> involved_;
   util::IdSet64 drain_set_;  ///< involved processes that drain before blocking
   int min_stage_ = 0;
   int current_stage_ = 0;
@@ -187,11 +194,14 @@ class ManagerCore {
   // logical timer slots (the driver maps these onto real TimerIds)
   bool protocol_timer_armed_ = false;
   const char* protocol_timer_label_ = "";
+  std::uint64_t protocol_timer_label_hash_ = 0;  ///< set by arm_timer()
   bool stage_delay_armed_ = false;
   int stage_delay_stage_ = 0;  ///< stage whose resets go out when it fires
 
-  runtime::Time now_ = 0;            ///< timestamp of the input being processed
-  std::vector<Output> out_;          ///< effects of the input being processed
+  runtime::Time now_ = 0;  ///< timestamp of the input being processed
+  /// The caller's buffer for the input being processed; set by step() and
+  /// only dereferenced inside it.
+  std::vector<Output>* out_ = nullptr;
 };
 
 }  // namespace sa::proto

@@ -124,15 +124,21 @@ void AdaptationManager::on_message(runtime::NodeId from, runtime::MessagePtr mes
 }
 
 void AdaptationManager::dispatch(ManagerInput::AdaptCommand cmd) {
-  apply(core_.step(ManagerInput{clock_->now(), std::move(cmd)}));
+  std::vector<Output> outputs;
+  core_.step(ManagerInput{clock_->now(), std::move(cmd)}, outputs);
+  apply(outputs);
 }
 
 void AdaptationManager::dispatch(ManagerInput::MessageDelivered delivered) {
-  apply(core_.step(ManagerInput{clock_->now(), std::move(delivered)}));
+  std::vector<Output> outputs;
+  core_.step(ManagerInput{clock_->now(), std::move(delivered)}, outputs);
+  apply(outputs);
 }
 
 void AdaptationManager::dispatch(ManagerInput::TimerFired fired) {
-  apply(core_.step(ManagerInput{clock_->now(), fired}));
+  std::vector<Output> outputs;
+  core_.step(ManagerInput{clock_->now(), fired}, outputs);
+  apply(outputs);
 }
 
 void AdaptationManager::apply(const std::vector<Output>& outputs) {

@@ -1,15 +1,23 @@
 #include "util/fingerprint_set.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <new>
+
 namespace sa::util {
 
 namespace {
 
 constexpr std::uint64_t kZeroSentinel = 0x9e3779b97f4a7c15ULL;
 constexpr std::size_t kMinCapacity = 64;
-/// Eager pre-reservation cap: 2^22 slots = 32 MiB across all shards. A
-/// --max-states budget above this still works, the table just doubles on
-/// demand instead of being allocated up-front.
+/// Eager pre-reservation cap: 2^22 slots = 32 MiB for the whole set (all
+/// shards together). A --max-states budget above this still works, the table
+/// just doubles on demand instead of being allocated up-front.
 constexpr std::size_t kMaxReserveSlots = std::size_t{1} << 22;
+/// Fresh values an inserting thread counts privately before publishing them
+/// to their shard (fewer in small shards, so the unpublished backlog stays a
+/// small fraction of the shard).
+constexpr std::size_t kPublishBatch = 64;
 
 /// Finalizing mixer (splitmix64): fingerprints are already hashes, but their
 /// low bits come from a weak xor-shift combine — spread them before masking.
@@ -26,20 +34,50 @@ inline std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
+/// Slots reserved up-front for `expected` values: load factor <= 0.5 at the
+/// expected size keeps probe chains short. Clamped before doubling, so a
+/// huge `expected` cannot wrap.
+std::size_t reserved_slots(std::size_t expected) {
+  const std::size_t wanted = std::min(expected, kMaxReserveSlots) * 2;
+  return std::clamp(next_pow2(wanted), kMinCapacity, kMaxReserveSlots);
+}
+
+/// Load factor 0.75.
+inline bool over_threshold(std::size_t values, std::size_t capacity) {
+  return values * 4 > capacity * 3;
+}
+
+/// Puts `value` into the first empty slot of its probe chain. Only for
+/// tables no other thread can see.
+void place(std::uint64_t* slots, std::size_t mask, std::uint64_t value) {
+  std::size_t idx = static_cast<std::size_t>(remix(value)) & mask;
+  while (slots[idx] != 0) idx = (idx + 1) & mask;
+  slots[idx] = value;
+}
+
+/// Per-thread cache of the writer record of the set this thread inserted
+/// into last; keyed by set id, so a destroyed set's entry is never reused.
+struct WriterCache {
+  std::uint64_t set_id = 0;
+  void* writer = nullptr;
+};
+thread_local WriterCache t_writer;
+
+std::atomic<std::uint64_t> g_next_set_id{1};
+
 }  // namespace
 
+// --- FingerprintSet ----------------------------------------------------------
+
 FingerprintSet::FingerprintSet(std::size_t expected) {
-  // Load factor <= 0.5 at the expected size keeps probe chains short.
-  std::size_t capacity = next_pow2(expected * 2);
-  if (capacity < kMinCapacity) capacity = kMinCapacity;
-  if (capacity > kMaxReserveSlots) capacity = kMaxReserveSlots;
+  const std::size_t capacity = reserved_slots(expected);
   slots_.assign(capacity, 0);
   mask_ = capacity - 1;
 }
 
 bool FingerprintSet::insert(std::uint64_t value) {
   if (value == 0) value = kZeroSentinel;
-  if ((size_ + 1) * 4 > slots_.size() * 3) grow();  // load factor 0.75
+  if (over_threshold(size_ + 1, slots_.size())) grow();
   std::size_t idx = static_cast<std::size_t>(remix(value)) & mask_;
   while (true) {
     const std::uint64_t slot = slots_[idx];
@@ -69,34 +107,154 @@ void FingerprintSet::grow() {
   slots_.assign(old.size() * 2, 0);
   mask_ = slots_.size() - 1;
   for (const std::uint64_t value : old) {
-    if (value == 0) continue;
-    std::size_t idx = static_cast<std::size_t>(remix(value)) & mask_;
-    while (slots_[idx] != 0) idx = (idx + 1) & mask_;
-    slots_[idx] = value;
+    if (value != 0) place(slots_.data(), mask_, value);
   }
 }
 
-ShardedFingerprintSet::ShardedFingerprintSet(std::size_t expected, std::size_t shards) {
-  const std::size_t count = next_pow2(shards == 0 ? 1 : shards);
+// --- ShardedFingerprintSet ---------------------------------------------------
+//
+// Stop-the-world handshake. An inserter sets its own `active` flag, then
+// reads `growing_`; a grower sets `growing_`, then waits until every
+// inserter's flag is clear. Both sides use sequentially consistent
+// operations, so either the inserter sees `growing_` and backs off before
+// touching the shard, or the grower sees the flag and waits for the probe to
+// finish. Each inserter writes only its own flag's cache line, so the fast
+// path shares nothing with other inserters but the slots themselves.
+
+ShardedFingerprintSet::ShardedFingerprintSet(std::size_t expected, std::size_t shards)
+    : id_(g_next_set_id.fetch_add(1, std::memory_order_relaxed)),
+      shards_(next_pow2(shards == 0 ? 1 : shards)) {
   std::size_t log2 = 0;
-  while ((std::size_t{1} << log2) < count) ++log2;
+  while ((std::size_t{1} << log2) < shards_.size()) ++log2;
   shard_shift_ = 64 - log2;
-  shards_ = std::vector<Shard>(count);
-  const std::size_t per_shard = expected / count + 1;
-  for (Shard& shard : shards_) shard.set = FingerprintSet(per_shard);
+  const std::size_t per_shard =
+      std::max(kMinCapacity, reserved_slots(expected) / shards_.size());
+  for (Shard& shard : shards_) {
+    // calloc: the zero pages are mapped lazily, as the search first touches them.
+    shard.slots.reset(static_cast<std::uint64_t*>(std::calloc(per_shard, sizeof(std::uint64_t))));
+    if (!shard.slots) throw std::bad_alloc();
+    shard.mask = per_shard - 1;
+  }
+}
+
+ShardedFingerprintSet::~ShardedFingerprintSet() = default;
+
+ShardedFingerprintSet::Writer& ShardedFingerprintSet::writer() {
+  if (t_writer.set_id == id_) return *static_cast<Writer*>(t_writer.writer);
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  const std::thread::id me = std::this_thread::get_id();
+  Writer* found = nullptr;
+  for (const auto& w : writers_) {
+    if (w->owner == me) found = w.get();
+  }
+  if (found == nullptr) {
+    auto fresh = std::make_unique<Writer>();
+    fresh->owner = me;
+    fresh->pending = std::make_unique<std::atomic<std::size_t>[]>(shards_.size());
+    found = fresh.get();
+    writers_.push_back(std::move(fresh));
+  }
+  t_writer = WriterCache{id_, found};
+  return *found;
 }
 
 bool ShardedFingerprintSet::insert(std::uint64_t value) {
+  if (value == 0) value = kZeroSentinel;
+  const std::uint64_t mixed = remix(value);
   // Shard index from the *remixed* top bits: the in-shard probe position uses
   // the low bits of the same mix, so shard choice and slot stay decorrelated
   // enough, and raw fingerprints with skewed top bits still spread evenly.
-  const std::size_t shard_idx =
-      shard_shift_ >= 64 ? 0 : static_cast<std::size_t>(remix(value) >> shard_shift_);
-  Shard& shard = shards_[shard_idx];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (!shard.set.insert(value)) return false;
-  total_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  const std::size_t s = shard_shift_ >= 64 ? 0 : static_cast<std::size_t>(mixed >> shard_shift_);
+  Writer& w = writer();
+  while (true) {
+    w.active.store(true);
+    if (growing_.load()) {
+      w.active.store(false, std::memory_order_release);
+      while (growing_.load(std::memory_order_acquire)) std::this_thread::yield();
+      continue;
+    }
+    Shard& shard = shards_[s];
+    std::uint64_t* const slots = shard.slots.get();
+    const std::size_t mask = shard.mask;
+    std::size_t idx = static_cast<std::size_t>(mixed) & mask;
+    bool inserted = false;
+    bool present = false;
+    for (std::size_t probes = 0; probes <= mask; ++probes) {
+      std::atomic_ref<std::uint64_t> slot(slots[idx]);
+      std::uint64_t seen = slot.load(std::memory_order_relaxed);
+      if (seen == 0 && slot.compare_exchange_strong(seen, value, std::memory_order_relaxed)) {
+        inserted = true;
+        break;
+      }
+      if (seen == value) {
+        present = true;
+        break;
+      }
+      idx = (idx + 1) & mask;
+    }
+    w.active.store(false, std::memory_order_release);
+    if (present) return false;
+    if (inserted) {
+      publish(w, s, mask);
+      return true;
+    }
+    // Every slot is taken (unpublished counts hid the load): grow and retry.
+    grow(s, mask);
+  }
+}
+
+void ShardedFingerprintSet::publish(Writer& w, std::size_t shard, std::size_t seen_mask) {
+  const std::size_t batch = std::clamp<std::size_t>((seen_mask + 1) >> 6, 1, kPublishBatch);
+  std::atomic<std::size_t>& pending = w.pending[shard];
+  const std::size_t count = pending.load(std::memory_order_relaxed) + 1;
+  if (count < batch) {
+    pending.store(count, std::memory_order_relaxed);
+    return;
+  }
+  pending.store(0, std::memory_order_relaxed);
+  const std::size_t total =
+      shards_[shard].published.fetch_add(count, std::memory_order_relaxed) + count;
+  if (over_threshold(total, seen_mask + 1)) grow(shard, seen_mask);
+}
+
+void ShardedFingerprintSet::grow(std::size_t shard_index, std::size_t seen_mask) {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  Shard& shard = shards_[shard_index];
+  if (shard.mask != seen_mask) return;  // another thread grew it meanwhile
+  growing_.store(true);
+  for (const auto& w : writers_) {
+    while (w->active.load()) std::this_thread::yield();
+  }
+  const std::size_t capacity = (seen_mask + 1) * 2;
+  Slots fresh(static_cast<std::uint64_t*>(std::calloc(capacity, sizeof(std::uint64_t))));
+  if (!fresh) {
+    growing_.store(false, std::memory_order_release);
+    throw std::bad_alloc();
+  }
+  for (std::size_t i = 0; i <= seen_mask; ++i) {
+    if (shard.slots[i] != 0) place(fresh.get(), capacity - 1, shard.slots[i]);
+  }
+  shard.slots = std::move(fresh);
+  shard.mask = capacity - 1;
+  growing_.store(false, std::memory_order_release);
+}
+
+std::size_t ShardedFingerprintSet::size() const {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  std::size_t total = 0;
+  for (const Shard& shard : shards_) total += shard.published.load(std::memory_order_relaxed);
+  for (const auto& w : writers_) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      total += w->pending[s].load(std::memory_order_relaxed);
+    }
+  }
+  return total;
+}
+
+std::size_t ShardedFingerprintSet::capacity() const {
+  std::size_t total = 0;
+  for (const Shard& shard : shards_) total += shard.mask + 1;
+  return total;
 }
 
 }  // namespace sa::util

@@ -7,23 +7,34 @@
 // a flat power-of-two std::uint64_t array (no per-insert allocation, one
 // cache line per probe in the common case).
 //
-//   FingerprintSet          single-threaded, used per shard
-//   ShardedFingerprintSet   N power-of-two shards, one mutex per shard, for
-//                           the parallel explorer. High bits of the mixed
-//                           fingerprint pick the shard, so a lock is only
-//                           contended when two workers insert into the same
-//                           1/Nth of the space simultaneously.
+//   FingerprintSet          single-threaded; grows by doubling as it fills.
+//   ShardedFingerprintSet   for the parallel explorer. Insert is lock-free:
+//                           a compare-and-swap on the slot, with no shared
+//                           counter on the way. Each inserting thread counts
+//                           its fresh values privately and publishes them in
+//                           batches; a shard that the published counts show
+//                           three-quarters full is grown on a slow path that
+//                           briefly stops every inserter. High bits of the
+//                           mixed fingerprint pick the shard, so growth
+//                           rehashes one shard at a time.
 //
 // Both sets treat the value 0 as the empty-slot sentinel: an incoming 0 is
 // remapped to a fixed non-zero constant. Fingerprints are already hashes, so
 // this adds one more (astronomically unlikely) collision to the existing
 // 64-bit birthday bound — the explorer's dedup is probabilistic either way.
+//
+// Both sets cap their up-front reservation at 2^22 slots (32 MiB) in total,
+// so a huge expected count does not allocate eagerly; past the cap they grow
+// on demand.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace sa::util {
@@ -31,8 +42,8 @@ namespace sa::util {
 class FingerprintSet {
  public:
   /// Reserves capacity for `expected` values up-front (rounded up to the next
-  /// power of two over the load-factor headroom); the set still grows by
-  /// doubling if the estimate was low.
+  /// power of two over the load-factor headroom, capped); the set still grows
+  /// by doubling if the estimate was low.
   explicit FingerprintSet(std::size_t expected = 0);
 
   /// True iff `value` was not present (and is now).
@@ -53,29 +64,58 @@ class FingerprintSet {
 class ShardedFingerprintSet {
  public:
   /// `shards` is rounded up to a power of two (at least 1). `expected` is the
-  /// total expected value count, split evenly across shards. Capacity
-  /// pre-reservation is capped so a huge --max-states budget does not
-  /// allocate the whole budget eagerly; shards grow on demand past the cap.
+  /// total expected value count; the reservation for it is split evenly
+  /// across shards.
   explicit ShardedFingerprintSet(std::size_t expected, std::size_t shards);
+  ~ShardedFingerprintSet();
+  ShardedFingerprintSet(const ShardedFingerprintSet&) = delete;
+  ShardedFingerprintSet& operator=(const ShardedFingerprintSet&) = delete;
 
-  /// True iff `value` was not present. Thread-safe.
+  /// True iff `value` was not present. Thread-safe; lock-free except while a
+  /// shard grows, when every inserter waits for the rehash to finish.
   bool insert(std::uint64_t value);
 
-  /// Exact once all writers are quiescent; monotonically fresh during
-  /// concurrent inserts (a relaxed atomic counter).
-  std::size_t size() const { return total_.load(std::memory_order_relaxed); }
+  /// Exact once all inserting threads are quiescent (joined, or otherwise
+  /// ordered before the call); a lower bound during concurrent inserts.
+  std::size_t size() const;
 
   std::size_t shard_count() const { return shards_.size(); }
+  /// Total slots over all shards. Call only while no thread inserts.
+  std::size_t capacity() const;
 
  private:
-  struct Shard {
-    std::mutex mu;
-    FingerprintSet set;
+  struct FreeDeleter {
+    void operator()(std::uint64_t* p) const { std::free(p); }
+  };
+  using Slots = std::unique_ptr<std::uint64_t[], FreeDeleter>;
+
+  struct alignas(64) Shard {
+    Slots slots;            ///< replaced only while every inserter is stopped
+    std::size_t mask = 0;   ///< slot count - 1; likewise
+    std::atomic<std::size_t> published{0};  ///< fresh values counted so far
   };
 
+  /// One inserting thread: its in-progress flag (the stop-the-world
+  /// handshake) and its not-yet-published fresh counts per shard.
+  struct alignas(64) Writer {
+    std::atomic<bool> active{false};
+    std::thread::id owner;
+    std::unique_ptr<std::atomic<std::size_t>[]> pending;
+  };
+
+  Writer& writer();
+  void publish(Writer& writer, std::size_t shard, std::size_t seen_mask);
+  /// Doubles `shard` unless another thread already grew it past `seen_mask`.
+  void grow(std::size_t shard, std::size_t seen_mask);
+
+  const std::uint64_t id_;  ///< distinguishes sets in the per-thread writer cache
   std::vector<Shard> shards_;
   std::size_t shard_shift_ = 0;  ///< 64 - log2(shard count)
-  std::atomic<std::size_t> total_{0};
+  alignas(64) std::atomic<bool> growing_{false};
+  /// Guards writers_ and serializes growth; a thread registers as a writer on
+  /// its first insert.
+  mutable std::mutex registry_mu_;
+  std::vector<std::unique_ptr<Writer>> writers_;
 };
 
 }  // namespace sa::util

@@ -1,0 +1,89 @@
+// Allocation budget of the model checker's hot path (src/check): forking a
+// Model into a recycled one must not allocate, and an exhaustive search must
+// stay within a small number of allocations per explored edge — the messages
+// the cores send and the schedule node of each new frame.
+//
+// The binary links sa_alloc_counter, which replaces the global operator new
+// with a counting one.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <vector>
+
+#include "alloc_counter.hpp"
+#include "check/explorer.hpp"
+#include "check/model.hpp"
+#include "check/scenario.hpp"
+#include "util/rng.hpp"
+
+namespace sa::check {
+namespace {
+
+using sa::testing::AllocationScope;
+
+ExploreOptions pair_exhaustive_options() {
+  ExploreOptions options;
+  options.max_depth = 0;
+  options.max_states = 20'000'000;
+  options.dpor = true;
+  options.symmetry = true;
+  options.threads = 1;
+  return options;
+}
+
+/// Every state along seeded random walks to quiescence on the pair scenario.
+std::vector<Model> random_walk_states(const Scenario& scenario, const ExploreOptions& options,
+                                      int walks) {
+  std::vector<Model> states;
+  std::vector<Choice> choices;
+  util::Rng rng(17);
+  for (int walk = 0; walk < walks; ++walk) {
+    Model model = make_model(scenario, options);
+    model.set_record_transitions(false);
+    states.push_back(model);
+    for (model.choices(choices); !choices.empty(); model.choices(choices)) {
+      model.apply(choices[rng.next_below(choices.size())]);
+      states.push_back(model);
+    }
+  }
+  return states;
+}
+
+TEST(CheckAlloc, CopyIntoRecycledModelAllocatesNothing) {
+  const Scenario scenario = make_pair_scenario();
+  const ExploreOptions options = pair_exhaustive_options();
+  const std::vector<Model> states = random_walk_states(scenario, options, 200);
+  ASSERT_GT(states.size(), 1000U);
+
+  // A recycled model is one that already held a state of this scenario, as
+  // in the engine's per-worker pool.
+  std::vector<Model> recycled(8, states.front());
+  std::size_t allocations = 0;
+  {
+    const AllocationScope scope;
+    for (std::size_t i = 0; i < states.size(); ++i) recycled[i % recycled.size()] = states[i];
+    allocations = scope.count();
+  }
+  EXPECT_EQ(allocations, 0U) << "over " << states.size() << " copies";
+}
+
+TEST(CheckAlloc, ExhaustivePairSearchStaysUnderThreeAllocationsPerEdge) {
+  const Scenario scenario = make_pair_scenario();
+  ExploreResult result;
+  std::size_t allocations = 0;
+  {
+    const AllocationScope scope;
+    result = explore_dfs(scenario, pair_exhaustive_options());
+    allocations = scope.count();
+  }
+  ASSERT_TRUE(result.complete);
+  ASSERT_EQ(result.stats.states_explored, 10'321'894U);
+  const double per_edge =
+      static_cast<double>(allocations) / static_cast<double>(result.stats.states_explored);
+  RecordProperty("allocations_per_edge", std::to_string(per_edge));
+  EXPECT_LE(per_edge, 3.0) << allocations << " allocations over "
+                           << result.stats.states_explored << " edges";
+}
+
+}  // namespace
+}  // namespace sa::check

@@ -102,7 +102,7 @@ TEST(Explorer, SimPolicyDrainsToSuccess) {
   }
   model.finalize();
   EXPECT_TRUE(model.violations().empty());
-  ASSERT_TRUE(model.outcome().has_value());
+  ASSERT_NE(model.outcome(), nullptr);
   EXPECT_EQ(model.outcome()->outcome, proto::AdaptationOutcome::Success);
 }
 

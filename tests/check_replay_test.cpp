@@ -79,7 +79,7 @@ TEST(CheckReplay, SimPolicyMatchesSimRuntimeTransitions) {
   drain_sim_policy(model);
   model.finalize();
   EXPECT_TRUE(model.violations().empty());
-  ASSERT_TRUE(model.outcome().has_value());
+  ASSERT_NE(model.outcome(), nullptr);
   EXPECT_EQ(model.outcome()->outcome, proto::AdaptationOutcome::Success);
 
   const std::vector<TransitionRec> expected = sim_runtime_transitions();

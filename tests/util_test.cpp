@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -219,6 +220,54 @@ TEST(FingerprintSet, ReservationAvoidsEarlyGrowth) {
   const std::size_t initial = set.capacity();
   for (std::uint64_t i = 1; i <= 1'000; ++i) set.insert(i * 0x9e3779b97f4a7c15ULL);
   EXPECT_EQ(set.capacity(), initial);
+}
+
+TEST(FingerprintSet, HugeExpectedCountReservesOnlyTheCap) {
+  // expected * 2 used to wrap, and the power-of-two search never ended.
+  const FingerprintSet set(std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(set.capacity(), std::size_t{1} << 22);
+}
+
+TEST(ShardedFingerprintSet, ReservationCapCoversAllShards) {
+  ShardedFingerprintSet set(/*expected=*/20'000'000, /*shards=*/4);
+  EXPECT_LE(set.capacity(), std::size_t{1} << 22);
+  Rng rng(5);
+  std::size_t fresh = 0;
+  for (int i = 0; i < 4'000'000; ++i) fresh += set.insert(rng.next_u64()) ? 1 : 0;
+  EXPECT_EQ(fresh, 4'000'000U);  // 64-bit values: a repeat would be a fluke
+  EXPECT_EQ(set.size(), fresh);
+  EXPECT_GT(set.capacity(), std::size_t{1} << 22);  // grew past the reservation
+}
+
+TEST(ShardedFingerprintSetParallel, GrowsWhileEightThreadsInsert) {
+  // A 64-slot-per-shard reservation and 100k distinct values force every
+  // shard through many growths while all eight threads keep inserting.
+  ShardedFingerprintSet set(/*expected=*/16, /*shards=*/4);
+  const std::size_t initial_capacity = set.capacity();
+  std::vector<std::uint64_t> values;
+  Rng rng(11);
+  for (int i = 0; i < 100'000; ++i) values.push_back(rng.next_u64());
+  constexpr int kThreads = 8;
+  std::atomic<std::size_t> fresh{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      // Each thread walks the whole stream from its own offset, so every
+      // value is offered eight times, concurrently, across growths.
+      std::size_t local = 0;
+      const std::size_t offset = values.size() / kThreads * static_cast<std::size_t>(t);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        if (set.insert(values[(offset + i) % values.size()])) ++local;
+      }
+      fresh.fetch_add(local);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  const std::set<std::uint64_t> reference(values.begin(), values.end());
+  EXPECT_EQ(fresh.load(), reference.size());
+  EXPECT_EQ(set.size(), reference.size());
+  EXPECT_GE(set.capacity(), initial_capacity * 256);
+  for (const std::uint64_t value : values) EXPECT_FALSE(set.insert(value));
 }
 
 TEST(ShardedFingerprintSetParallel, ConcurrentInsertsAgreeWithReference) {

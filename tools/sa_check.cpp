@@ -136,6 +136,15 @@ int run_replay(const std::string& path) {
   return result.violations.empty() ? 0 : 1;
 }
 
+/// std::stoull without its acceptance of a leading '-', which wraps a
+/// negative count to a huge one.
+std::size_t parse_count(const std::string& option, const std::string& text) {
+  if (text.find('-') != std::string::npos) {
+    throw std::invalid_argument(option + " must not be negative: " + text);
+  }
+  return std::stoull(text);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,9 +169,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--depth") {
         options.max_depth = std::stoi(value());
       } else if (arg == "--max-states") {
-        options.max_states = std::stoull(value());
+        options.max_states = parse_count(arg, value());
       } else if (arg == "--runs") {
-        runs = std::stoull(value());
+        runs = parse_count(arg, value());
       } else if (arg == "--seed") {
         seed = std::stoull(value());
       } else if (arg == "--drops") {
