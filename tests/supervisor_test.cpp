@@ -15,7 +15,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/supervisor.hpp"
@@ -99,8 +101,12 @@ TEST(SupervisorPrimitives, PollExitsReapsEveryChildExactlyOnce) {
               0);
   }
   std::vector<Supervisor::Exit> exits;
-  for (int tries = 0; tries < 5000 && exits.size() < kChildren; ++tries) {
+  // Bounded by time, not by a count of polls: on a loaded host five shells
+  // can take longer to exit than a few thousand back-to-back polls.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (exits.size() < kChildren && std::chrono::steady_clock::now() < deadline) {
     for (Supervisor::Exit& exit : supervisor.poll_exits()) exits.push_back(exit);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(exits.size(), static_cast<std::size_t>(kChildren));
   EXPECT_EQ(supervisor.live_count(), 0u);  // no zombies left behind
