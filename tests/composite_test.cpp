@@ -312,8 +312,8 @@ TEST(Composite, TreeTraceConformsOverCoordinatorAndManagerVocabularies) {
   fixture.system.set_current_configuration(fixture.all_x());
   const auto result = fixture.system.adapt_and_wait(fixture.all_y());
   EXPECT_TRUE(result.success);
-  const proto::ConformanceChecker checker(fixture.system.manager_nodes());
-  const auto violations = checker.check(fixture.system.network().trace());
+  const auto violations =
+      proto::check_trace(fixture.system.network().trace(), fixture.system.manager_nodes());
   for (const auto& v : violations) ADD_FAILURE() << v.time << ": " << v.description;
 }
 
@@ -337,8 +337,8 @@ TEST(Composite, OutOfEpochCommitIsCaughtByTheConformanceGate) {
   EXPECT_FALSE(second.success);  // children dedup the stale commit
   EXPECT_EQ(second.orphaned, second.outcomes.size());
 
-  const proto::ConformanceChecker checker(fixture.system.manager_nodes());
-  const auto violations = checker.check(fixture.system.network().trace());
+  const auto violations =
+      proto::check_trace(fixture.system.network().trace(), fixture.system.manager_nodes());
   ASSERT_FALSE(violations.empty()) << "seeded out-of-epoch commit was not caught";
   bool flagged = false;
   for (const auto& violation : violations) {

@@ -91,7 +91,7 @@ TEST(ConformanceMatrix, SimBackendRandomSeedsStayClean) {
     ASSERT_TRUE(result.has_value()) << point.describe();
 
     const auto violations =
-        proto::ConformanceChecker(system.manager_node()).check(faults.trace());
+        proto::check_trace(faults.trace(), {system.manager_node()});
     for (const auto& violation : violations) {
       ADD_FAILURE() << point.describe() << " t=" << violation.time << ": "
                     << violation.description;
@@ -125,7 +125,7 @@ TEST(ConformanceMatrix, ThreadedBackendRandomSeedsStayClean) {
 
     rt.shutdown();
     const auto violations =
-        proto::ConformanceChecker(system.manager_node()).check(rt.transport().trace());
+        proto::check_trace(rt.transport().trace(), {system.manager_node()});
     for (const auto& violation : violations) {
       ADD_FAILURE() << point.describe() << " t=" << violation.time << ": "
                     << violation.description;

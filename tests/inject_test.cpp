@@ -393,7 +393,7 @@ TEST(FaultyRuntimeThreaded, PaperMapUnderPartitionPairWindowConforms) {
   EXPECT_TRUE(system.invariants().satisfied(result.final_config));
   EXPECT_EQ(system.current_configuration(), result.final_config);
   const auto violations =
-      proto::ConformanceChecker(system.manager_node()).check(frt.faulty_transport().trace());
+      proto::check_trace(frt.faulty_transport().trace(), {system.manager_node()});
   for (const auto& v : violations) ADD_FAILURE() << v.time << ": " << v.description;
 }
 

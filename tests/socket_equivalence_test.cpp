@@ -110,8 +110,7 @@ TEST(SocketEquivalence, MergedDistributedTraceIsConformant) {
   // reset / adapt-done / resume round per committed step in each direction.
   ASSERT_GE(report.merged_trace.size(), 2 * report.steps_committed);
 
-  const proto::ConformanceChecker checker{runtime::NodeId{0}};
-  const auto violations = checker.check(report.merged_trace);
+  const auto violations = proto::check_trace(report.merged_trace, {runtime::NodeId{0}});
   for (const auto& violation : violations) {
     ADD_FAILURE() << "conformance: " << violation.description;
   }

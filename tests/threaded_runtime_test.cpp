@@ -252,7 +252,7 @@ TEST(ThreadedRuntimeSmoke, PaperMapRunsEndToEndOnRealThreads) {
   // Figure 1 / Figure 2 automata — the same checker the simulator runs.
   rt.shutdown();
   const auto violations =
-      proto::ConformanceChecker(system.manager_node()).check(rt.transport().trace());
+      proto::check_trace(rt.transport().trace(), {system.manager_node()});
   for (const auto& violation : violations) {
     ADD_FAILURE() << "conformance violation at t=" << violation.time << ": "
                   << violation.description;
