@@ -31,7 +31,16 @@ ExploreOptions pair_exhaustive_options() {
   return options;
 }
 
-/// Every state along seeded random walks to quiescence on the pair scenario.
+/// A bounded search of the three-agent paper scenario, with the CI bounds.
+ExploreOptions paper_bounded_options() {
+  ExploreOptions options;
+  options.max_depth = 22;
+  options.max_states = 400'000;
+  options.threads = 1;
+  return options;
+}
+
+/// Every state along seeded random walks to quiescence on `scenario`.
 std::vector<Model> random_walk_states(const Scenario& scenario, const ExploreOptions& options,
                                       int walks) {
   std::vector<Model> states;
@@ -49,22 +58,31 @@ std::vector<Model> random_walk_states(const Scenario& scenario, const ExploreOpt
   return states;
 }
 
+/// Copies every state of `states` into a pool of recycled models — ones that
+/// already held a state of the same scenario, as in the engine's per-worker
+/// pool — and returns the allocations made.
+std::size_t allocations_copying_into_recycled(const std::vector<Model>& states) {
+  std::vector<Model> recycled(8, states.front());
+  const AllocationScope scope;
+  for (std::size_t i = 0; i < states.size(); ++i) recycled[i % recycled.size()] = states[i];
+  return scope.count();
+}
+
 TEST(CheckAlloc, CopyIntoRecycledModelAllocatesNothing) {
   const Scenario scenario = make_pair_scenario();
-  const ExploreOptions options = pair_exhaustive_options();
-  const std::vector<Model> states = random_walk_states(scenario, options, 200);
+  const std::vector<Model> states =
+      random_walk_states(scenario, pair_exhaustive_options(), 200);
   ASSERT_GT(states.size(), 1000U);
+  EXPECT_EQ(allocations_copying_into_recycled(states), 0U) << "over " << states.size()
+                                                           << " copies";
+}
 
-  // A recycled model is one that already held a state of this scenario, as
-  // in the engine's per-worker pool.
-  std::vector<Model> recycled(8, states.front());
-  std::size_t allocations = 0;
-  {
-    const AllocationScope scope;
-    for (std::size_t i = 0; i < states.size(); ++i) recycled[i % recycled.size()] = states[i];
-    allocations = scope.count();
-  }
-  EXPECT_EQ(allocations, 0U) << "over " << states.size() << " copies";
+TEST(CheckAlloc, CopyIntoRecycledThreeAgentModelAllocatesNothing) {
+  const Scenario scenario = make_scenario("paper");
+  const std::vector<Model> states = random_walk_states(scenario, paper_bounded_options(), 50);
+  ASSERT_GT(states.size(), 1000U);
+  EXPECT_EQ(allocations_copying_into_recycled(states), 0U) << "over " << states.size()
+                                                           << " copies";
 }
 
 TEST(CheckAlloc, ExhaustivePairSearchStaysUnderThreeAllocationsPerEdge) {
@@ -78,6 +96,24 @@ TEST(CheckAlloc, ExhaustivePairSearchStaysUnderThreeAllocationsPerEdge) {
   }
   ASSERT_TRUE(result.complete);
   ASSERT_EQ(result.stats.states_explored, 10'321'894U);
+  const double per_edge =
+      static_cast<double>(allocations) / static_cast<double>(result.stats.states_explored);
+  RecordProperty("allocations_per_edge", std::to_string(per_edge));
+  EXPECT_LE(per_edge, 3.0) << allocations << " allocations over "
+                           << result.stats.states_explored << " edges";
+}
+
+TEST(CheckAlloc, BoundedThreeAgentSearchStaysUnderThreeAllocationsPerEdge) {
+  const Scenario scenario = make_scenario("paper");
+  ExploreResult result;
+  std::size_t allocations = 0;
+  {
+    const AllocationScope scope;
+    result = explore_dfs(scenario, paper_bounded_options());
+    allocations = scope.count();
+  }
+  ASSERT_FALSE(result.counterexample.has_value());
+  ASSERT_GT(result.stats.states_explored, 100'000U);
   const double per_edge =
       static_cast<double>(allocations) / static_cast<double>(result.stats.states_explored);
   RecordProperty("allocations_per_edge", std::to_string(per_edge));
