@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "check/engine.hpp"
 #include "check/explorer.hpp"
 #include "check/model.hpp"
 #include "check/scenario.hpp"
@@ -338,9 +339,11 @@ BENCHMARK(BM_CheckReductionSweep)
 //
 //   copy       copy-assign the parent into a recycled model (the engine's fork)
 //   apply      Model::apply of the edge's choice
-//   canonical  Model::canonical_fingerprint of the child
+//   canonical  Model::canonical_fingerprint of the child, and the prefetch
+//              of its home slot, as the engine keys a frame's children
 //   insert     ShardedFingerprintSet::insert of that fingerprint into a set
-//              pre-filled to the search's distinct-state count
+//              shaped like the engine's and pre-filled to the search's
+//              distinct-state count
 //
 // engine_rest is the total minus those four, so the parts sum to the total:
 // choice enumeration, DPOR footprints and sleep sets, frames, schedule
@@ -400,7 +403,10 @@ PhaseNs time_phases(const check::Scenario& scenario, std::uint64_t seed,
     const auto t1 = Clock::now();
     for (std::size_t i = 0; i < kBatch; ++i) children[i].apply(taken[i]);
     const auto t2 = Clock::now();
-    for (std::size_t i = 0; i < kBatch; ++i) keys[i] = children[i].canonical_fingerprint();
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      keys[i] = children[i].canonical_fingerprint();
+      visited.prefetch(keys[i]);
+    }
     const auto t3 = Clock::now();
     std::size_t fresh = 0;
     for (std::size_t i = 0; i < kBatch; ++i) fresh += visited.insert(keys[i]) ? 1 : 0;
@@ -440,8 +446,7 @@ void BM_CheckEdgePhases(benchmark::State& state) {
       allocations = scope.count();
     }
 
-    util::ShardedFingerprintSet visited(options.max_states,
-                                        static_cast<std::size_t>(threads) * 2);
+    util::ShardedFingerprintSet visited(options.max_states, check::kVisitedShards);
     util::Rng fill(3);
     for (std::size_t i = 1; i < distinct; ++i) visited.insert(fill.next_u64());
     std::vector<PhaseNs> shares(static_cast<std::size_t>(threads));
@@ -470,6 +475,8 @@ void BM_CheckEdgePhases(benchmark::State& state) {
     state.counters["insert_ns_per_edge"] = phases.insert;
     state.counters["engine_rest_ns_per_edge"] =
         total - phases.copy - phases.apply - phases.canonical - phases.insert;
+    state.counters["visited_peak_mib"] =
+        static_cast<double>(result.stats.visited_peak_bytes) / (1024.0 * 1024.0);
     state.counters["allocations_per_edge"] =
         static_cast<double>(allocations) / static_cast<double>(edges);
   }

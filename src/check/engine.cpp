@@ -143,7 +143,18 @@ struct alignas(kCacheLine) WorkerStats {
   std::size_t sleep_pruned = 0;
   int max_depth_reached = 0;
   std::array<std::size_t, kOutcomeSlots> outcomes{};
+  std::array<std::size_t, Choice::kKinds> edges_by_kind{};
+  std::vector<std::size_t> expanded_by_depth;
   std::size_t unpublished = 0;  ///< fresh visited inserts not yet counted in inserted_
+};
+
+/// One generated child of the frame being expanded, keyed and waiting for
+/// its dedup insert.
+struct Child {
+  std::unique_ptr<Model> model;
+  Choice choice;
+  SleepSet sleep;
+  std::uint64_t key = 0;
 };
 
 /// Per-worker scratch buffers and model pool for expand_children, reused
@@ -152,6 +163,7 @@ struct Scratch {
   std::vector<Choice> choices;
   std::vector<Choice> awake;
   std::vector<ChoiceFootprint> footprints;
+  std::vector<Child> children;
   ModelPool pool;
 };
 
@@ -193,8 +205,7 @@ class FrontierEngine {
                                           options.max_states /
                                               (static_cast<std::size_t>(threads) * 64),
                                           1, 256)),
-        visited_(options.max_states,
-                 threads == 1 ? 1 : static_cast<std::size_t>(threads) * 2),
+        visited_(options.max_states, kVisitedShards),
         queues_(static_cast<std::size_t>(threads)),
         stats_(static_cast<std::size_t>(threads)) {}
 
@@ -231,7 +242,16 @@ class FrontierEngine {
         result.stats.outcomes[std::string(
             to_string(static_cast<proto::AdaptationOutcome>(i)))] += ws.outcomes[i];
       }
+      for (std::size_t k = 0; k < Choice::kKinds; ++k) {
+        result.stats.edges_by_kind[k] += ws.edges_by_kind[k];
+      }
+      std::vector<std::size_t>& depths = result.stats.expanded_by_depth;
+      if (depths.size() < ws.expanded_by_depth.size()) depths.resize(ws.expanded_by_depth.size());
+      for (std::size_t d = 0; d < ws.expanded_by_depth.size(); ++d) {
+        depths[d] += ws.expanded_by_depth[d];
+      }
     }
+    result.stats.visited_peak_bytes = visited_.peak_bytes();
     if (counterexample_) result.counterexample = std::move(counterexample_);
     result.complete =
         !capped_.load(std::memory_order_relaxed) && !result.counterexample.has_value();
@@ -240,8 +260,9 @@ class FrontierEngine {
  private:
   /// Expands one frame: quiescent leaves are finalized in place, depth-capped
   /// frames are counted and dropped, and otherwise each enabled choice is
-  /// applied to a fork of the model with per-edge accounting (explored count,
-  /// violation check, dedup insert, state-cap check).
+  /// applied to a fork of the model and keyed, then each child in turn gets
+  /// per-edge accounting (explored count, violation check, dedup insert,
+  /// state-cap check).
   ///
   /// Surviving children are appended to `out` in REVERSE choice order, so
   /// popping a LIFO stack visits the first choice's subtree first. Each
@@ -313,41 +334,57 @@ class FrontierEngine {
         fps[j] = fp;
       }
     }
-    const int child_depth = frame.depth + 1;
+    if (ws.expanded_by_depth.size() <= static_cast<std::size_t>(frame.depth)) {
+      ws.expanded_by_depth.resize(static_cast<std::size_t>(frame.depth) + 1);
+    }
+    ++ws.expanded_by_depth[static_cast<std::size_t>(frame.depth)];
+    // First pass: fork, apply and key every child, and start loading each
+    // key's home slot in the visited set, so the inserts below find their
+    // slots in cache instead of each stalling on its own miss.
+    std::vector<Child>& children = scratch.children;
+    children.clear();
     for (std::size_t i = awake->size(); i > 0; --i) {
-      if (stop_.load(std::memory_order_relaxed)) return;
       // Footprints are the source of truth for DPOR: they carry their choice
       // and were re-ordered by the orbit-stable sort above.
-      const Choice choice = dpor ? scratch.footprints[i - 1].choice : (*awake)[i - 1];
-      // Child sleep set, built before `choice` is applied (footprints refer
-      // to the parent state): inherited entries that commute with `choice`,
-      // plus every earlier awake sibling that commutes with `choice` — the
+      Child& child = children.emplace_back();
+      child.choice = dpor ? scratch.footprints[i - 1].choice : (*awake)[i - 1];
+      // Child sleep set, built before the choice is applied (footprints refer
+      // to the parent state): inherited entries that commute with the choice,
+      // plus every earlier awake sibling that commutes with it — the
       // sibling's subtree covers the reordered schedule.
-      SleepSet child_sleep;
       if (dpor) {
         const ChoiceFootprint& fp = scratch.footprints[i - 1];
         for (const ChoiceFootprint& s : frame.sleep) {
-          if (!choices_dependent(s, fp)) child_sleep.push_back(s);
+          if (!choices_dependent(s, fp)) child.sleep.push_back(s);
         }
         for (std::size_t j = 0; j + 1 < i; ++j) {
           if (!choices_dependent(scratch.footprints[j], fp)) {
-            child_sleep.push_back(scratch.footprints[j]);
+            child.sleep.push_back(scratch.footprints[j]);
           }
         }
       }
       // The last child takes the parent's model; the others fork it.
-      std::unique_ptr<Model> child =
-          i == 1 ? std::move(frame.model) : scratch.pool.fork(model);
-      child->apply(choice);
+      child.model = i == 1 ? std::move(frame.model) : scratch.pool.fork(model);
+      child.model->apply(child.choice);
+      child.key = dedup_key(*child.model, child.sleep);
+      visited_.prefetch(child.key);
+    }
+    // Second pass, in the same order: per-edge accounting (explored count,
+    // violation check, dedup insert, state-cap check). Every early return
+    // ends the search, so the children it skips are simply dropped.
+    const int child_depth = frame.depth + 1;
+    for (Child& child : children) {
+      if (stop_.load(std::memory_order_relaxed)) return;
       ++ws.states_explored;
+      ++ws.edges_by_kind[static_cast<std::size_t>(child.choice.kind)];
       ws.max_depth_reached = std::max(ws.max_depth_reached, child_depth);
-      if (!child->violations().empty()) {
-        record_violation(frame.path, &choice, child->violations());
+      if (!child.model->violations().empty()) {
+        record_violation(frame.path, &child.choice, child.model->violations());
         return;
       }
-      if (!visited_.insert(dedup_key(*child, child_sleep))) {
+      if (!visited_.insert(child.key)) {
         ++ws.states_deduped;
-        scratch.pool.recycle(std::move(child));
+        scratch.pool.recycle(std::move(child.model));
         continue;
       }
       if (count_fresh(ws)) {
@@ -355,9 +392,9 @@ class FrontierEngine {
         stop_.store(true, std::memory_order_release);
         return;
       }
-      out.push_back(Frame{std::move(child),
-                          std::make_shared<const PathNode>(PathNode{choice, frame.path}),
-                          child_depth, std::move(child_sleep)});
+      out.push_back(Frame{std::move(child.model),
+                          std::make_shared<const PathNode>(PathNode{child.choice, frame.path}),
+                          child_depth, std::move(child.sleep)});
     }
   }
 
@@ -558,6 +595,7 @@ ExploreResult random_search(const Scenario& scenario, const ExploreOptions& opti
   /// so stats accumulate in run order regardless of which worker ran what.
   struct RunDelta {
     std::size_t explored = 0;
+    std::array<std::size_t, Choice::kKinds> edges_by_kind{};
     int max_depth = 0;
     bool length_capped = false;
     bool completed = false;
@@ -592,6 +630,7 @@ ExploreResult random_search(const Scenario& scenario, const ExploreOptions& opti
         model.apply(choice);
         path.push_back(choice);
         ++delta.explored;
+        ++delta.edges_by_kind[static_cast<std::size_t>(choice.kind)];
         delta.max_depth = std::max(delta.max_depth, static_cast<int>(path.size()));
         if (!model.violations().empty()) {
           violated = true;
@@ -643,6 +682,9 @@ ExploreResult random_search(const Scenario& scenario, const ExploreOptions& opti
   for (std::size_t run = 0; run < runs; ++run) {
     const RunDelta& delta = deltas[run];
     result.stats.states_explored += delta.explored;
+    for (std::size_t k = 0; k < Choice::kKinds; ++k) {
+      result.stats.edges_by_kind[k] += delta.edges_by_kind[k];
+    }
     result.stats.max_depth_reached =
         std::max(result.stats.max_depth_reached, delta.max_depth);
     if (delta.violated) {

@@ -17,6 +17,7 @@
 // (schedule_to_json / schedule_from_json) for CI artifacts and bug reports.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -69,6 +70,15 @@ struct ExploreStats {
   std::size_t sleep_pruned = 0;     ///< branches cut by DPOR sleep sets
   int max_depth_reached = 0;
   std::map<std::string, std::size_t> outcomes;  ///< outcome name -> leaf count
+  /// Edges by the kind of choice applied, indexed by Choice::Kind (deliver,
+  /// drop, duplicate, fire); they sum to states_explored.
+  std::array<std::size_t, Choice::kKinds> edges_by_kind{};
+  /// Frames whose children were generated, by frame depth (DFS only). Like
+  /// max_depth_reached it depends on which path reaches a shared state
+  /// first, so it varies with the thread count.
+  std::vector<std::size_t> expanded_by_depth;
+  /// Most bytes the visited-state table held at once (DFS only).
+  std::size_t visited_peak_bytes = 0;
 };
 
 struct Counterexample {

@@ -194,6 +194,24 @@ bool Model::deliverable(const InFlight& m) const {
   return true;
 }
 
+template <typename Visit>
+void Model::for_each_deliverable(Visit&& visit) const {
+  // FIFO per directed channel: only a channel's oldest in-flight message is
+  // deliverable. in_flight_ is kept in creation order, so one pass that marks
+  // each channel as its head goes by finds every head.
+  std::uint64_t to_manager_seen = 0;
+  std::uint64_t to_agent_seen = 0;
+  for (const InFlight& m : in_flight_) {
+    if (!limits_.reorder) {
+      std::uint64_t& seen = m.to_manager ? to_manager_seen : to_agent_seen;
+      const std::uint64_t channel = std::uint64_t{1} << m.agent;  // ids are < 64
+      if ((seen & channel) != 0) continue;
+      seen |= channel;
+    }
+    visit(m);
+  }
+}
+
 std::vector<Choice> Model::choices() const {
   std::vector<Choice> result;
   choices(result);
@@ -202,12 +220,11 @@ std::vector<Choice> Model::choices() const {
 
 void Model::choices(std::vector<Choice>& out) const {
   out.clear();
-  for (const InFlight& m : in_flight_) {
-    if (!deliverable(m)) continue;
+  for_each_deliverable([this, &out](const InFlight& m) {
     out.push_back(Choice{Choice::Kind::Deliver, m.seq});
     if (drops_left_ > 0) out.push_back(Choice{Choice::Kind::Drop, m.seq});
     if (dups_left_ > 0) out.push_back(Choice{Choice::Kind::Duplicate, m.seq});
-  }
+  });
   auto add_timer = [&out](const TimerSlot& slot) {
     if (slot.armed) out.push_back(Choice{Choice::Kind::Fire, slot.seq});
   };
@@ -227,9 +244,8 @@ std::optional<Choice> Model::sim_choice() const {
       best_seq = seq;
     }
   };
-  for (const InFlight& m : in_flight_) {
-    if (deliverable(m)) consider(Choice::Kind::Deliver, m.seq, m.deliver_at);
-  }
+  for_each_deliverable(
+      [&consider](const InFlight& m) { consider(Choice::Kind::Deliver, m.seq, m.deliver_at); });
   auto consider_timer = [&consider](const TimerSlot& slot) {
     if (slot.armed) consider(Choice::Kind::Fire, slot.seq, slot.deadline);
   };
@@ -501,8 +517,23 @@ std::uint64_t Model::canonical_fingerprint() const {
   mix(h, manager_shared_fp_);
   mix(h, mgr_protocol_.armed);
   mix(h, mgr_stage_.armed);
+  // Both directed channels of every agent, in FIFO order: channels[2i] to
+  // agent i, channels[2i + 1] from it, filled in one walk of in_flight_.
+  // Hashing per channel (instead of the global creation-order walk
+  // fingerprint() does) also erases the interleaving of sends on *distinct*
+  // channels — already unobservable, since delivery order across channels is
+  // unconstrained.
+  const std::size_t agent_count = agents_.size();
+  util::SmallVector<std::uint64_t, 16> channels;
+  for (std::size_t i = 0; i < 2 * agent_count; ++i) channels.push_back(0xcbf29ce484222325ULL);
+  for (const InFlight& m : in_flight_) {
+    std::size_t i = 0;
+    while (i < agent_count && agents_[i].first != m.agent) ++i;
+    if (i < agent_count) mix(channels[2 * i + (m.to_manager ? 1 : 0)], m.msg_fp);
+  }
   util::SmallVector<std::uint64_t, 8> subs;
-  for (const auto& [process, entity] : agents_) {
+  for (std::size_t i = 0; i < agent_count; ++i) {
+    const AgentEntity& entity = agents_[i].second;
     std::uint64_t sub = 0x9ae16a3b2f90404fULL;
     mix(sub, entity.role_fp);
     mix(sub, entity.fail_to_reset);
@@ -514,18 +545,8 @@ std::uint64_t Model::canonical_fingerprint() const {
     // bits the same way it permutes core states, so the sorted representative
     // stays consistent.
     mix(sub, entity.manager_bits);
-    // Both directed channels of this agent, in FIFO order. Hashing channels
-    // here (instead of the global creation-order walk fingerprint() does)
-    // also erases the interleaving of sends on *distinct* channels — already
-    // unobservable, since delivery order across channels is unconstrained.
-    std::uint64_t to_agent = 0xcbf29ce484222325ULL;
-    std::uint64_t to_manager = 0xcbf29ce484222325ULL;
-    for (const InFlight& m : in_flight_) {
-      if (m.agent != process) continue;
-      mix(m.to_manager ? to_manager : to_agent, m.msg_fp);
-    }
-    mix(sub, to_agent);
-    mix(sub, to_manager);
+    mix(sub, channels[2 * i]);
+    mix(sub, channels[2 * i + 1]);
     subs.push_back(sub);
   }
   std::sort(subs.begin(), subs.end());

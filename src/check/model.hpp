@@ -35,6 +35,7 @@
 // core emits them and its deliveries as they arrive.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -57,6 +58,7 @@ namespace sa::check {
 /// the schedule prefix — a (kind, seq) list therefore replays exactly.
 struct Choice {
   enum class Kind : std::uint8_t { Deliver, Drop, Duplicate, Fire };
+  static constexpr std::size_t kKinds = 4;
   Kind kind = Kind::Deliver;
   std::uint64_t seq = 0;
 
@@ -237,6 +239,9 @@ class Model {
   AgentEntity& agent_at(config::ProcessId process);
   const AgentEntity& agent_at(config::ProcessId process) const;
   bool deliverable(const InFlight& m) const;
+  /// Calls `visit` on every deliverable in-flight message, oldest first.
+  template <typename Visit>
+  void for_each_deliverable(Visit&& visit) const;
   void deliver(const InFlight& m);
   /// Step one core and apply its outputs; each invalidates that core's
   /// cached fingerprints first.

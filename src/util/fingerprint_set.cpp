@@ -1,5 +1,7 @@
 #include "util/fingerprint_set.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <new>
@@ -67,17 +69,33 @@ std::atomic<std::uint64_t> g_next_set_id{1};
 
 }  // namespace
 
+// --- slot arrays -------------------------------------------------------------
+
+void detail::SlotUnmapper::operator()(std::uint64_t* slots) const {
+  ::munmap(slots, count * sizeof(std::uint64_t));
+}
+
+detail::MappedSlots detail::map_slots(std::size_t count) {
+  const std::size_t bytes = count * sizeof(std::uint64_t);
+  void* region =
+      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (region == MAP_FAILED) throw std::bad_alloc();
+#ifdef MADV_HUGEPAGE
+  // Advice only: without transparent huge pages the region keeps 4 KiB pages.
+  ::madvise(region, bytes, MADV_HUGEPAGE);
+#endif
+  return MappedSlots(static_cast<std::uint64_t*>(region), SlotUnmapper{count});
+}
+
 // --- FingerprintSet ----------------------------------------------------------
 
-FingerprintSet::FingerprintSet(std::size_t expected) {
-  const std::size_t capacity = reserved_slots(expected);
-  slots_.assign(capacity, 0);
-  mask_ = capacity - 1;
-}
+FingerprintSet::FingerprintSet(std::size_t expected)
+    : slots_(detail::map_slots(reserved_slots(expected))),
+      mask_(slots_.get_deleter().count - 1) {}
 
 bool FingerprintSet::insert(std::uint64_t value) {
   if (value == 0) value = kZeroSentinel;
-  if (over_threshold(size_ + 1, slots_.size())) grow();
+  if (over_threshold(size_ + 1, capacity())) grow();
   std::size_t idx = static_cast<std::size_t>(remix(value)) & mask_;
   while (true) {
     const std::uint64_t slot = slots_[idx];
@@ -103,12 +121,13 @@ bool FingerprintSet::contains(std::uint64_t value) const {
 }
 
 void FingerprintSet::grow() {
-  std::vector<std::uint64_t> old = std::move(slots_);
-  slots_.assign(old.size() * 2, 0);
-  mask_ = slots_.size() - 1;
-  for (const std::uint64_t value : old) {
-    if (value != 0) place(slots_.data(), mask_, value);
+  detail::MappedSlots fresh = detail::map_slots(capacity() * 2);
+  const std::size_t mask = capacity() * 2 - 1;
+  for (std::size_t i = 0; i <= mask_; ++i) {
+    if (slots_[i] != 0) place(fresh.get(), mask, slots_[i]);
   }
+  slots_ = std::move(fresh);
+  mask_ = mask;
 }
 
 // --- ShardedFingerprintSet ---------------------------------------------------
@@ -129,15 +148,32 @@ ShardedFingerprintSet::ShardedFingerprintSet(std::size_t expected, std::size_t s
   shard_shift_ = 64 - log2;
   const std::size_t per_shard =
       std::max(kMinCapacity, reserved_slots(expected) / shards_.size());
+  // Mapped in full before the shards adopt them, so a refused mapping leaks
+  // none of the earlier ones.
+  std::vector<detail::MappedSlots> arrays;
+  arrays.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) arrays.push_back(detail::map_slots(per_shard));
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].slots.store(arrays[s].release(), std::memory_order_relaxed);
+    shards_[s].mask.store(per_shard - 1, std::memory_order_relaxed);
+  }
+  bytes_ = shards_.size() * per_shard * sizeof(std::uint64_t);
+  peak_bytes_ = bytes_;
+}
+
+ShardedFingerprintSet::~ShardedFingerprintSet() {
   for (Shard& shard : shards_) {
-    // calloc: the zero pages are mapped lazily, as the search first touches them.
-    shard.slots.reset(static_cast<std::uint64_t*>(std::calloc(per_shard, sizeof(std::uint64_t))));
-    if (!shard.slots) throw std::bad_alloc();
-    shard.mask = per_shard - 1;
+    detail::SlotUnmapper{shard.mask.load(std::memory_order_relaxed) + 1}(
+        shard.slots.load(std::memory_order_relaxed));
   }
 }
 
-ShardedFingerprintSet::~ShardedFingerprintSet() = default;
+std::size_t ShardedFingerprintSet::shard_of(std::uint64_t mixed) const {
+  // Shard index from the *remixed* top bits: the in-shard probe position uses
+  // the low bits of the same mix, so shard choice and slot stay decorrelated
+  // enough, and raw fingerprints with skewed top bits still spread evenly.
+  return shard_shift_ >= 64 ? 0 : static_cast<std::size_t>(mixed >> shard_shift_);
+}
 
 ShardedFingerprintSet::Writer& ShardedFingerprintSet::writer() {
   if (t_writer.set_id == id_) return *static_cast<Writer*>(t_writer.writer);
@@ -161,10 +197,7 @@ ShardedFingerprintSet::Writer& ShardedFingerprintSet::writer() {
 bool ShardedFingerprintSet::insert(std::uint64_t value) {
   if (value == 0) value = kZeroSentinel;
   const std::uint64_t mixed = remix(value);
-  // Shard index from the *remixed* top bits: the in-shard probe position uses
-  // the low bits of the same mix, so shard choice and slot stay decorrelated
-  // enough, and raw fingerprints with skewed top bits still spread evenly.
-  const std::size_t s = shard_shift_ >= 64 ? 0 : static_cast<std::size_t>(mixed >> shard_shift_);
+  const std::size_t s = shard_of(mixed);
   Writer& w = writer();
   while (true) {
     w.active.store(true);
@@ -174,8 +207,8 @@ bool ShardedFingerprintSet::insert(std::uint64_t value) {
       continue;
     }
     Shard& shard = shards_[s];
-    std::uint64_t* const slots = shard.slots.get();
-    const std::size_t mask = shard.mask;
+    std::uint64_t* const slots = shard.slots.load(std::memory_order_relaxed);
+    const std::size_t mask = shard.mask.load(std::memory_order_relaxed);
     std::size_t idx = static_cast<std::size_t>(mixed) & mask;
     bool inserted = false;
     bool present = false;
@@ -203,6 +236,17 @@ bool ShardedFingerprintSet::insert(std::uint64_t value) {
   }
 }
 
+void ShardedFingerprintSet::prefetch(std::uint64_t value) const {
+  if (value == 0) value = kZeroSentinel;
+  const std::uint64_t mixed = remix(value);
+  const Shard& shard = shards_[shard_of(mixed)];
+  // Unsynchronized with growth on purpose: a stale array or mask only makes
+  // the hint useless, since a prefetch never faults.
+  const std::uint64_t* const slots = shard.slots.load(std::memory_order_relaxed);
+  const std::size_t mask = shard.mask.load(std::memory_order_relaxed);
+  __builtin_prefetch(slots + (static_cast<std::size_t>(mixed) & mask), /*rw=*/1);
+}
+
 void ShardedFingerprintSet::publish(Writer& w, std::size_t shard, std::size_t seen_mask) {
   const std::size_t batch = std::clamp<std::size_t>((seen_mask + 1) >> 6, 1, kPublishBatch);
   std::atomic<std::size_t>& pending = w.pending[shard];
@@ -220,22 +264,27 @@ void ShardedFingerprintSet::publish(Writer& w, std::size_t shard, std::size_t se
 void ShardedFingerprintSet::grow(std::size_t shard_index, std::size_t seen_mask) {
   std::lock_guard<std::mutex> lock(registry_mu_);
   Shard& shard = shards_[shard_index];
-  if (shard.mask != seen_mask) return;  // another thread grew it meanwhile
+  if (shard.mask.load(std::memory_order_relaxed) != seen_mask) return;  // grown meanwhile
+  // Mapped before the world stops, so a refused mapping throws while every
+  // inserter still runs and growing_ was never set.
+  const std::size_t capacity = (seen_mask + 1) * 2;
+  detail::MappedSlots fresh = detail::map_slots(capacity);
   growing_.store(true);
   for (const auto& w : writers_) {
     while (w->active.load()) std::this_thread::yield();
   }
-  const std::size_t capacity = (seen_mask + 1) * 2;
-  Slots fresh(static_cast<std::uint64_t*>(std::calloc(capacity, sizeof(std::uint64_t))));
-  if (!fresh) {
-    growing_.store(false, std::memory_order_release);
-    throw std::bad_alloc();
-  }
+  bytes_ += capacity * sizeof(std::uint64_t);
+  peak_bytes_ = std::max(peak_bytes_, bytes_);
+  std::uint64_t* const old = shard.slots.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i <= seen_mask; ++i) {
-    if (shard.slots[i] != 0) place(fresh.get(), capacity - 1, shard.slots[i]);
+    if (old[i] != 0) place(fresh.get(), capacity - 1, old[i]);
   }
-  shard.slots = std::move(fresh);
-  shard.mask = capacity - 1;
+  shard.slots.store(fresh.release(), std::memory_order_relaxed);
+  shard.mask.store(capacity - 1, std::memory_order_relaxed);
+  // Unmapped as soon as it is rehashed: the old and new arrays of only this
+  // one shard are ever mapped together.
+  detail::SlotUnmapper{seen_mask + 1}(old);
+  bytes_ -= (seen_mask + 1) * sizeof(std::uint64_t);
   growing_.store(false, std::memory_order_release);
 }
 
@@ -253,8 +302,13 @@ std::size_t ShardedFingerprintSet::size() const {
 
 std::size_t ShardedFingerprintSet::capacity() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.mask + 1;
+  for (const Shard& shard : shards_) total += shard.mask.load(std::memory_order_relaxed) + 1;
   return total;
+}
+
+std::size_t ShardedFingerprintSet::peak_bytes() const {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  return peak_bytes_;
 }
 
 }  // namespace sa::util

@@ -18,26 +18,52 @@
 //                           mixed fingerprint pick the shard, so growth
 //                           rehashes one shard at a time.
 //
+// Memory. Every slot array is its own anonymous mmap region: it starts as
+// untouched zero pages, so a large reservation costs nothing until the search
+// reaches it, and it goes straight back to the kernel (munmap) when a growth
+// replaces it — the allocator neither zeroes it up-front nor keeps it cached.
+// Regions are advised MADV_HUGEPAGE, since probes land on random slots and a
+// table of 4 KiB pages misses the TLB on nearly every one. A growing shard
+// holds its old and new arrays at once, so the set's peak is its final size
+// plus the largest shard it grew from: with many shards that overshoot is
+// small. The explorer uses a fixed shard count (check/engine.cpp), chosen so
+// that the overshoot stays near 1/16 of the table while each shard of a
+// search-sized table still spans whole huge pages.
+//
 // Both sets treat the value 0 as the empty-slot sentinel: an incoming 0 is
 // remapped to a fixed non-zero constant. Fingerprints are already hashes, so
 // this adds one more (astronomically unlikely) collision to the existing
 // 64-bit birthday bound — the explorer's dedup is probabilistic either way.
 //
 // Both sets cap their up-front reservation at 2^22 slots (32 MiB) in total,
-// so a huge expected count does not allocate eagerly; past the cap they grow
-// on demand.
+// so a huge expected count does not map eagerly; past the cap they grow on
+// demand.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace sa::util {
+
+namespace detail {
+
+/// Deleter of a slot array from map_slots(): unmaps its `count` slots.
+struct SlotUnmapper {
+  std::size_t count = 0;
+  void operator()(std::uint64_t* slots) const;
+};
+using MappedSlots = std::unique_ptr<std::uint64_t[], SlotUnmapper>;
+
+/// `count` zeroed slots in a fresh anonymous mapping; throws std::bad_alloc
+/// when the kernel refuses it.
+MappedSlots map_slots(std::size_t count);
+
+}  // namespace detail
 
 class FingerprintSet {
  public:
@@ -51,12 +77,12 @@ class FingerprintSet {
   bool contains(std::uint64_t value) const;
 
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
 
  private:
   void grow();
 
-  std::vector<std::uint64_t> slots_;  ///< power-of-two; 0 = empty
+  detail::MappedSlots slots_;  ///< power-of-two; 0 = empty
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
@@ -75,6 +101,11 @@ class ShardedFingerprintSet {
   /// shard grows, when every inserter waits for the rehash to finish.
   bool insert(std::uint64_t value);
 
+  /// Starts loading the cache line where insert(value) begins its probe, so
+  /// an insert issued a little later finds it in cache. A hint only: safe at
+  /// any time, from any thread, even while a shard grows.
+  void prefetch(std::uint64_t value) const;
+
   /// Exact once all inserting threads are quiescent (joined, or otherwise
   /// ordered before the call); a lower bound during concurrent inserts.
   std::size_t size() const;
@@ -82,16 +113,17 @@ class ShardedFingerprintSet {
   std::size_t shard_count() const { return shards_.size(); }
   /// Total slots over all shards. Call only while no thread inserts.
   std::size_t capacity() const;
+  /// Most slot bytes mapped at once so far: a growing shard holds its old
+  /// and new arrays together until the rehash ends.
+  std::size_t peak_bytes() const;
 
  private:
-  struct FreeDeleter {
-    void operator()(std::uint64_t* p) const { std::free(p); }
-  };
-  using Slots = std::unique_ptr<std::uint64_t[], FreeDeleter>;
-
   struct alignas(64) Shard {
-    Slots slots;            ///< replaced only while every inserter is stopped
-    std::size_t mask = 0;   ///< slot count - 1; likewise
+    /// Replaced only while every inserter is stopped; atomic so prefetch()
+    /// may read them at any time. A shard owns its array: ~ShardedFingerprintSet
+    /// and grow() unmap it.
+    std::atomic<std::uint64_t*> slots{nullptr};
+    std::atomic<std::size_t> mask{0};  ///< slot count - 1
     std::atomic<std::size_t> published{0};  ///< fresh values counted so far
   };
 
@@ -103,6 +135,7 @@ class ShardedFingerprintSet {
     std::unique_ptr<std::atomic<std::size_t>[]> pending;
   };
 
+  std::size_t shard_of(std::uint64_t mixed) const;
   Writer& writer();
   void publish(Writer& writer, std::size_t shard, std::size_t seen_mask);
   /// Doubles `shard` unless another thread already grew it past `seen_mask`.
@@ -112,10 +145,12 @@ class ShardedFingerprintSet {
   std::vector<Shard> shards_;
   std::size_t shard_shift_ = 0;  ///< 64 - log2(shard count)
   alignas(64) std::atomic<bool> growing_{false};
-  /// Guards writers_ and serializes growth; a thread registers as a writer on
-  /// its first insert.
+  /// Guards writers_ and the byte counts, and serializes growth; a thread
+  /// registers as a writer on its first insert.
   mutable std::mutex registry_mu_;
   std::vector<std::unique_ptr<Writer>> writers_;
+  std::size_t bytes_ = 0;       ///< slot bytes mapped now
+  std::size_t peak_bytes_ = 0;  ///< most slot bytes mapped at once
 };
 
 }  // namespace sa::util

@@ -1,0 +1,40 @@
+// Memory budget of the model checker's visited-state table
+// (util/fingerprint_set.hpp): the exhaustive pair search ends with a table of
+// 2^23 slots (64 MiB). A growing shard holds its old and new slot arrays at
+// once, and with the engine's 16 shards that overshoot is one 2 MiB shard, at
+// every thread count. A layout with one shard at one thread, or eight at two
+// (96 and 72 MiB), fails here.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+
+#include "check/explorer.hpp"
+#include "check/scenario.hpp"
+
+namespace sa::check {
+namespace {
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+ExploreResult pair_exhaustive(int threads) {
+  ExploreOptions options;
+  options.max_depth = 0;
+  options.max_states = 20'000'000;
+  options.dpor = true;
+  options.symmetry = true;
+  options.threads = threads;
+  return explore_dfs(make_pair_scenario(), options);
+}
+
+TEST(CheckMemory, ExhaustivePairVisitedTablePeaksAtFinalSizePlusOneShard) {
+  for (const int threads : {1, 2}) {
+    const ExploreResult result = pair_exhaustive(threads);
+    ASSERT_TRUE(result.complete) << "threads=" << threads;
+    ASSERT_EQ(result.stats.states_explored, 10'321'894U) << "threads=" << threads;
+    EXPECT_GE(result.stats.visited_peak_bytes, 64 * kMiB) << "threads=" << threads;
+    EXPECT_LE(result.stats.visited_peak_bytes, 66 * kMiB) << "threads=" << threads;
+  }
+}
+
+}  // namespace
+}  // namespace sa::check

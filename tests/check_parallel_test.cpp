@@ -4,7 +4,8 @@
 // On a search that completes within its budgets every reachable state is
 // expanded exactly once no matter how frames are interleaved across workers,
 // so states_explored (edges), states_deduped, runs_completed, and the outcome
-// histogram are invariants; these tests pin them across --threads 1, 2, and 8.
+// histogram are invariants, and so are the edges by choice kind; these tests
+// pin them across --threads 1, 2, and 8.
 // max_depth_reached is deliberately NOT compared: which path reaches a shared
 // state first is schedule-dependent, so the depth at which the dedup cut
 // happens varies across thread counts.
@@ -44,6 +45,8 @@ void expect_same_invariants(const ExploreResult& reference, const ExploreResult&
   EXPECT_EQ(result.stats.depth_capped, reference.stats.depth_capped)
       << "threads=" << threads;
   EXPECT_EQ(result.stats.outcomes, reference.stats.outcomes) << "threads=" << threads;
+  EXPECT_EQ(result.stats.edges_by_kind, reference.stats.edges_by_kind)
+      << "threads=" << threads;
 }
 
 TEST(ParallelExplorer, TinyExhaustiveStatsInvariantAcrossThreadCounts) {

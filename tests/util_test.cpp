@@ -239,6 +239,51 @@ TEST(ShardedFingerprintSet, ReservationCapCoversAllShards) {
   EXPECT_GT(set.capacity(), std::size_t{1} << 22);  // grew past the reservation
 }
 
+TEST(ShardedFingerprintSet, PeakBytesAreFinalPlusLargestShardGrownFrom) {
+  // 16 shards of 4096 slots; 65,536 values put about 4096 in each, so every
+  // shard doubles exactly once. Old arrays are unmapped right after their
+  // rehash: the peak is the final table plus one 4096-slot shard.
+  ShardedFingerprintSet set(/*expected=*/32'768, /*shards=*/16);
+  ASSERT_EQ(set.capacity(), 16U * 4096);
+  EXPECT_EQ(set.peak_bytes(), set.capacity() * sizeof(std::uint64_t));
+  Rng rng(3);
+  for (int i = 0; i < 65'536; ++i) set.insert(rng.next_u64());
+  ASSERT_EQ(set.capacity(), 16U * 8192);
+  EXPECT_EQ(set.peak_bytes(), (16U * 8192 + 4096) * sizeof(std::uint64_t));
+}
+
+TEST(ShardedFingerprintSet, OneShardPeaksAtOneAndAHalfTimesItsFinalSize) {
+  ShardedFingerprintSet set(/*expected=*/16, /*shards=*/1);
+  Rng rng(4);
+  for (int i = 0; i < 10'000; ++i) set.insert(rng.next_u64());
+  ASSERT_EQ(set.capacity(), 16'384U);
+  EXPECT_EQ(set.peak_bytes(), (16'384U + 8'192U) * sizeof(std::uint64_t));
+}
+
+/// Inserts `values` from eight threads, each walking the whole stream from
+/// its own offset, so every value is offered eight times, concurrently,
+/// across growths; returns the inserts that reported a fresh value.
+std::size_t insert_from_eight_threads(ShardedFingerprintSet& set,
+                                      const std::vector<std::uint64_t>& values) {
+  constexpr int kThreads = 8;
+  std::atomic<std::size_t> fresh{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      std::size_t local = 0;
+      const std::size_t offset = values.size() / kThreads * static_cast<std::size_t>(t);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        const std::uint64_t value = values[(offset + i) % values.size()];
+        set.prefetch(value);
+        if (set.insert(value)) ++local;
+      }
+      fresh.fetch_add(local);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  return fresh.load();
+}
+
 TEST(ShardedFingerprintSetParallel, GrowsWhileEightThreadsInsert) {
   // A 64-slot-per-shard reservation and 100k distinct values force every
   // shard through many growths while all eight threads keep inserting.
@@ -247,26 +292,29 @@ TEST(ShardedFingerprintSetParallel, GrowsWhileEightThreadsInsert) {
   std::vector<std::uint64_t> values;
   Rng rng(11);
   for (int i = 0; i < 100'000; ++i) values.push_back(rng.next_u64());
-  constexpr int kThreads = 8;
-  std::atomic<std::size_t> fresh{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      // Each thread walks the whole stream from its own offset, so every
-      // value is offered eight times, concurrently, across growths.
-      std::size_t local = 0;
-      const std::size_t offset = values.size() / kThreads * static_cast<std::size_t>(t);
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        if (set.insert(values[(offset + i) % values.size()])) ++local;
-      }
-      fresh.fetch_add(local);
-    });
-  }
-  for (std::thread& th : pool) th.join();
+  const std::size_t fresh = insert_from_eight_threads(set, values);
   const std::set<std::uint64_t> reference(values.begin(), values.end());
-  EXPECT_EQ(fresh.load(), reference.size());
+  EXPECT_EQ(fresh, reference.size());
   EXPECT_EQ(set.size(), reference.size());
   EXPECT_GE(set.capacity(), initial_capacity * 256);
+  for (const std::uint64_t value : values) EXPECT_FALSE(set.insert(value));
+}
+
+TEST(ShardedFingerprintSetParallel, SixteenShardsGrowWhileEightThreadsInsert) {
+  // The explorer's layout: 16 shards. 120k values put about 7,500 in each,
+  // so every shard ends at 16,384 slots after growing from 8,192 — and
+  // growths are serialized, so the peak is the final table plus one such
+  // shard, however the threads interleave.
+  ShardedFingerprintSet set(/*expected=*/16, /*shards=*/16);
+  std::vector<std::uint64_t> values;
+  Rng rng(12);
+  for (int i = 0; i < 120'000; ++i) values.push_back(rng.next_u64());
+  const std::size_t fresh = insert_from_eight_threads(set, values);
+  const std::set<std::uint64_t> reference(values.begin(), values.end());
+  EXPECT_EQ(fresh, reference.size());
+  EXPECT_EQ(set.size(), reference.size());
+  ASSERT_EQ(set.capacity(), 16U * 16'384);
+  EXPECT_EQ(set.peak_bytes(), (16U * 16'384 + 8'192) * sizeof(std::uint64_t));
   for (const std::uint64_t value : values) EXPECT_FALSE(set.insert(value));
 }
 

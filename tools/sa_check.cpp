@@ -13,6 +13,7 @@
 //   sa_check --replay ce.json                                # reproduce
 //
 // Exit codes: 0 no violation, 1 violation found, 2 usage/setup error.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -57,8 +58,13 @@ int usage(const char* argv0) {
 
 void print_stats(const sa::check::ExploreResult& result) {
   const sa::check::ExploreStats& stats = result.stats;
-  std::cout << "states explored:   " << stats.states_explored << "\n"
-            << "states deduped:    " << stats.states_deduped << "\n"
+  std::cout << "states explored:   " << stats.states_explored << "\n";
+  for (std::size_t k = 0; k < stats.edges_by_kind.size(); ++k) {
+    const std::string kind = sa::check::to_string(static_cast<sa::check::Choice::Kind>(k));
+    std::cout << "  " << kind << " edges:" << std::string(10 - kind.size(), ' ')
+              << stats.edges_by_kind[k] << "\n";
+  }
+  std::cout << "states deduped:    " << stats.states_deduped << "\n"
             << "runs completed:    " << stats.runs_completed << "\n"
             << "depth-capped runs: " << stats.depth_capped << "\n"
             << "sleep-pruned:      " << stats.sleep_pruned << "\n"
@@ -66,6 +72,16 @@ void print_stats(const sa::check::ExploreResult& result) {
             << "exhaustive:        " << (result.complete ? "yes" : "no (bounded)") << "\n";
   for (const auto& [outcome, count] : stats.outcomes) {
     std::cout << "outcome " << outcome << ": " << count << "\n";
+  }
+  // Its own block: like max depth reached, it varies with the thread count.
+  if (stats.expanded_by_depth.empty()) return;
+  constexpr std::size_t kBucket = 10;
+  std::cout << "expanded frames by depth:\n";
+  for (std::size_t lo = 0; lo < stats.expanded_by_depth.size(); lo += kBucket) {
+    const std::size_t hi = std::min(lo + kBucket, stats.expanded_by_depth.size());
+    std::size_t frames = 0;
+    for (std::size_t d = lo; d < hi; ++d) frames += stats.expanded_by_depth[d];
+    std::cout << "  depth " << lo << "-" << lo + kBucket - 1 << ": " << frames << "\n";
   }
 }
 
