@@ -4,12 +4,15 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/paper_scenario.hpp"
 #include "core/system.hpp"
 #include "proto/manager.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "runtime/threaded_runtime.hpp"
 
 namespace sa::core {
@@ -97,6 +100,62 @@ TEST(RuntimeEquivalence, ThreadedBackendRejectsSimulatorEscapeHatches) {
   EXPECT_THROW(system.network(), std::logic_error);
   EXPECT_EQ(system.runtime().backend_name(), "threaded");
   rt.shutdown();
+}
+
+struct SizedMsg final : runtime::Message {
+  std::size_t bytes;
+  explicit SizedMsg(std::size_t b) : bytes(b) {}
+  std::string type_name() const override { return "sized"; }
+  std::size_t size_bytes() const override { return bytes; }
+};
+
+/// Sends `count` messages alternating over a -> b and b -> a, whose configs
+/// differ, and returns both channels' stats plus the accept pattern.
+std::pair<std::vector<runtime::ChannelStats>, std::string> drive_channels(
+    runtime::Transport& transport, int count) {
+  const runtime::NodeId a = transport.add_node("a");
+  const runtime::NodeId b = transport.add_node("b");
+  runtime::ChannelConfig forward{runtime::us(50), runtime::us(200), 0.3, /*fifo=*/true};
+  forward.duplicate_probability = 0.4;
+  forward.bytes_per_second = 10'000'000;
+  runtime::ChannelConfig backward{runtime::us(20), 0, 0.15, /*fifo=*/false};
+  backward.duplicate_probability = 0.35;
+  transport.connect(a, b, forward);
+  transport.connect(b, a, backward);
+  std::string accepted;
+  for (int i = 0; i < count; ++i) {
+    const bool there = i % 3 != 2;
+    const bool ok = there ? transport.send(a, b, std::make_shared<SizedMsg>(100 + i))
+                          : transport.send(b, a, std::make_shared<SizedMsg>(100 + i));
+    accepted += ok ? '1' : '0';
+  }
+  return {{transport.channel_stats(a, b), transport.channel_stats(b, a)}, accepted};
+}
+
+// The simulated network and the threaded transport share one link model, so
+// the same seed and configs must give the same loss, jitter and duplication
+// draws: identical per-channel counters and the same accepted sends.
+TEST(RuntimeEquivalence, ChannelDrawsMatchAcrossBackends) {
+  constexpr int kSends = 600;
+  runtime::SimRuntime sim_rt(7);
+  const auto sim_result = drive_channels(sim_rt.transport(), kSends);
+
+  runtime::ThreadedRuntime threaded_rt({.workers = 2, .seed = 7});
+  const auto threaded_result = drive_channels(threaded_rt.transport(), kSends);
+  threaded_rt.shutdown();
+
+  ASSERT_EQ(sim_result.first.size(), threaded_result.first.size());
+  for (std::size_t i = 0; i < sim_result.first.size(); ++i) {
+    const runtime::ChannelStats& s = sim_result.first[i];
+    const runtime::ChannelStats& t = threaded_result.first[i];
+    EXPECT_EQ(s.sent, t.sent) << "channel " << i;
+    EXPECT_EQ(s.delivered, t.delivered) << "channel " << i;
+    EXPECT_EQ(s.duplicated, t.duplicated) << "channel " << i;
+    EXPECT_EQ(s.dropped_loss, t.dropped_loss) << "channel " << i;
+    EXPECT_GT(s.dropped_loss, 0U) << "channel " << i;
+    EXPECT_GT(s.duplicated, 0U) << "channel " << i;
+  }
+  EXPECT_EQ(sim_result.second, threaded_result.second);
 }
 
 }  // namespace
