@@ -209,7 +209,9 @@ TEST(Reduction, TinyOutcomesUnchangedByEitherReduction) {
       expect_same_conclusions(off, result,
                               std::string("tiny dpor=") + (dpor ? "1" : "0") +
                                   " symmetry=" + (symmetry ? "1" : "0"));
-      if (dpor) EXPECT_LT(result.stats.states_explored, off.stats.states_explored);
+      if (dpor) {
+        EXPECT_LT(result.stats.states_explored, off.stats.states_explored);
+      }
     }
   }
 }

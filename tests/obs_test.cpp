@@ -448,7 +448,9 @@ TEST(ThreadedFlightRecorder, ManyProducersMergeDeterministically) {
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].seq, i);
     EXPECT_EQ(first[i].name, second[i].name);
-    if (i) EXPECT_LE(first[i - 1].time, first[i].time) << "merged by time";
+    if (i) {
+      EXPECT_LE(first[i - 1].time, first[i].time) << "merged by time";
+    }
   }
   const std::vector<Event> tail = recorder.tail(5);
   ASSERT_EQ(tail.size(), 5u);
