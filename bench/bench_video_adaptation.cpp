@@ -31,10 +31,6 @@ sim::Time max_delay_of(const components::FilterChain& chain) {
 void run_map_on_live_stream() {
   core::TestbedConfig config;
   core::VideoTestbed testbed(config);
-  testbed.server().chain().set_delay_logging(true);
-  testbed.handheld().chain().set_delay_logging(true);
-  testbed.laptop().chain().set_delay_logging(true);
-
   testbed.start_stream();
   testbed.run_for(sim::ms(300));
 

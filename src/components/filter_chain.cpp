@@ -164,7 +164,6 @@ void FilterChain::finish_packet(const Packet& packet, runtime::Time entry_time) 
     const runtime::Time delay = clock_->now() - entry_time;
     stats_.total_delay += delay;
     stats_.max_delay = std::max(stats_.max_delay, delay);
-    if (log_delays_) delay_log_.push_back(delay);
     for (const PacketRef& out : survivors) {
       ++stats_.delivered;
       if (output_) output_(out.to_packet());

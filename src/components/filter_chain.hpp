@@ -68,8 +68,8 @@ class FilterChain : public Component {
   /// Clock-scheduled entry point: queues the packet for processing. Each
   /// packet is charged overhead + Σ filter processing times of virtual time
   /// and then runs through the filters as a batch of one (see process_batch)
-  /// at its completion time; per-packet delays go to total_delay/max_delay
-  /// and delay_log(). The batch counters are left untouched.
+  /// at its completion time; per-packet delays go to total_delay/max_delay.
+  /// The batch counters are left untouched.
   void submit(Packet packet);
 
   /// Exit callback, invoked when a packet leaves the last filter.
@@ -118,10 +118,6 @@ class FilterChain : public Component {
   std::size_t queued() const { return queue_.size(); }
   const ChainStats& stats() const { return stats_; }
 
-  /// When enabled, per-packet delays are appended to delay_log().
-  void set_delay_logging(bool enabled) { log_delays_ = enabled; }
-  const std::vector<runtime::Time>& delay_log() const { return delay_log_; }
-
   StateSnapshot refract() const override;
   bool transmute(const std::string& key, const std::string& value) override;
 
@@ -152,8 +148,6 @@ class FilterChain : public Component {
   QuiescenceHandler on_quiescent_;
 
   ChainStats stats_;
-  bool log_delays_ = false;
-  std::vector<runtime::Time> delay_log_;
 
   // Scratch double-buffer for run_stages (kept to avoid per-batch heap
   // traffic once warmed up).
