@@ -45,8 +45,8 @@ int main() {
   const sim::NodeId handheld_data = net.add_node("handheld-data");
   const sim::NodeId laptop_data = net.add_node("laptop-data");
   sim::ChannelConfig lossy{sim::ms(5), sim::ms(2), 0.0, /*fifo=*/false};
-  net.link(server_data, handheld_data, lossy);
-  net.link(server_data, laptop_data, lossy);
+  net.connect(server_data, handheld_data, lossy);
+  net.connect(server_data, laptop_data, lossy);
 
   video::StreamConfig stream;
   stream.packets_per_frame = 8;  // 200 packets/s
@@ -71,8 +71,8 @@ int main() {
 
   // The environment degrades: 8%% loss appears on both data channels.
   lossy.loss_probability = 0.08;
-  net.link(server_data, handheld_data, lossy);
-  net.link(server_data, laptop_data, lossy);
+  net.connect(server_data, handheld_data, lossy);
+  net.connect(server_data, laptop_data, lossy);
   const std::uint64_t emitted_at_degrade = server.packets_emitted();
   system.simulator().run_until(sim::seconds(4));
   const std::uint64_t lost_unprotected =

@@ -67,7 +67,7 @@ bool FaultyTransport::send(runtime::NodeId from, runtime::NodeId to,
     }
     if (dropped != nullptr) {
       ++*dropped;
-      record(from, to, message, false);
+      record(clock_->now(), from, to, message, /*delivered=*/false, /*keep_payload=*/false);
       return false;
     }
     may_duplicate = extra_duplication_ > 0.0;
@@ -81,16 +81,6 @@ bool FaultyTransport::send(runtime::NodeId from, runtime::NodeId to,
   }
   inner_->send(from, to, std::move(message));
   return accepted;
-}
-
-void FaultyTransport::set_tracing(bool enabled) {
-  std::lock_guard lock(mutex_);
-  tracing_ = enabled;
-}
-
-void FaultyTransport::clear_trace() {
-  std::lock_guard lock(mutex_);
-  trace_.clear();
 }
 
 void FaultyTransport::partition_node(runtime::NodeId node, bool partitioned) {
@@ -144,7 +134,7 @@ void FaultyTransport::deliver(runtime::NodeId to, runtime::NodeId from,
   {
     std::lock_guard lock(mutex_);
     const bool dead = crashed_.contains(to);
-    record(from, to, message, !dead);
+    record(clock_->now(), from, to, message, /*delivered=*/!dead, /*keep_payload=*/!dead);
     if (dead) {
       ++stats_.dropped_crash_delivery;
       return;
@@ -157,13 +147,6 @@ void FaultyTransport::deliver(runtime::NodeId to, runtime::NodeId from,
 bool FaultyTransport::partitioned(runtime::NodeId from, runtime::NodeId to) const {
   if (partitioned_nodes_.contains(from) || partitioned_nodes_.contains(to)) return true;
   return partitioned_pairs_.contains(std::minmax(from, to));
-}
-
-void FaultyTransport::record(runtime::NodeId from, runtime::NodeId to,
-                             const runtime::MessagePtr& message, bool delivered) {
-  if (!tracing_) return;
-  trace_.push_back(runtime::TraceEntry{clock_->now(), from, to, message->type_name(), delivered,
-                                       delivered ? message : nullptr});
 }
 
 void arm_plan(const FaultPlan& plan, FaultyRuntime& frt, const PlanTargets& targets) {

@@ -182,11 +182,6 @@ void SocketTransport::connect(NodeId from, NodeId to, ChannelConfig config) {
   channels_[{from, to}].config = config;
 }
 
-void SocketTransport::connect_bidirectional(NodeId a, NodeId b, ChannelConfig config) {
-  connect(a, b, config);
-  connect(b, a, config);
-}
-
 bool SocketTransport::has_channel(NodeId from, NodeId to) const {
   std::lock_guard lock(mutex_);
   return channels_.contains({from, to});
@@ -196,10 +191,7 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
   if (!message) throw std::invalid_argument("socket transport: null message");
   std::lock_guard lock(mutex_);
   const auto it = channels_.find({from, to});
-  if (it == channels_.end()) {
-    throw std::out_of_range("socket transport: no channel " + std::to_string(from) + " -> " +
-                            std::to_string(to));
-  }
+  if (it == channels_.end()) throw_no_channel(node_name(from), node_name(to));
   ChannelState& channel = it->second;
   ++channel.stats.sent;
   if (stopping_.load()) return false;
@@ -207,7 +199,7 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
   const double loss = channel.config.loss_probability;
   if (loss > 0.0 && rng_.next_bool(loss)) {
     ++channel.stats.dropped_loss;
-    record(wall_clock_us(), from, to, message->type_name(), false, message);
+    record(wall_clock_us(), from, to, message, /*delivered=*/false, /*keep_payload=*/true);
     return false;
   }
 
@@ -216,7 +208,7 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
     // Destination address not learned yet (endpoint exchange still running);
     // indistinguishable from wire loss, and retransmission recovers.
     ++channel.stats.dropped_loss;
-    record(wall_clock_us(), from, to, message->type_name(), false, message);
+    record(wall_clock_us(), from, to, message, /*delivered=*/false, /*keep_payload=*/true);
     return false;
   }
 
@@ -273,14 +265,8 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
 ChannelStats SocketTransport::channel_stats(NodeId from, NodeId to) const {
   std::lock_guard lock(mutex_);
   const auto it = channels_.find({from, to});
-  return it == channels_.end() ? ChannelStats{} : it->second.stats;
-}
-
-void SocketTransport::set_tracing(bool enabled) { tracing_.store(enabled); }
-
-void SocketTransport::clear_trace() {
-  std::lock_guard lock(mutex_);
-  trace_.clear();
+  if (it == channels_.end()) throw_no_channel(node_name(from), node_name(to));
+  return it->second.stats;
 }
 
 std::uint16_t SocketTransport::local_port(NodeId node) const {
@@ -297,13 +283,6 @@ void SocketTransport::set_endpoint_port(NodeId node, std::uint16_t port) {
     throw std::out_of_range("socket transport: bad node id in set_endpoint_port");
   }
   options_.topology[node].port = port;
-}
-
-void SocketTransport::record(Time time, NodeId from, NodeId to, const std::string& type,
-                             bool delivered, MessagePtr message) {
-  if (!tracing_.load()) return;
-  // Callers hold mutex_.
-  trace_.push_back(TraceEntry{time, from, to, type, delivered, std::move(message)});
 }
 
 void SocketTransport::handle_datagram(const std::uint8_t* data, std::size_t size) {
@@ -350,8 +329,8 @@ void SocketTransport::handle_datagram(const std::uint8_t* data, std::size_t size
       return;
     }
     ++channel.stats.delivered;
-    record(wall_clock_us(), frame.from, frame.to, frame.message->type_name(), true,
-           frame.message);
+    record(wall_clock_us(), frame.from, frame.to, frame.message, /*delivered=*/true,
+           /*keep_payload=*/true);
     in_handler_[frame.to] = true;
   }
   handler(frame.from, frame.message);

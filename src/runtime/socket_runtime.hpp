@@ -20,8 +20,10 @@
 //     `kill -9` + re-exec does not mute the channel.
 //
 //     ChannelConfig latency/jitter/bandwidth knobs are accepted but not
-//     simulated — the loopback is the real link; loss/duplication knobs are
-//     honored.
+//     simulated — the loopback is the real link, so this transport does not
+//     use the runtime::Link model the sim and threaded backends share. The
+//     loss and duplication knobs are honored with draws of its own: loss,
+//     then duplicate, no jitter draw.
 //
 //     Run-time faults are not this transport's business: sa_node runs its
 //     role over an inject::FaultyRuntime wrapping this runtime, and every
@@ -36,9 +38,10 @@
 //   * Clock — a plain ThreadedClock; TimerSkew windows come from the
 //     decorator's FaultyClock.
 //
-//   * Trace entries are stamped with CLOCK_REALTIME microseconds, not
-//     steady-clock-since-start: the supervisor merges per-process trace
-//     files by wall-clock epoch into one cross-process conformance trace.
+//   * Entries in the Transport message log are stamped with CLOCK_REALTIME
+//     microseconds, not steady-clock-since-start: the supervisor merges
+//     per-process trace files by wall-clock epoch into one cross-process
+//     conformance trace. Dropped frames keep their payload in the log.
 #pragma once
 
 #include <atomic>
@@ -97,17 +100,11 @@ class SocketTransport final : public Transport {
   std::size_t node_count() const override;
 
   void connect(NodeId from, NodeId to, ChannelConfig config = {}) override;
-  void connect_bidirectional(NodeId a, NodeId b, ChannelConfig config = {}) override;
   bool has_channel(NodeId from, NodeId to) const override;
 
   bool send(NodeId from, NodeId to, MessagePtr message) override;
 
   ChannelStats channel_stats(NodeId from, NodeId to) const override;
-
-  void set_tracing(bool enabled) override;
-  /// Only safe to read once the system is quiescent (receiver drained).
-  const std::vector<TraceEntry>& trace() const override { return trace_; }
-  void clear_trace() override;
 
   // --- socket specifics ------------------------------------------------------
   /// Actual bound port of a local endpoint.
@@ -151,8 +148,6 @@ class SocketTransport final : public Transport {
   void handle_datagram(const std::uint8_t* data, std::size_t size);
   /// Consumes complete [u32 length][frame] records from a TCP buffer.
   bool drain_tcp_buffer(TcpConn& conn);
-  void record(Time time, NodeId from, NodeId to, const std::string& type, bool delivered,
-              MessagePtr message);
 
   SocketTransportOptions options_;
   const std::uint64_t incarnation_;
@@ -173,8 +168,6 @@ class SocketTransport final : public Transport {
   std::atomic<bool> stopping_{false};
   std::once_flag stop_once_;
 
-  std::atomic<bool> tracing_{false};
-  std::vector<TraceEntry> trace_;
   std::atomic<std::uint64_t> malformed_frames_{0};
   std::atomic<std::uint64_t> stale_frames_{0};
 };

@@ -170,13 +170,7 @@ void ThreadedTransport::connect(NodeId from, NodeId to, ChannelConfig config) {
   if (from >= endpoints_.size() || to >= endpoints_.size()) {
     throw std::out_of_range("ThreadedTransport::connect: unknown node");
   }
-  checked_channel_config(config);
-  channels_[{from, to}] = ChannelState{config, {}, 0, 0};
-}
-
-void ThreadedTransport::connect_bidirectional(NodeId a, NodeId b, ChannelConfig config) {
-  connect(a, b, config);
-  connect(b, a, config);
+  channels_.insert_or_assign({from, to}, Link(config));
 }
 
 bool ThreadedTransport::has_channel(NodeId from, NodeId to) const {
@@ -185,69 +179,29 @@ bool ThreadedTransport::has_channel(NodeId from, NodeId to) const {
 }
 
 bool ThreadedTransport::send(NodeId from, NodeId to, MessagePtr message) {
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = channels_.find({from, to});
-    if (it == channels_.end()) {
-      throw std::out_of_range("no channel " + endpoints_.at(from)->name + " -> " +
-                              endpoints_.at(to)->name);
-    }
-    ChannelState& ch = it->second;
-    ++ch.stats.sent;
-    if (ch.config.loss_probability > 0.0 && rng_.next_bool(ch.config.loss_probability)) {
-      ++ch.stats.dropped_loss;
-      if (tracing_.load(std::memory_order_relaxed)) {
-        trace_.push_back(TraceEntry{clock_->now(), from, to, message->type_name(), false, nullptr});
-      }
-      observer_.on_dropped(clock_->now(), from, to, message->type_name());
-      return false;
-    }
+  std::lock_guard lock(mutex_);
+  const auto it = channels_.find({from, to});
+  if (it == channels_.end()) throw_no_channel(endpoints_.at(from)->name, endpoints_.at(to)->name);
+  const Time now = clock_->now();
+  const LinkOutcome out = it->second.send(now, message->size_bytes(), rng_);
+  if (!out.accepted) {
+    record(now, from, to, message, /*delivered=*/false, /*keep_payload=*/false);
+    observer_.on_dropped(now, from, to, message->type_name());
+    return false;
+  }
+  observer_.on_sent(now, from, to, message->type_name());
+  if (out.copy_arrival >= 0) observer_.on_duplicated(now, from, to, message->type_name());
 
-    // Same arrival-time math as the simulated channel: optional bandwidth
-    // serialization, latency + jitter, and a FIFO clamp per channel.
-    Time send_complete = clock_->now();
-    if (ch.config.bytes_per_second > 0) {
-      const Time start = std::max(send_complete, ch.link_free_at);
-      const Time transmission =
-          static_cast<Time>((static_cast<__int128>(message->size_bytes()) * 1'000'000) /
-                            ch.config.bytes_per_second);
-      send_complete = start + transmission;
-      ch.link_free_at = send_complete;
-    }
-    Time delay = ch.config.latency;
-    if (ch.config.jitter > 0) {
-      delay += static_cast<Time>(rng_.next_below(static_cast<std::uint64_t>(ch.config.jitter) + 1));
-    }
-    Time arrival = send_complete + delay;
-    if (ch.config.fifo && arrival < ch.last_delivery) arrival = ch.last_delivery;
-    ch.last_delivery = arrival;
-    ++ch.stats.delivered;
-
-    Time copy_arrival = -1;
-    if (ch.config.duplicate_probability > 0.0 && rng_.next_bool(ch.config.duplicate_probability)) {
-      copy_arrival =
-          arrival + 1 +
-          (ch.config.jitter > 0
-               ? static_cast<Time>(rng_.next_below(static_cast<std::uint64_t>(ch.config.jitter) + 1))
-               : ch.config.latency);
-      if (ch.config.fifo && copy_arrival < ch.last_delivery) copy_arrival = ch.last_delivery;
-      ch.last_delivery = std::max(ch.last_delivery, copy_arrival);
-      ++ch.stats.duplicated;
-    }
-
-    observer_.on_sent(clock_->now(), from, to, message->type_name());
-    if (copy_arrival >= 0) observer_.on_duplicated(clock_->now(), from, to, message->type_name());
-
-    // Schedule while still holding mutex_: two racing sends on a FIFO channel
-    // can be clamped to the same arrival time, and only the (deadline, id)
-    // tie-break keeps them ordered — so the clock must hand out ids in clamp
-    // order. ThreadedClock::schedule_at takes only its own lock, so there is
-    // no lock-order cycle (the timer thread calls back without holding it).
-    clock_->schedule_at(arrival, [this, to, from, message] { enqueue_delivery(to, from, message); });
-    if (copy_arrival >= 0) {
-      clock_->schedule_at(copy_arrival,
-                          [this, to, from, message] { enqueue_delivery(to, from, message); });
-    }
+  // Schedule while still holding mutex_: two racing sends on a FIFO channel
+  // can be clamped to the same arrival time, and only the (deadline, id)
+  // tie-break keeps them ordered — so the clock must hand out ids in clamp
+  // order. ThreadedClock::schedule_at takes only its own lock, so there is
+  // no lock-order cycle (the timer thread calls back without holding it).
+  clock_->schedule_at(out.arrival,
+                      [this, to, from, message] { enqueue_delivery(to, from, message); });
+  if (out.copy_arrival >= 0) {
+    clock_->schedule_at(out.copy_arrival,
+                        [this, to, from, message] { enqueue_delivery(to, from, message); });
   }
   return true;
 }
@@ -275,11 +229,9 @@ void ThreadedTransport::drain_mailbox(NodeId node) {
     Delivery delivery = std::move(endpoint.mailbox.front());
     endpoint.mailbox.pop_front();
     ReceiveHandler handler = endpoint.handler;
-    if (tracing_.load(std::memory_order_relaxed)) {
-      trace_.push_back(TraceEntry{clock_->now(), delivery.from, node,
-                                  delivery.message->type_name(), true, delivery.message});
-    }
-    observer_.on_delivered(clock_->now(), delivery.from, node, delivery.message->type_name());
+    const Time now = clock_->now();
+    record(now, delivery.from, node, delivery.message, /*delivered=*/true, /*keep_payload=*/true);
+    observer_.on_delivered(now, delivery.from, node, delivery.message->type_name());
     if (handler) {
       // Run the handler unlocked (it re-enters the transport to send), but
       // flag the window so a concurrent detach waits instead of letting its
@@ -297,17 +249,9 @@ void ThreadedTransport::drain_mailbox(NodeId node) {
 
 ChannelStats ThreadedTransport::channel_stats(NodeId from, NodeId to) const {
   std::lock_guard lock(mutex_);
-  return channels_.at({from, to}).stats;
-}
-
-void ThreadedTransport::set_tracing(bool enabled) {
-  std::lock_guard lock(mutex_);
-  tracing_.store(enabled, std::memory_order_relaxed);
-}
-
-void ThreadedTransport::clear_trace() {
-  std::lock_guard lock(mutex_);
-  trace_.clear();
+  const auto it = channels_.find({from, to});
+  if (it == channels_.end()) throw_no_channel(endpoints_.at(from)->name, endpoints_.at(to)->name);
+  return it->second.stats();
 }
 
 void ThreadedTransport::set_observer(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics) {

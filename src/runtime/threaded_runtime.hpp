@@ -5,22 +5,22 @@
 //                 order (FIFO tie-break on schedule order, like the sim);
 //   * Executor  — a worker pool draining one global FIFO task queue, so
 //                 tasks *start* in posting order;
-//   * Transport — an in-process queue transport: sends compute an arrival
-//                 deadline (latency + jitter + bandwidth serialization, with
-//                 the same per-channel FIFO clamp as the simulated network),
-//                 a timer enqueues the message into the destination
+//   * Transport — an in-process queue transport: each send asks the
+//                 channel's runtime::Link (the link model the simulated
+//                 network uses) for an arrival deadline and a possible
+//                 duplicate, a timer enqueues the message into the destination
 //                 endpoint's mailbox at that deadline, and mailboxes drain
 //                 on the worker pool one-at-a-time per endpoint, so each
 //                 endpoint's handler runs serialized and in arrival order.
 //
-// Channel loss and duplication use the same ChannelConfig knobs and the same
-// Rng family as the simulated network; run-time faults (partitions, crashes,
-// loss windows) come from inject::FaultyRuntime layered on top, so failure
-// experiments port across backends unchanged. Entities whose handlers share state across endpoints
-// and timers (manager, agents) serialize themselves with their own mutex.
+// Channel loss and duplication therefore follow the simulated network's draws
+// for the same seed; run-time faults (partitions, crashes, loss windows) come
+// from inject::FaultyRuntime layered on top, so failure experiments port
+// across backends unchanged. Entities whose handlers share state across
+// endpoints and timers (manager, agents) serialize themselves with their own
+// mutex.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "obs/message_observer.hpp"
+#include "runtime/link.hpp"
 #include "runtime/runtime.hpp"
 #include "util/rng.hpp"
 
@@ -94,27 +95,15 @@ class ThreadedTransport final : public Transport {
   std::size_t node_count() const override;
 
   void connect(NodeId from, NodeId to, ChannelConfig config = {}) override;
-  void connect_bidirectional(NodeId a, NodeId b, ChannelConfig config = {}) override;
   bool has_channel(NodeId from, NodeId to) const override;
 
   bool send(NodeId from, NodeId to, MessagePtr message) override;
 
   ChannelStats channel_stats(NodeId from, NodeId to) const override;
 
-  void set_tracing(bool enabled) override;
-  /// Only safe to read once the system is quiescent (no sends in flight).
-  const std::vector<TraceEntry>& trace() const override { return trace_; }
-  void clear_trace() override;
-
   void set_observer(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics) override;
 
  private:
-  struct ChannelState {
-    ChannelConfig config;
-    ChannelStats stats;
-    Time last_delivery = 0;  // FIFO clamp
-    Time link_free_at = 0;   // bandwidth serialization
-  };
   struct Delivery {
     NodeId from;
     MessagePtr message;
@@ -138,9 +127,7 @@ class ThreadedTransport final : public Transport {
   std::condition_variable handler_cv_;  ///< signalled when in_handler clears
   util::Rng rng_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::map<std::pair<NodeId, NodeId>, ChannelState> channels_;
-  std::atomic<bool> tracing_{false};
-  std::vector<TraceEntry> trace_;
+  std::map<std::pair<NodeId, NodeId>, Link> channels_;  ///< guarded by mutex_
   obs::MessageObserver observer_;  ///< guarded by mutex_
 };
 

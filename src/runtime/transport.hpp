@@ -6,18 +6,25 @@
 // and the experiment harnesses send messages through. Backends:
 // sa::sim::Network (virtual-time discrete-event delivery), ThreadedRuntime's
 // in-process queue transport (real threads, per-endpoint FIFO mailboxes) and
-// SocketTransport (real processes over loopback sockets).
+// SocketTransport (real processes over loopback sockets). The two backends
+// that simulate the link share one model of it, runtime::Link (link.hpp).
+//
+// The delivered-message log (set_tracing / trace / clear_trace) is
+// implemented once, here; backends append to it through record().
 //
 // Run-time faults — partitions, crashes, loss and duplication windows — are
 // not part of this interface: inject::FaultyTransport decorates any backend
 // with them, so one implementation serves all three.
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/message.hpp"
@@ -75,7 +82,7 @@ inline Time checked_duration(Time t, const char* what) {
 }
 
 /// Validates every stochastic field of a channel config in one place;
-/// backends call this from connect()/link().
+/// runtime::Link calls this when a channel is created.
 inline const ChannelConfig& checked_channel_config(const ChannelConfig& config) {
   checked_duration(config.latency, "channel latency");
   checked_duration(config.jitter, "channel jitter");
@@ -122,26 +129,59 @@ class Transport {
   /// Creates (or reconfigures) the directed channel from -> to.
   virtual void connect(NodeId from, NodeId to, ChannelConfig config = {}) = 0;
   /// Both directions with the same config.
-  virtual void connect_bidirectional(NodeId a, NodeId b, ChannelConfig config = {}) = 0;
+  void connect_bidirectional(NodeId a, NodeId b, ChannelConfig config = {}) {
+    connect(a, b, config);
+    connect(b, a, config);
+  }
   virtual bool has_channel(NodeId from, NodeId to) const = 0;
 
   /// Sends over the from->to channel; throws std::out_of_range when no such
   /// channel exists. Returns false if the channel dropped the message.
   virtual bool send(NodeId from, NodeId to, MessagePtr message) = 0;
 
+  /// The from->to channel's counters; throws std::out_of_range naming the
+  /// channel when no such channel exists.
   virtual ChannelStats channel_stats(NodeId from, NodeId to) const = 0;
 
   /// Enables trace recording; entries accumulate in trace(). Under the
-  /// threaded backend, read trace() only once the system is quiescent.
-  virtual void set_tracing(bool enabled) = 0;
-  virtual const std::vector<TraceEntry>& trace() const = 0;
-  virtual void clear_trace() = 0;
+  /// threaded and socket backends, read trace() only once the system is
+  /// quiescent (no sends or deliveries in flight).
+  void set_tracing(bool enabled) { tracing_.store(enabled); }
+  const std::vector<TraceEntry>& trace() const { return trace_; }
+  void clear_trace() {
+    std::lock_guard lock(trace_mutex_);
+    trace_.clear();
+  }
 
   /// Wires the observability layer into this transport: every send / deliver
   /// / drop / duplicate becomes a typed event (when the recorder is enabled)
   /// and a labeled sa_messages_total increment. Null pointers detach. The
   /// default does nothing so transports without instrumentation keep working.
   virtual void set_observer(obs::TraceRecorder* /*recorder*/, obs::MetricsRegistry* /*metrics*/) {}
+
+ protected:
+  /// Appends an entry for `message` to the log while tracing is on; a no-op
+  /// otherwise. The entry keeps the payload only when `keep_payload` is set.
+  /// Safe from any thread: the log's mutex is a leaf, never held across a
+  /// call out of this function.
+  void record(Time time, NodeId from, NodeId to, const MessagePtr& message, bool delivered,
+              bool keep_payload) {
+    if (!tracing_.load()) return;
+    TraceEntry entry{time, from, to, message->type_name(), delivered,
+                     keep_payload ? message : nullptr};
+    std::lock_guard lock(trace_mutex_);
+    trace_.push_back(std::move(entry));
+  }
+
+  /// The error send() and channel_stats() raise for a missing channel.
+  [[noreturn]] static void throw_no_channel(const std::string& from, const std::string& to) {
+    throw std::out_of_range("no channel " + from + " -> " + to);
+  }
+
+ private:
+  std::atomic<bool> tracing_{false};
+  std::mutex trace_mutex_;
+  std::vector<TraceEntry> trace_;
 };
 
 }  // namespace sa::runtime

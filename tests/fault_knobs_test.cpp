@@ -53,28 +53,28 @@ struct SimNetworkFixture : ::testing::Test {
 TEST_F(SimNetworkFixture, LinkRejectsInvalidConfig) {
   runtime::ChannelConfig config;
   config.loss_probability = kNaN;
-  EXPECT_THROW(net.link(a, b, config), std::invalid_argument);
+  EXPECT_THROW(net.connect(a, b, config), std::invalid_argument);
   config.loss_probability = 1.5;
-  EXPECT_THROW(net.link(a, b, config), std::invalid_argument);
+  EXPECT_THROW(net.connect(a, b, config), std::invalid_argument);
   config.loss_probability = 0.0;
   config.duplicate_probability = -0.25;
-  EXPECT_THROW(net.link(a, b, config), std::invalid_argument);
+  EXPECT_THROW(net.connect(a, b, config), std::invalid_argument);
   config.duplicate_probability = 0.0;
   config.jitter = -1;
-  EXPECT_THROW(net.link(a, b, config), std::invalid_argument);
+  EXPECT_THROW(net.connect(a, b, config), std::invalid_argument);
   config.jitter = 0;
   config.latency = -runtime::ms(1);
-  EXPECT_THROW(net.link(a, b, config), std::invalid_argument);
+  EXPECT_THROW(net.connect(a, b, config), std::invalid_argument);
 }
 
 TEST_F(SimNetworkFixture, LinkAcceptsBoundaryProbabilities) {
   runtime::ChannelConfig config;
   config.loss_probability = 1.0;
   config.duplicate_probability = 0.0;
-  EXPECT_NO_THROW(net.link(a, b, config));
+  EXPECT_NO_THROW(net.connect(a, b, config));
   config.loss_probability = 0.0;
   config.duplicate_probability = 1.0;
-  EXPECT_NO_THROW(net.link(a, b, config));
+  EXPECT_NO_THROW(net.connect(a, b, config));
 }
 
 // --- threaded backend --------------------------------------------------------

@@ -55,7 +55,7 @@ struct AgentFixture : ::testing::Test {
   std::vector<std::pair<std::string, StepRef>> inbox;  // messages at the manager
 
   void SetUp() override {
-    net.link_bidirectional(manager, agent_node, sim::ChannelConfig{sim::ms(1), 0, 0.0, true});
+    net.connect_bidirectional(manager, agent_node, sim::ChannelConfig{sim::ms(1), 0, 0.0, true});
     net.set_handler(manager, [this](sim::NodeId, sim::MessagePtr msg) {
       const auto& proto = dynamic_cast<const ProtoMessage&>(*msg);
       inbox.emplace_back(msg->type_name(), proto.step);

@@ -22,6 +22,8 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -370,6 +372,16 @@ TEST_F(SocketTransportTest, DeliversSmallFramesOverUdp) {
   const runtime::ChannelStats stats = transport->channel_stats(a, b);
   EXPECT_EQ(stats.sent, 2u);
   EXPECT_EQ(stats.delivered, 2u);
+}
+
+TEST_F(SocketTransportTest, ChannelStatsOfMissingChannelThrowsNamingIt) {
+  try {
+    transport->channel_stats(a, a);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("no channel alpha -> alpha"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(SocketTransportTest, LargeFramesUseTcpFallback) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,6 +133,21 @@ TEST(ThreadedTransport, DeliversInSendOrderOverFifoChannel) {
   const ChannelStats stats = net.channel_stats(a, b);
   EXPECT_EQ(stats.sent, 24U);
   EXPECT_EQ(stats.delivered, 24U);
+}
+
+TEST(ThreadedTransport, ChannelStatsOfMissingChannelThrowsNamingIt) {
+  ThreadedRuntime rt({.workers = 1, .seed = 7});
+  Transport& net = rt.transport();
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  net.connect(a, b);
+  try {
+    net.channel_stats(b, a);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("no channel b -> a"), std::string::npos) << e.what();
+  }
+  rt.shutdown();
 }
 
 TEST(ThreadedTransport, FifoOrderSurvivesConcurrentSenders) {
