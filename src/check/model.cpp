@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "proto/effects.hpp"
+
 namespace sa::check {
 
 namespace {
@@ -345,8 +347,7 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
         break;
       case proto::OutputKind::Transition:
         if (record_transitions_) {
-          transitions_.push_back(TransitionRec{"manager", std::string(to_string(out.phase_from)),
-                                               std::string(to_string(out.phase_to))});
+          record_transition(obs::EventKind::ManagerPhase, out, obs::kManagerTrack);
         }
         break;
       case proto::OutputKind::StepCommitted:
@@ -400,9 +401,7 @@ void Model::apply_agent_outputs(config::ProcessId process,
         break;
       case proto::OutputKind::Transition:
         if (record_transitions_) {
-          transitions_.push_back(TransitionRec{"agent" + std::to_string(process),
-                                               std::string(to_string(out.state_from)),
-                                               std::string(to_string(out.state_to))});
+          record_transition(obs::EventKind::AgentState, out, static_cast<std::int64_t>(process));
         }
         break;
       case proto::OutputKind::ProcessPrepare:
@@ -435,6 +434,15 @@ void Model::apply_agent_outputs(config::ProcessId process,
         break;  // cleanup and duplicate notes carry no model state
     }
   }
+}
+
+void Model::record_transition(obs::EventKind kind, const proto::Output& out,
+                              std::int64_t track) {
+  obs::Event e = proto::transition_event(kind, out, kManagerNode);
+  e.seq = transitions_.size();
+  e.time = now_;
+  e.track = track;
+  transitions_.push_back(std::move(e));
 }
 
 void Model::finalize() {

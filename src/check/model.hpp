@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "check/scenario.hpp"
+#include "obs/event.hpp"
 #include "proto/conformance.hpp"
 #include "proto/core/agent_core.hpp"
 #include "proto/core/io.hpp"
@@ -106,16 +107,6 @@ bool choices_dependent(const ChoiceFootprint& a, const ChoiceFootprint& b);
 
 using Violation = proto::SafetyViolation;
 
-/// One automaton transition, in global emission order — the unit the
-/// replay-equivalence test compares against a real SimRuntime execution.
-struct TransitionRec {
-  std::string entity;  ///< "manager" or "agent<process>"
-  std::string from;
-  std::string to;
-
-  bool operator==(const TransitionRec&) const = default;
-};
-
 class Model {
  public:
   struct Limits {
@@ -165,12 +156,15 @@ class Model {
   const std::vector<Violation>& violations() const { return violations_; }
   /// The manager's terminal result, or nullptr while the request is open.
   const proto::AdaptationResult* outcome() const { return outcome_.get(); }
-  const std::vector<TransitionRec>& transitions() const { return transitions_; }
+  /// Fig. 1 / Fig. 2 transitions in emission order, as the runtime drivers
+  /// record them (proto::transition_event), on the manager track or the
+  /// agent's process track; seq is the index, time the model's clock.
+  const std::vector<obs::Event>& transitions() const { return transitions_; }
   runtime::Time now() const { return now_; }
   std::size_t messages_in_flight() const { return in_flight_.size(); }
 
-  /// Transition records exist for replay/conformance comparisons; the
-  /// explorer turns them off, because copying a growing vector of strings at
+  /// Transitions are recorded for replay/conformance comparisons; the
+  /// explorer turns them off, because copying a growing vector of events at
   /// every fork dominated fork cost. Default on.
   void set_record_transitions(bool record) { record_transitions_ = record; }
 
@@ -252,6 +246,7 @@ class Model {
   void apply_manager_outputs(const std::vector<proto::Output>& outputs);
   void apply_agent_outputs(config::ProcessId process, const std::vector<proto::Output>& outputs);
   void dispatch_agent_local(config::ProcessId process, proto::AgentLocalEvent event);
+  void record_transition(obs::EventKind kind, const proto::Output& out, std::int64_t track);
   void violation(std::string description);
 
   const Scenario* scenario_;
@@ -285,7 +280,7 @@ class Model {
   /// Shared rather than held by value: the result carries a detail string,
   /// and a fork of a finished run should copy a pointer, not the string.
   std::shared_ptr<const proto::AdaptationResult> outcome_;
-  std::vector<TransitionRec> transitions_;
+  std::vector<obs::Event> transitions_;
 };
 
 }  // namespace sa::check

@@ -9,9 +9,10 @@
 //   resetting/safe/adapted --rollback--> running
 //
 // This class is the thin I/O shell: it feeds transport deliveries and timer
-// fires into the core, executes the core's Outputs (sends, timers, trace
-// events) and performs the requested AdaptableProcess operations, reporting
-// their completions back as local events. The agent remains message-driven
+// fires into the core, executes the core's Outputs (sends; the pending-action
+// timer and trace events through proto/effects.hpp, shared with the manager
+// and coordinator drivers) and performs the requested AdaptableProcess
+// operations, reporting their completions back as local events. The agent remains message-driven
 // and idempotent: retransmitted manager messages re-elicit the
 // acknowledgement appropriate to the agent's progress, which is how
 // loss-of-message failures are survived.
@@ -21,16 +22,11 @@
 #include <mutex>
 #include <string>
 
-#include "obs/event.hpp"
 #include "proto/adaptable_process.hpp"
 #include "proto/core/agent_core.hpp"
+#include "proto/effects.hpp"
 #include "proto/messages.hpp"
 #include "runtime/runtime.hpp"
-
-namespace sa::obs {
-class MetricsRegistry;
-class TraceRecorder;
-}  // namespace sa::obs
 
 namespace sa::proto {
 
@@ -86,23 +82,10 @@ class AdaptationAgent {
 
  private:
   void on_message(runtime::NodeId from, runtime::MessagePtr message);
-  /// Feeds one input to the core and executes its outputs. Call under mutex_.
-  void dispatch(AgentInput::MessageDelivered delivered);
-  void dispatch(AgentInput::TimerFired fired);
-  void dispatch(AgentLocalEvent event);
+  /// Feeds one input, stamped with the current time, to the core and executes
+  /// its outputs. Call under mutex_.
+  void dispatch(decltype(AgentInput::event) event);
   void apply(const std::vector<Output>& outputs);
-  void apply_arm_timer(const Output& out);
-  void apply_disarm_timer(const Output& out);
-
-  // --- observability (no-ops until set_observability is called) --------------
-  bool tracing() const { return recorder_ != nullptr && tracing_enabled(); }
-  bool tracing(obs::EventKind kind) const {
-    return recorder_ != nullptr && recorder_wants(kind);
-  }
-  bool tracing_enabled() const;  ///< recorder_->enabled(), out of line
-  bool recorder_wants(obs::EventKind kind) const;  ///< recorder_->wants(), out of line
-  /// Stamps this agent's track and the current clock time, then records.
-  void trace_event(obs::Event event);
 
   runtime::Clock* clock_;
   runtime::Transport* transport_;
@@ -111,17 +94,8 @@ class AdaptationAgent {
   AdaptableProcess* process_;
 
   AgentCore core_;
-
-  // --- real timer backing the core's single pending-action slot ---
-  runtime::TimerId pending_event_ = 0;
-  /// Bumped on every arm/disarm; timer callbacks capture the value at arm
-  /// time and bail on mismatch, so a fire that raced a failed cancel() on
-  /// the threaded backend cannot mutate state belonging to a newer step.
-  std::uint64_t pending_gen_ = 0;
-
-  obs::TraceRecorder* recorder_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::int64_t track_ = obs::kNoTrack;
+  TraceHandle trace_;  ///< a no-op until set_observability is called
+  TimerSlot pending_;  ///< the core's single pending-action slot
 
   /// Serializes message handlers, timer callbacks, and process callbacks.
   /// Recursive: a callback may synchronously re-enter (e.g. reach_safe_state

@@ -4,11 +4,12 @@
 // (proto/core/coordinator_core.hpp). This class is the thin I/O shell: it
 // translates transport deliveries (parent commits, child reports) and timer
 // fires into core Inputs and executes the core's Outputs — sends over
-// runtime::Transport, the two timer slots over runtime::Clock (with
-// generation guards against stale fires on the threaded backend), and
-// ExecuteShard against the local shard's AdaptationManager via the runtime
-// executor, so the coordinator's lock and the manager's lock are never held
-// together. Works identically over SimRuntime and ThreadedRuntime.
+// runtime::Transport, the epoch and commit timers as two TimerSlots and
+// trace events through a TraceHandle (proto/effects.hpp, shared with the
+// manager and agent drivers), and ExecuteShard against the local shard's
+// AdaptationManager via the runtime executor, so the coordinator's lock and
+// the manager's lock are never held together. Works identically over
+// SimRuntime and ThreadedRuntime.
 #pragma once
 
 #include <cstdint>
@@ -17,15 +18,10 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/event.hpp"
 #include "proto/core/coordinator_core.hpp"
+#include "proto/effects.hpp"
 #include "proto/manager.hpp"
 #include "runtime/runtime.hpp"
-
-namespace sa::obs {
-class MetricsRegistry;
-class TraceRecorder;
-}  // namespace sa::obs
 
 namespace sa::proto {
 
@@ -90,17 +86,16 @@ class AdaptationCoordinator {
 
  private:
   void on_message(runtime::NodeId from, runtime::MessagePtr message);
-  /// Feeds one input to the core and executes its outputs. Call under mutex_.
-  void dispatch(CoordinatorInput input);
+  /// Feeds one input, stamped with the current time, to the core and executes
+  /// its outputs. Call under mutex_.
+  void dispatch(decltype(CoordinatorInput::event) event);
   void apply(const std::vector<Output>& outputs);
-  void apply_arm_timer(const Output& out);
-  void apply_disarm_timer(const Output& out);
   void apply_execute_shard(const Output& out);
   void apply_ticket_done(const Output& out);
+  TimerSlot& timer(const Output& out) {
+    return out.ctimer == CoordinatorTimer::Epoch ? epoch_timer_ : commit_timer_;
+  }
 
-  bool tracing() const;
-  bool tracing(obs::EventKind kind) const;  ///< also applies the detail filter
-  void trace_event(obs::Event event);
   std::string depth_label() const;
 
   runtime::Clock* clock_;
@@ -117,11 +112,9 @@ class AdaptationCoordinator {
   std::map<runtime::NodeId, std::size_t> child_of_;   ///< node -> child index
   std::map<std::uint32_t, AdaptationManager*> shard_manager_;
 
-  // --- real timers backing the core's two logical slots ---
-  runtime::TimerId epoch_timer_ = 0;
-  runtime::TimerId commit_timer_ = 0;
-  std::uint64_t epoch_gen_ = 0;
-  std::uint64_t commit_gen_ = 0;
+  TraceHandle trace_;  ///< a no-op until set_observability is called
+  TimerSlot epoch_timer_;
+  TimerSlot commit_timer_;
 
   std::uint64_t next_ticket_ = 1;
   struct PendingTicket {
@@ -131,10 +124,6 @@ class AdaptationCoordinator {
   std::map<std::uint64_t, PendingTicket> pending_tickets_;
 
   runtime::Time epoch_sealed_at_ = 0;  ///< for the per-level commit latency
-
-  obs::TraceRecorder* recorder_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::int64_t track_ = obs::kNoTrack;
 
   /// Recursive: a TicketDone output fires the completion handler under the
   /// lock, and that handler commonly submits the next batch.

@@ -76,8 +76,8 @@ void CoordinatorCore::open_epoch(std::vector<Output>& out) {
   out.push_back(std::move(arm));
 }
 
-std::vector<Output> CoordinatorCore::step(const CoordinatorInput& input) {
-  std::vector<Output> out;
+void CoordinatorCore::step(const CoordinatorInput& input, std::vector<Output>& out) {
+  out.clear();
   if (const auto* submit = std::get_if<CoordinatorInput::SubmitRequest>(&input.event)) {
     on_submit(*submit, input.now, out);
   } else if (const auto* done = std::get_if<CoordinatorInput::ChildDone>(&input.event)) {
@@ -92,7 +92,6 @@ std::vector<Output> CoordinatorCore::step(const CoordinatorInput& input) {
       on_commit_timeout(input.now, out);
     }
   }
-  return out;
 }
 
 void CoordinatorCore::on_submit(const CoordinatorInput::SubmitRequest& submit,

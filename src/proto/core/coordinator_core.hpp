@@ -20,7 +20,7 @@
 // Partial failure preserves the §4.4 contract per shard: a failed or orphaned
 // shard's result never blocks, masks, or rolls back a disjoint shard; results
 // aggregate upward as per-shard ShardOutcome lists. Like ManagerCore /
-// AgentCore, this class is a pure value: step(Input) -> vector<Output> with
+// AgentCore, this class is a pure value: step(Input, Output sink) with
 // time as plain data, so one core definition is driven identically by the
 // runtime driver, the fuzz campaign, and (being fingerprintable) explorers.
 #pragma once
@@ -77,7 +77,8 @@ class CoordinatorCore {
   std::uint64_t epoch() const { return epoch_; }
   std::uint64_t epochs_completed() const { return epochs_completed_; }
 
-  std::vector<Output> step(const CoordinatorInput& input);
+  /// Clears `out` and appends the input's outputs (see proto/core/io.hpp).
+  void step(const CoordinatorInput& input, std::vector<Output>& out);
 
   void inject_fault(CoordinatorFault fault) { fault_ = fault; }
 

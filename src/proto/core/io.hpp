@@ -1,30 +1,29 @@
 // The sans-I/O core's effect vocabulary.
 //
-// ManagerCore and AgentCore are pure state machines: they consume Inputs
-// (message deliveries, timer fires, adaptation commands, local completions)
-// and produce ordered Output lists describing every side effect the protocol
-// wants — sends, timer arms/disarms, automaton transitions, process
-// operations, commits, and terminal outcomes.
+// ManagerCore, AgentCore and CoordinatorCore are pure state machines: they
+// consume Inputs (message deliveries, timer fires, adaptation commands,
+// local completions) and produce ordered Output lists describing every side
+// effect the protocol wants — sends, timer arms/disarms, automaton
+// transitions, process operations, commits, and terminal outcomes.
 //
-// Sink contract: ManagerCore::step and AgentCore::step take the Output list
-// as a caller-owned `std::vector<Output>&`, clear it, and append to it; the
-// list is valid until the caller reuses the buffer. The runtime drivers pass
-// a local vector per input. The model checker keeps one buffer per thread
-// and nesting depth (an agent's outputs can step the same agent again while
-// the outer list is being applied), so stepping a forked core allocates only
-// the messages it sends. Output::command shares the step's LocalCommand
-// instead of copying it. CoordinatorCore::step still returns its list by
-// value: the checker never forks the coordinator, so a reused buffer would
-// buy it nothing.
+// Sink contract: ManagerCore::step, AgentCore::step and CoordinatorCore::step
+// take the Output list as a caller-owned `std::vector<Output>&`, clear it,
+// and append to it; the list is valid until the caller reuses the buffer.
+// The runtime drivers pass a local vector per input. The model checker keeps
+// one buffer per thread and nesting depth (an agent's outputs can step the
+// same agent again while the outer list is being applied), so stepping a
+// forked core allocates only the messages it sends. Output::command shares
+// the step's LocalCommand instead of copying it.
 //
 // The runtime drivers translate Outputs into runtime::Transport sends,
-// runtime::Clock timers, process calls, and observability events; the
-// interleaving explorer translates the same Outputs into virtual
-// network/timer state and checks safety properties against them. Neither
-// core touches a Clock, Transport, mutex, or the obs layer: time enters as
-// plain data on each Input, so the cores are copyable values that behave
-// identically under the simulator, the threaded backend, and the model
-// checker.
+// runtime::Clock timers, process calls, and observability events; the timer
+// slot, the trace handle and the Transition event they share are written
+// once, in proto/effects.hpp. The interleaving explorer translates the same
+// Outputs into virtual network/timer state, records the same Transition
+// events, and checks safety properties against them. No core touches a
+// Clock, Transport, mutex, or the obs layer: time enters as plain data on
+// each Input, so the cores are copyable values that behave identically
+// under the simulator, the threaded backend, and the model checker.
 #pragma once
 
 #include <cstdint>

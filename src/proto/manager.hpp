@@ -6,9 +6,10 @@
 // I/O shell around it: it owns the derived analysis data (safe configuration
 // set, SAG, planner), translates transport deliveries and timer fires into
 // core Inputs, and executes the core's Outputs in order against the real
-// Clock / Transport / observability layer. Works identically over SimRuntime
-// and ThreadedRuntime; on the threaded backend every entry point locks and
-// timer callbacks carry generation guards against stale fires.
+// Clock / Transport / observability layer, through the effects shared with
+// the agent and coordinator drivers (proto/effects.hpp). Works identically
+// over SimRuntime and ThreadedRuntime; on the threaded backend every entry
+// point locks.
 #pragma once
 
 #include <deque>
@@ -22,15 +23,10 @@
 
 #include "actions/planner.hpp"
 #include "config/enumerate.hpp"
-#include "obs/event.hpp"
 #include "proto/core/manager_core.hpp"
+#include "proto/effects.hpp"
 #include "proto/messages.hpp"
 #include "runtime/runtime.hpp"
-
-namespace sa::obs {
-class MetricsRegistry;
-class TraceRecorder;
-}  // namespace sa::obs
 
 namespace sa::proto {
 
@@ -137,26 +133,17 @@ class AdaptationManager {
   };
 
   void on_message(runtime::NodeId from, runtime::MessagePtr message);
-  /// Feeds one input to the core and executes its outputs. Call under mutex_.
-  void dispatch(ManagerInput::AdaptCommand cmd);
-  void dispatch(ManagerInput::MessageDelivered delivered);
-  void dispatch(ManagerInput::TimerFired fired);
+  /// Feeds one input, stamped with the current time, to the core and executes
+  /// its outputs. Call under mutex_.
+  void dispatch(decltype(ManagerInput::event) event);
   void apply(const std::vector<Output>& outputs);
-  void apply_arm_timer(const Output& out);
-  void apply_disarm_timer(const Output& out);
   void apply_outcome(const Output& out);
+  TimerSlot& timer(const Output& out) {
+    return out.timer == ManagerTimer::Protocol ? protocol_timer_ : stage_timer_;
+  }
 
   std::optional<config::ProcessId> process_of_node(runtime::NodeId node) const;
 
-  // --- observability (no-ops until set_observability is called) --------------
-  bool tracing() const { return recorder_ != nullptr && tracing_enabled(); }
-  bool tracing(obs::EventKind kind) const {
-    return recorder_ != nullptr && recorder_wants(kind);
-  }
-  bool tracing_enabled() const;  ///< recorder_->enabled(), out of line
-  bool recorder_wants(obs::EventKind kind) const;  ///< recorder_->wants(), out of line
-  /// Stamps the manager track and the current clock time, then records.
-  void trace_event(obs::Event event);
   /// Accrues a process's reported blocked time into the total and the
   /// per-process sa_blocked_time_us histogram.
   void observe_blocked(config::ProcessId process, runtime::Time blocked);
@@ -175,20 +162,12 @@ class AdaptationManager {
   std::map<config::ProcessId, AgentEndpoint> agents_;
   CompletionHandler handler_;
 
-  // --- real timers backing the core's two logical slots ---
-  runtime::TimerId timer_ = 0;
-  runtime::TimerId stage_delay_event_ = 0;
-  /// Bumped on every arm/disarm; timer callbacks capture the value at arm
-  /// time and bail on mismatch, so a fire that raced a failed cancel() on the
-  /// threaded backend cannot act in the wrong phase.
-  std::uint64_t timer_gen_ = 0;
-  std::uint64_t stage_delay_gen_ = 0;
+  TraceHandle trace_;  ///< a no-op until set_observability is called
+  TimerSlot protocol_timer_;
+  TimerSlot stage_timer_;
 
   std::vector<StepRecord> step_log_;
   runtime::Time total_blocked_reported_ = 0;
-
-  obs::TraceRecorder* recorder_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
 
   struct PendingRequest {
     config::Configuration target;

@@ -41,6 +41,12 @@ CoordinatorInput shard_done(std::uint64_t epoch, std::uint32_t shard,
   return CoordinatorInput{now, CoordinatorInput::ShardFinished{epoch, shard, result}};
 }
 
+std::vector<Output> step(CoordinatorCore& core, const CoordinatorInput& input) {
+  std::vector<Output> out;
+  core.step(input, out);
+  return out;
+}
+
 std::vector<const Output*> of_kind(const std::vector<Output>& outputs, OutputKind kind) {
   std::vector<const Output*> found;
   for (const Output& output : outputs) {
@@ -57,7 +63,7 @@ const Output* first_of(const std::vector<Output>& outputs, OutputKind kind) {
 TEST(CoordinatorCoreTest, SubmitOpensEpochAndArmsWindow) {
   CoordinatorCore core;
   core.add_local_shard(0, 0);
-  const auto out = core.step(submit(1, {{0, cfg(1)}}));
+  const auto out = step(core, submit(1, {{0, cfg(1)}}));
   EXPECT_EQ(core.phase(), CoordinatorPhase::Batching);
   const Output* opened = first_of(out, OutputKind::EpochOpened);
   ASSERT_NE(opened, nullptr);
@@ -70,9 +76,9 @@ TEST(CoordinatorCoreTest, SubmitOpensEpochAndArmsWindow) {
 TEST(CoordinatorCoreTest, SameShardTargetsCoalesceLaterWins) {
   CoordinatorCore core;
   core.add_local_shard(0, 0);
-  core.step(submit(1, {{0, cfg(1)}}));
-  core.step(submit(2, {{0, cfg(2)}}));  // same shard, same window: later wins
-  const auto out = core.step(epoch_fires());
+  step(core, submit(1, {{0, cfg(1)}}));
+  step(core, submit(2, {{0, cfg(2)}}));  // same shard, same window: later wins
+  const auto out = step(core, epoch_fires());
 
   const Output* sealed = first_of(out, OutputKind::EpochSealed);
   ASSERT_NE(sealed, nullptr);
@@ -90,8 +96,8 @@ TEST(CoordinatorCoreTest, SealPartitionsBatchAcrossChildrenAndLanes) {
   const std::size_t left = core.add_child({0, 1});
   const std::size_t right = core.add_child({2});
   core.add_local_shard(3, 0);
-  core.step(submit(1, {{0, cfg(1)}, {1, cfg(2)}, {2, cfg(4)}, {3, cfg(8)}}));
-  const auto out = core.step(epoch_fires());
+  step(core, submit(1, {{0, cfg(1)}, {1, cfg(2)}, {2, cfg(4)}, {3, cfg(8)}}));
+  const auto out = step(core, epoch_fires());
 
   const auto sends = of_kind(out, OutputKind::Send);
   ASSERT_EQ(sends.size(), 2U);  // one EpochCommitMsg per involved child
@@ -119,14 +125,14 @@ TEST(CoordinatorCoreTest, LanesSerializeButDistinctLanesStartTogether) {
   core.add_local_shard(0, 0);
   core.add_local_shard(1, 0);  // same lane as 0: must wait for it
   core.add_local_shard(2, 1);  // its own lane: starts at seal
-  core.step(submit(1, {{0, cfg(1)}, {1, cfg(1)}, {2, cfg(1)}}));
-  auto out = core.step(epoch_fires());
+  step(core, submit(1, {{0, cfg(1)}, {1, cfg(1)}, {2, cfg(1)}}));
+  auto out = step(core, epoch_fires());
   auto executes = of_kind(out, OutputKind::ExecuteShard);
   ASSERT_EQ(executes.size(), 2U);  // lane heads only
   EXPECT_EQ(executes[0]->shard, 0U);
   EXPECT_EQ(executes[1]->shard, 2U);
 
-  out = core.step(shard_done(1, 0));
+  out = step(core, shard_done(1, 0));
   executes = of_kind(out, OutputKind::ExecuteShard);
   ASSERT_EQ(executes.size(), 1U);  // lane 0 advances to its second shard
   EXPECT_EQ(executes[0]->shard, 1U);
@@ -136,10 +142,10 @@ TEST(CoordinatorCoreTest, PartialFailureIsolatedPerShard) {
   CoordinatorCore core;
   core.add_local_shard(0, 0);
   core.add_local_shard(1, 1);
-  core.step(submit(7, {{0, cfg(1)}, {1, cfg(1)}}));
-  core.step(epoch_fires());
-  core.step(shard_done(1, 0, proto::AdaptationOutcome::UserInterventionRequired));
-  const auto out = core.step(shard_done(1, 1, proto::AdaptationOutcome::Success));
+  step(core, submit(7, {{0, cfg(1)}, {1, cfg(1)}}));
+  step(core, epoch_fires());
+  step(core, shard_done(1, 0, proto::AdaptationOutcome::UserInterventionRequired));
+  const auto out = step(core, shard_done(1, 1, proto::AdaptationOutcome::Success));
 
   const Output* done = first_of(out, OutputKind::TicketDone);
   ASSERT_NE(done, nullptr);
@@ -158,12 +164,12 @@ TEST(CoordinatorCoreTest, CommitTimeoutOrphansSilentSubtree) {
   CoordinatorCore core;
   const std::size_t child = core.add_child({0, 1});
   core.add_local_shard(2, 0);
-  core.step(submit(1, {{0, cfg(1)}, {1, cfg(1)}, {2, cfg(1)}}));
-  core.step(epoch_fires());
-  core.step(shard_done(1, 2));  // the local shard completes; the child is silent
+  step(core, submit(1, {{0, cfg(1)}, {1, cfg(1)}, {2, cfg(1)}}));
+  step(core, epoch_fires());
+  step(core, shard_done(1, 2));  // the local shard completes; the child is silent
   EXPECT_EQ(core.phase(), CoordinatorPhase::Committing);
 
-  const auto out = core.step(commit_fires());
+  const auto out = step(core, commit_fires());
   const Output* completed = first_of(out, OutputKind::EpochCompleted);
   ASSERT_NE(completed, nullptr);
   EXPECT_EQ(completed->extra, 2.0);  // both of the child's shards orphaned
@@ -185,14 +191,14 @@ TEST(CoordinatorCoreTest, CommitTimeoutOrphansSilentSubtree) {
 TEST(CoordinatorCoreTest, LateChildReportAfterTimeoutIsAbsorbed) {
   CoordinatorCore core;
   const std::size_t child = core.add_child({0});
-  core.step(submit(1, {{0, cfg(1)}}));
-  core.step(epoch_fires());
-  core.step(commit_fires());  // orphans the child's shard, completes the epoch
+  step(core, submit(1, {{0, cfg(1)}}));
+  step(core, epoch_fires());
+  step(core, commit_fires());  // orphans the child's shard, completes the epoch
   EXPECT_EQ(core.phase(), CoordinatorPhase::Idle);
 
   proto::ShardOutcome outcome;
   outcome.shard = 0;
-  const auto out = core.step(
+  const auto out = step(core, 
       CoordinatorInput{0, CoordinatorInput::ChildDone{child, 1, {outcome}}});
   EXPECT_NE(first_of(out, OutputKind::DuplicateMessage), nullptr);
   EXPECT_EQ(first_of(out, OutputKind::EpochCompleted), nullptr);  // no double completion
@@ -201,9 +207,9 @@ TEST(CoordinatorCoreTest, LateChildReportAfterTimeoutIsAbsorbed) {
 TEST(CoordinatorCoreTest, UnroutableShardOrphansAtSealNotAtTimeout) {
   CoordinatorCore core;
   core.add_local_shard(0, 0);
-  core.step(submit(1, {{0, cfg(1)}, {9, cfg(1)}}));  // shard 9 covered by nobody
-  core.step(epoch_fires());
-  const auto out = core.step(shard_done(1, 0));  // epoch completes without a timeout
+  step(core, submit(1, {{0, cfg(1)}, {9, cfg(1)}}));  // shard 9 covered by nobody
+  step(core, epoch_fires());
+  const auto out = step(core, shard_done(1, 0));  // epoch completes without a timeout
   const Output* completed = first_of(out, OutputKind::EpochCompleted);
   ASSERT_NE(completed, nullptr);
   EXPECT_EQ(completed->extra, 1.0);
@@ -213,10 +219,10 @@ TEST(CoordinatorCoreTest, UnroutableShardOrphansAtSealNotAtTimeout) {
 TEST(CoordinatorCoreTest, MidCommitSubmissionsBecomeNextEpoch) {
   CoordinatorCore core;
   core.add_local_shard(0, 0);
-  core.step(submit(1, {{0, cfg(1)}}));
-  core.step(epoch_fires());
-  core.step(submit(2, {{0, cfg(2)}}));  // lands while epoch 1 is committing
-  const auto out = core.step(shard_done(1, 0));
+  step(core, submit(1, {{0, cfg(1)}}));
+  step(core, epoch_fires());
+  step(core, submit(2, {{0, cfg(2)}}));  // lands while epoch 1 is committing
+  const auto out = step(core, shard_done(1, 0));
 
   EXPECT_NE(first_of(out, OutputKind::TicketDone), nullptr);
   const Output* opened = first_of(out, OutputKind::EpochOpened);
@@ -229,11 +235,11 @@ TEST(CoordinatorCoreTest, ParentRecommitIsDeduplicated) {
   CoordinatorCore core;  // an interior node: tickets are the parent's epochs
   core.set_has_parent(true);
   core.add_local_shard(0, 0);
-  core.step(submit(5, {{0, cfg(1)}}));
-  const auto out = core.step(submit(5, {{0, cfg(1)}}));  // retransmitted commit
+  step(core, submit(5, {{0, cfg(1)}}));
+  const auto out = step(core, submit(5, {{0, cfg(1)}}));  // retransmitted commit
   EXPECT_NE(first_of(out, OutputKind::DuplicateMessage), nullptr);
-  core.step(epoch_fires());
-  const auto done = core.step(shard_done(1, 0));
+  step(core, epoch_fires());
+  const auto done = step(core, shard_done(1, 0));
   const auto sends = of_kind(done, OutputKind::SendParent);
   ASSERT_EQ(sends.size(), 1U);  // one EpochDoneMsg, not two
   const auto* msg = dynamic_cast<const proto::EpochDoneMsg*>(sends[0]->message.get());
@@ -246,15 +252,15 @@ TEST(CoordinatorCoreTest, OutOfEpochFaultAnnouncesStaleWireNumber) {
   core.add_child({0});
   core.inject_fault(proto::CoordinatorFault::CommitOutOfEpoch);
 
-  core.step(submit(1, {{0, cfg(1)}}));
-  auto out = core.step(epoch_fires());
+  step(core, submit(1, {{0, cfg(1)}}));
+  auto out = step(core, epoch_fires());
   auto sends = of_kind(out, OutputKind::Send);
   ASSERT_EQ(sends.size(), 1U);
   EXPECT_EQ(dynamic_cast<const proto::EpochCommitMsg*>(sends[0]->message.get())->epoch, 1U);
-  core.step(commit_fires());  // child never answers; move on
+  step(core, commit_fires());  // child never answers; move on
 
-  core.step(submit(2, {{0, cfg(2)}}));
-  out = core.step(epoch_fires());
+  step(core, submit(2, {{0, cfg(2)}}));
+  out = step(core, epoch_fires());
   sends = of_kind(out, OutputKind::Send);
   ASSERT_EQ(sends.size(), 1U);
   // Epoch 2 sealed, but the wire announces epoch 1 again with different work.
@@ -271,13 +277,13 @@ TEST(CoordinatorCoreTest, FingerprintTracksLogicalState) {
   b.fingerprint(hb);
   EXPECT_EQ(ha, hb);
 
-  a.step(submit(1, {{0, cfg(1)}}));
+  step(a, submit(1, {{0, cfg(1)}}));
   ha = hb = 0;
   a.fingerprint(ha);
   b.fingerprint(hb);
   EXPECT_NE(ha, hb);
 
-  b.step(submit(1, {{0, cfg(1)}}));
+  step(b, submit(1, {{0, cfg(1)}}));
   ha = hb = 0;
   a.fingerprint(ha);
   b.fingerprint(hb);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
 
 #include "actions/planner.hpp"
 #include "config/enumerate.hpp"
@@ -104,14 +105,9 @@ TEST(ScenarioFile, CommentsAndQuotesInTokens) {
 }
 
 TEST(ScenarioFile, PaperScenarioFileReproducesTheMap) {
-  std::ifstream file;
-  for (const char* candidate : {"examples/paper.scenario", "../examples/paper.scenario",
-                                "../../examples/paper.scenario"}) {
-    file.open(candidate);
-    if (file) break;
-    file.clear();
-  }
-  ASSERT_TRUE(file) << "examples/paper.scenario not found relative to the test's cwd";
+  const std::string path = std::string(SA_REPO_ROOT) + "/examples/paper.scenario";
+  std::ifstream file(path);
+  ASSERT_TRUE(file.is_open()) << "cannot open " << path;
   const auto scenario = parse_scenario(file);
   EXPECT_EQ(scenario.registry->size(), 7U);
   EXPECT_EQ(scenario.actions->size(), 17U);

@@ -15,7 +15,6 @@
 // Exit codes: 0 no violation, 1 violation found, 2 usage/setup error.
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -86,42 +85,26 @@ void print_stats(const sa::check::ExploreResult& result) {
 }
 
 // The model checker has no live flight recorder, so the post-mortem view
-// comes from replaying the counterexample schedule and serializing the
-// model's Fig. 1 / Fig. 2 transitions through the recorder schema
-// (ManagerPhase / AgentState events, time = choice index). Written next to
-// the --json-out file so the tail travels with the reproducer, mirroring
-// the seed-N.trace.jsonl sa_fuzz dumps next to its artifacts.
+// comes from replaying the counterexample schedule: the model records its
+// Fig. 1 / Fig. 2 transitions as the runtime drivers do (ManagerPhase /
+// AgentState events; seq = transition index, time = model clock). The last
+// of them are written next to the --json-out file so the tail travels with
+// the reproducer, mirroring the seed-N.trace.jsonl sa_fuzz dumps next to its
+// artifacts.
 void write_trace_tail(const sa::check::Scenario& scenario,
                       const sa::check::ScheduleFile& file, const std::string& json_path) {
   constexpr std::size_t kTailEvents = 256;
   const sa::check::ReplayResult replayed =
       sa::check::replay(scenario, file.options, file.schedule);
-  std::vector<sa::obs::Event> events;
-  const std::size_t total = replayed.transitions.size();
-  const std::size_t begin = total > kTailEvents ? total - kTailEvents : 0;
-  events.reserve(total - begin);
-  for (std::size_t i = begin; i < total; ++i) {
-    const sa::check::TransitionRec& rec = replayed.transitions[i];
-    sa::obs::Event e;
-    e.seq = i;
-    e.time = static_cast<sa::runtime::Time>(i);  // model steps, not µs
-    if (rec.entity == "manager") {
-      e.kind = sa::obs::EventKind::ManagerPhase;
-      e.track = sa::obs::kManagerTrack;
-    } else {  // "agent<process>"
-      e.kind = sa::obs::EventKind::AgentState;
-      e.track = std::atoll(rec.entity.c_str() + 5);
-    }
-    e.name = rec.to;
-    e.detail = rec.from;
-    events.push_back(std::move(e));
-  }
+  const std::vector<sa::obs::Event>& events = replayed.transitions;
+  const auto kept = static_cast<std::ptrdiff_t>(std::min(events.size(), kTailEvents));
+  const std::vector<sa::obs::Event> tail(events.end() - kept, events.end());
   std::filesystem::path tail_path(json_path);
   tail_path.replace_extension();
   tail_path += ".trace.jsonl";
   std::ofstream out(tail_path);
-  sa::obs::write_jsonl(events, out);
-  std::cout << "transition tail (" << events.size() << " events) written to "
+  sa::obs::write_jsonl(tail, out);
+  std::cout << "transition tail (" << tail.size() << " events) written to "
             << tail_path.string() << "\n";
 }
 
