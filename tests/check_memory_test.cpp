@@ -4,9 +4,15 @@
 // once, and with the engine's 16 shards that overshoot is one 2 MiB shard, at
 // every thread count. A layout with one shard at one thread, or eight at two
 // (96 and 72 MiB), fails here.
+//
+// The same two searches pin every dedup-invariant counter of the exhaustive
+// pair search, so a change to the model or the engine that alters what is
+// explored fails here at either thread count.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
+#include <string>
 
 #include "check/explorer.hpp"
 #include "check/scenario.hpp"
@@ -15,6 +21,8 @@ namespace sa::check {
 namespace {
 
 constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+std::size_t kind(Choice::Kind k) { return static_cast<std::size_t>(k); }
 
 ExploreResult pair_exhaustive(int threads) {
   ExploreOptions options;
@@ -31,6 +39,19 @@ TEST(CheckMemory, ExhaustivePairVisitedTablePeaksAtFinalSizePlusOneShard) {
     const ExploreResult result = pair_exhaustive(threads);
     ASSERT_TRUE(result.complete) << "threads=" << threads;
     ASSERT_EQ(result.stats.states_explored, 10'321'894U) << "threads=" << threads;
+    EXPECT_EQ(result.stats.edges_by_kind[kind(Choice::Kind::Deliver)], 7'208'376U) << "deliver, threads=" << threads;
+    EXPECT_EQ(result.stats.edges_by_kind[kind(Choice::Kind::Drop)], 0U) << "drop, threads=" << threads;
+    EXPECT_EQ(result.stats.edges_by_kind[kind(Choice::Kind::Duplicate)], 0U) << "duplicate, threads=" << threads;
+    EXPECT_EQ(result.stats.edges_by_kind[kind(Choice::Kind::Fire)], 3'113'518U) << "fire, threads=" << threads;
+    EXPECT_EQ(result.stats.states_deduped, 6'484'952U) << "threads=" << threads;
+    EXPECT_EQ(result.stats.runs_completed, 201U) << "threads=" << threads;
+    EXPECT_EQ(result.stats.depth_capped, 0U) << "threads=" << threads;
+    EXPECT_EQ(result.stats.sleep_pruned, 10'873U) << "threads=" << threads;
+    const std::map<std::string, std::size_t> outcomes{{"rolled-back-to-source", 63},
+                                                      {"stalled-after-resume", 9},
+                                                      {"success", 33},
+                                                      {"user-intervention-required", 96}};
+    EXPECT_EQ(result.stats.outcomes, outcomes) << "threads=" << threads;
     EXPECT_GE(result.stats.visited_peak_bytes, 64 * kMiB) << "threads=" << threads;
     EXPECT_LE(result.stats.visited_peak_bytes, 66 * kMiB) << "threads=" << threads;
   }
