@@ -36,13 +36,13 @@ void AdaptationAgent::on_message(runtime::NodeId from, runtime::MessagePtr messa
     SA_WARN("agent") << "node " << node_ << ": message from non-manager node " << from;
     return;
   }
-  if (dynamic_cast<const ResetMsg*>(message.get()) == nullptr &&
-      dynamic_cast<const ResumeMsg*>(message.get()) == nullptr &&
-      dynamic_cast<const RollbackMsg*>(message.get()) == nullptr) {
+  const ProtoMessage* proto = as_proto(message.get());
+  if (proto == nullptr || (proto->kind() != MsgKind::Reset && proto->kind() != MsgKind::Resume &&
+                           proto->kind() != MsgKind::Rollback)) {
     SA_WARN("agent") << "node " << node_ << ": unexpected message " << message->type_name();
     return;
   }
-  dispatch(AgentInput::MessageDelivered{std::move(message)});
+  dispatch(AgentInput::MessageDelivered{&message});
 }
 
 void AdaptationAgent::dispatch(decltype(AgentInput::event) event) {

@@ -26,7 +26,7 @@ std::pair<SafetyMonitor::StepRecord*, SafetyMonitor::AgentMarks*> SafetyMonitor:
 void SafetyMonitor::on_send(runtime::Time time, runtime::NodeId manager, runtime::NodeId agent,
                             const runtime::Message& message,
                             std::vector<SafetyViolation>& out) {
-  const auto* proto = dynamic_cast<const ProtoMessage*>(&message);
+  const auto* proto = as_proto(&message);
   if (proto == nullptr) return;
   const auto [step, marks] = marks_for(manager, proto->step, agent);
   const auto violate = [&](const char* what, runtime::NodeId about, const char* rule) {
@@ -77,7 +77,7 @@ void SafetyMonitor::on_send(runtime::Time time, runtime::NodeId manager, runtime
 void SafetyMonitor::on_receive(runtime::Time time, runtime::NodeId manager,
                                runtime::NodeId agent, const runtime::Message& message,
                                std::vector<SafetyViolation>& out) {
-  const auto* proto = dynamic_cast<const ProtoMessage*>(&message);
+  const auto* proto = as_proto(&message);
   if (proto == nullptr) return;
   std::uint8_t& marks = marks_for(manager, proto->step, agent).second->marks;
   const auto violate = [&](const std::string& what) {
@@ -120,18 +120,19 @@ void SafetyMonitor::on_link(runtime::Time time, runtime::NodeId from, runtime::N
                                             std::to_string(to) + ": epoch " +
                                             std::to_string(message.epoch) + " " + what});
   };
-  const auto* commit = dynamic_cast<const EpochCommitMsg*>(&message);
-  if (commit == nullptr) {  // an epoch done answers a commit on the reverse link
+  // An epoch done answers a commit on the reverse link.
+  if (message.kind() != CoordMsgKind::EpochCommit) {
     if (find(to, from) == nullptr && find(from, to) == nullptr) {
       epochs_.push_back(EpochRecord{from, to, message.epoch, {}, true});
       violate("done, but that epoch was never committed");
     }
     return;
   }
+  const auto& commit = static_cast<const EpochCommitMsg&>(message);
   if (EpochRecord* seen = find(from, to)) {
     // The same slices in any wire order are a re-send, not a new commit.
     if (!seen->reported && !std::is_permutation(seen->targets.begin(), seen->targets.end(),
-                                                commit->targets.begin(), commit->targets.end())) {
+                                                commit.targets.begin(), commit.targets.end())) {
       seen->reported = true;
       violate("committed twice with different targets (out-of-epoch commit)");
     }
@@ -145,7 +146,7 @@ void SafetyMonitor::on_link(runtime::Time time, runtime::NodeId from, runtime::N
     violate("committed after epoch " + std::to_string(max_epoch) +
             " (epoch numbers must not regress)");
   }
-  epochs_.push_back(EpochRecord{from, to, message.epoch, commit->targets, false});
+  epochs_.push_back(EpochRecord{from, to, message.epoch, commit.targets, false});
 }
 
 std::vector<SafetyViolation> check_trace(const std::vector<runtime::TraceEntry>& trace,
@@ -157,7 +158,7 @@ std::vector<SafetyViolation> check_trace(const std::vector<runtime::TraceEntry>&
   std::vector<SafetyViolation> violations;
   for (const runtime::TraceEntry& entry : trace) {
     if (!entry.delivered || !entry.message) continue;
-    if (const auto* coord = dynamic_cast<const CoordMessage*>(entry.message.get())) {
+    if (const auto* coord = as_coord(entry.message.get())) {
       monitor.on_link(entry.time, entry.from, entry.to, *coord, violations);
     } else if (is_manager(entry.from)) {
       monitor.on_send(entry.time, entry.from, entry.to, *entry.message, violations);

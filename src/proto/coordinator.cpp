@@ -86,7 +86,7 @@ std::string AdaptationCoordinator::depth_label() const { return std::to_string(d
 
 void AdaptationCoordinator::on_message(runtime::NodeId from, runtime::MessagePtr message) {
   std::lock_guard lock(mutex_);
-  const auto* coord = dynamic_cast<const CoordMessage*>(message.get());
+  const auto* coord = as_coord(message.get());
   if (!coord) {
     SA_WARN("coordinator") << "non-coordinator message " << message->type_name();
     return;

@@ -27,10 +27,14 @@ std::uint64_t hash_command(const LocalCommand& command) {
   return h;
 }
 
-/// The command of a core that has not been reset yet.
+/// The command of a core that has not been reset yet: a static object behind
+/// a pointer that owns nothing, so copying an unreset core writes no
+/// reference count that every other copy shares.
 const std::shared_ptr<const LocalCommand>& empty_command() {
-  static const std::shared_ptr<const LocalCommand> empty = std::make_shared<const LocalCommand>();
-  return empty;
+  static const LocalCommand empty;
+  static const std::shared_ptr<const LocalCommand> unowned(std::shared_ptr<const LocalCommand>(),
+                                                           &empty);
+  return unowned;
 }
 
 }  // namespace
@@ -92,7 +96,7 @@ void AgentCore::step(const AgentInput& input, std::vector<Output>& out) {
   out_ = &out;
   now_ = input.now;
   if (const auto* msg = std::get_if<AgentInput::MessageDelivered>(&input.event)) {
-    on_message(msg->message);
+    on_message(*msg->message);
   } else if (std::get_if<AgentInput::TimerFired>(&input.event) != nullptr) {
     on_timer_fired();
   } else if (const auto* local = std::get_if<AgentLocalEvent>(&input.event)) {
@@ -101,7 +105,7 @@ void AgentCore::step(const AgentInput& input, std::vector<Output>& out) {
 }
 
 void AgentCore::on_message(const runtime::MessagePtr& message) {
-  const auto* proto = dynamic_cast<const ProtoMessage*>(message.get());
+  const auto* proto = as_proto(message.get());
   if (proto == nullptr) return;  // non-protocol traffic is the driver's business
   switch (proto->kind()) {
     case MsgKind::Reset:

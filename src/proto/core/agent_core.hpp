@@ -100,8 +100,10 @@ class AgentCore {
   std::optional<StepRef> current_step_;
   /// The command of the current step, aliasing the ResetMsg that carried it:
   /// set once per fresh reset, so forking the core copies a pointer rather
-  /// than two vectors of names. command_hash_ is its fingerprint contribution,
-  /// computed in the same place.
+  /// than two vectors of names. It shares the delivered pointer's ownership;
+  /// the model checker delivers pointers that own nothing (its message table
+  /// keeps the messages), so there a fork writes no reference count.
+  /// command_hash_ is its fingerprint contribution, computed in the same place.
   std::shared_ptr<const LocalCommand> current_command_;
   std::uint64_t command_hash_;
   bool sole_participant_ = false;

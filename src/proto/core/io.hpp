@@ -15,6 +15,15 @@
 // forked core allocates only the messages it sends. Output::command shares
 // the step's LocalCommand instead of copying it.
 //
+// Delivery contract: a MessageDelivered input does not own its message. It
+// points at a MessagePtr the caller holds, which must stay valid for the one
+// step() the input is passed to; a core that keeps part of the message past
+// that step (the agent keeps its reset's LocalCommand) copies the pointer.
+// The runtime drivers pass the address of the MessagePtr their transport
+// handed them. The model checker passes the address of the pointer in its
+// per-search message table (check/message_table.hpp), which outlives every
+// model of the search, so delivering a message costs no reference count.
+//
 // The runtime drivers translate Outputs into runtime::Transport sends,
 // runtime::Clock timers, process calls, and observability events; the timer
 // slot, the trace handle and the Transition event they share are written
@@ -74,7 +83,7 @@ struct ManagerInput {
   };
   struct MessageDelivered {
     config::ProcessId from = 0;
-    runtime::MessagePtr message;
+    const runtime::MessagePtr* message = nullptr;  ///< valid for one step()
   };
   struct TimerFired {
     ManagerTimer timer = ManagerTimer::Protocol;
@@ -86,7 +95,7 @@ struct ManagerInput {
 
 struct AgentInput {
   struct MessageDelivered {  ///< always from the manager
-    runtime::MessagePtr message;
+    const runtime::MessagePtr* message = nullptr;  ///< valid for one step()
   };
   struct TimerFired {};  ///< the single pending slot
 

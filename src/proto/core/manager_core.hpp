@@ -129,6 +129,9 @@ class ManagerCore {
   template <typename Msg>
   void retransmit_unacked(const char* phase_label, const util::IdSet64& acked,
                           runtime::Time timeout, const char* timer_label);
+  /// The fingerprints' shared fields, spread over four hash lanes.
+  void mix_request_lanes(std::uint64_t (&lane)[4]) const;
+  void mix_timer_lanes(std::uint64_t (&lane)[4]) const;
   void begin_rollback();
   void step_failed_after_rollback();
   void try_next_strategy();

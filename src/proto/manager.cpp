@@ -95,7 +95,7 @@ void AdaptationManager::on_message(runtime::NodeId from, runtime::MessagePtr mes
     SA_WARN("manager") << "message from unregistered node " << from;
     return;
   }
-  const auto* proto = dynamic_cast<const ProtoMessage*>(message.get());
+  const auto* proto = as_proto(message.get());
   if (!proto) {
     SA_WARN("manager") << "non-protocol message " << message->type_name();
     return;
@@ -105,7 +105,7 @@ void AdaptationManager::on_message(runtime::NodeId from, runtime::MessagePtr mes
                         << " (expected " << core_.current_ref().describe() << ")";
     return;
   }
-  dispatch(ManagerInput::MessageDelivered{*process, std::move(message)});
+  dispatch(ManagerInput::MessageDelivered{*process, &message});
 }
 
 void AdaptationManager::dispatch(decltype(ManagerInput::event) event) {

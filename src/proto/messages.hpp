@@ -60,11 +60,12 @@ struct StepRef {
   std::string describe() const;
 };
 
-/// Closed enumeration of the protocol message types. Receivers on hot paths
-/// (the cores' dispatch, the explorer's per-state fingerprint) switch on this
-/// tag instead of walking a dynamic_cast chain; dynamic_cast is still used
-/// once at the runtime::Message -> ProtoMessage boundary, where non-protocol
-/// traffic is possible.
+/// runtime::Message::family() of the two protocol hierarchies below.
+inline constexpr std::uint8_t kProtoFamily = 1;
+inline constexpr std::uint8_t kCoordFamily = 2;
+
+/// Closed enumeration of the protocol message types. Receivers switch on this
+/// tag once as_proto() has found a protocol message; neither step needs RTTI.
 enum class MsgKind : std::uint8_t {
   Reset,
   ResetDone,
@@ -76,9 +77,19 @@ enum class MsgKind : std::uint8_t {
 };
 
 struct ProtoMessage : runtime::Message {
+  ProtoMessage() : runtime::Message(kProtoFamily) {}
   StepRef step;
   virtual MsgKind kind() const = 0;
 };
+
+/// `message` as a protocol message, or nullptr for any other traffic
+/// (coordinator messages included). Reads the family tag instead of a
+/// dynamic_cast, so the cores' per-delivery check costs one load.
+inline const ProtoMessage* as_proto(const runtime::Message* message) {
+  return message != nullptr && message->family() == kProtoFamily
+             ? static_cast<const ProtoMessage*>(message)
+             : nullptr;
+}
 
 /// manager -> agent: reach your safe state, then perform `command`.
 struct ResetMsg final : ProtoMessage {
@@ -182,10 +193,18 @@ enum class CoordMsgKind : std::uint8_t { EpochCommit, EpochDone };
 /// Parent <-> child coordinator traffic. A separate hierarchy from
 /// ProtoMessage: coordinator links are keyed by epoch, not step coordinates.
 struct CoordMessage : runtime::Message {
+  CoordMessage() : runtime::Message(kCoordFamily) {}
   std::uint64_t epoch = 0;  ///< the committing parent's epoch number
   CausalContext ctx;        ///< causal span context (tracing only)
   virtual CoordMsgKind kind() const = 0;
 };
+
+/// `message` as a coordinator message, or nullptr for any other traffic.
+inline const CoordMessage* as_coord(const runtime::Message* message) {
+  return message != nullptr && message->family() == kCoordFamily
+             ? static_cast<const CoordMessage*>(message)
+             : nullptr;
+}
 
 /// parent -> child: execute this slice of sealed epoch `epoch`. A child
 /// treats each distinct epoch as one submission ticket; re-deliveries of an

@@ -56,7 +56,15 @@ class IdSet64 {
 
   void clear() { mask_ = 0; }
   bool empty() const { return mask_ == 0; }
-  std::size_t size() const { return static_cast<std::size_t>(__builtin_popcountll(mask_)); }
+  /// Population count in registers: __builtin_popcountll is a libgcc call
+  /// on a build that does not target a CPU with POPCNT, and the explorer
+  /// takes four of these per canonical fingerprint.
+  std::size_t size() const {
+    std::uint64_t x = mask_ - ((mask_ >> 1) & 0x5555555555555555ULL);
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+  }
   std::uint64_t mask() const { return mask_; }
 
   const_iterator begin() const { return const_iterator(mask_); }

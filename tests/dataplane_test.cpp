@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
+#include <thread>
 
 #include "components/arena.hpp"
 #include "components/fec.hpp"
@@ -759,6 +761,15 @@ TEST(ThreadedPump, BackToBackAdaptLaneOpensOneWindowEach) {
   config.payload_bytes = 64;
   DataPlanePump pump(config);
   pump.start();
+  // Swap only once traffic flows. The hundred swaps and the stop take a few
+  // milliseconds, and on a loaded host the producer thread may not run at
+  // all in that time; the lane then delivers nothing, though no window was
+  // at fault.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pump.lane_report(0).delivered == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "the lane never delivered a batch";
+    std::this_thread::yield();
+  }
 
   constexpr int kSwaps = 100;
   for (int swap = 0; swap < kSwaps; ++swap) {

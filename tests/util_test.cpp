@@ -412,6 +412,24 @@ TEST(IdSet64, InsertContainsAndSize) {
   EXPECT_FALSE(set.contains(100));  // out of range, not UB
 }
 
+TEST(IdSet64, SizeCountsEveryMember) {
+  // size() counts bits in registers; check it against insertion counts on
+  // sparse, dense and full sets.
+  Rng rng(11);
+  for (int round = 0; round < 200; ++round) {
+    IdSet64 set;
+    std::size_t members = 0;
+    const std::uint64_t density = 1 + rng.next_below(64);
+    for (std::uint32_t id = 0; id < 64; ++id) {
+      if (rng.next_below(64) < density && set.insert(id)) ++members;
+    }
+    ASSERT_EQ(set.size(), members) << "mask " << set.mask();
+  }
+  IdSet64 full;
+  for (std::uint32_t id = 0; id < 64; ++id) full.insert(id);
+  EXPECT_EQ(full.size(), 64U);
+}
+
 TEST(IdSet64, IteratesInAscendingOrder) {
   IdSet64 set;
   set.insert(9);
