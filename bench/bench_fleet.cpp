@@ -19,13 +19,14 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/composite.hpp"
 #include "core/fleet.hpp"
 #include "obs/trace_analysis.hpp"
+#include "proto/trace_check.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -144,27 +145,17 @@ void BM_FleetTracedAdaptation(benchmark::State& state) {
   }
   if (!success) state.SkipWithError("traced fleet campaign failed or diverged");
 
-  // Critical-path attribution over the recorded trace (same code path as
-  // `sa_trace`), including the telescoping invariant.
-  std::vector<obs::TraceLine> lines;
-  for (const core::RegionReport& region : report.regions) {
-    std::istringstream stream(region.trace_jsonl);
-    std::string line;
-    while (std::getline(stream, line)) {
-      if (auto parsed = obs::parse_trace_line(line)) lines.push_back(std::move(*parsed));
-    }
-  }
+  // Critical-path attribution over the recorded trace, checked as
+  // `sa_trace --check` does: the stream rules and the telescoping invariant.
+  std::string jsonl;
+  for (const core::RegionReport& region : report.regions) jsonl += region.trace_jsonl;
+  const std::vector<obs::TraceLine> lines = obs::parse_trace(jsonl);
   const obs::TraceAnalysis analysis = obs::analyze(lines);
-  std::size_t verified = 0;
+  const bool conforms = proto::check_stream(lines).empty();
+  if (!conforms) state.SkipWithError("recorded trace fails sa_trace --check");
   double path_nodes = 0;
   for (const obs::EpochCriticalPath& epoch : analysis.epochs) {
-    runtime::Time sum = 0;
-    for (const obs::CriticalPathNode& node : epoch.path) sum += node.contribution;
-    verified += sum == epoch.latency ? 1 : 0;
     path_nodes += static_cast<double>(epoch.path.size());
-  }
-  if (verified != analysis.epochs.size()) {
-    state.SkipWithError("critical paths do not sum to root epoch latency");
   }
 
   state.counters["clusters"] = static_cast<double>(plain_spec.clusters);
@@ -175,7 +166,8 @@ void BM_FleetTracedAdaptation(benchmark::State& state) {
   state.counters["recorded_ms"] = traced_s * 1e3;
   state.counters["plain_ms"] = plain_s * 1e3;
   state.counters["root_epochs"] = static_cast<double>(analysis.epochs.size());
-  state.counters["critical_paths_verified"] = static_cast<double>(verified);
+  state.counters["critical_paths_verified"] =
+      conforms ? static_cast<double>(analysis.epochs.size()) : 0.0;
   state.counters["critical_path_nodes_mean"] =
       analysis.epochs.empty() ? 0.0 : path_nodes / static_cast<double>(analysis.epochs.size());
   state.counters["root_epoch_p99_us"] =

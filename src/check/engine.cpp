@@ -566,7 +566,7 @@ class FrontierEngine {
 
 }  // namespace
 
-ExploreResult frontier_search(const Scenario& scenario, const ExploreOptions& options) {
+ExploreResult explore_dfs(const Scenario& scenario, const ExploreOptions& options) {
   const int threads = effective_threads(options.threads);
   ExploreResult result;
   auto root = std::make_unique<Model>(make_model(scenario, options));
@@ -584,8 +584,8 @@ ExploreResult frontier_search(const Scenario& scenario, const ExploreOptions& op
   return result;
 }
 
-ExploreResult random_search(const Scenario& scenario, const ExploreOptions& options,
-                            std::uint64_t seed, std::size_t runs) {
+ExploreResult explore_random(const Scenario& scenario, const ExploreOptions& options,
+                             std::uint64_t seed, std::size_t runs) {
   // Safety cap well above any legal run length: every walk terminates on its
   // own (timers re-arm only across bounded retry rounds), this only guards
   // against a pathological regression looping forever.

@@ -74,14 +74,4 @@ namespace sa::check {
 /// search's table (2^23 slots) still spans whole huge pages.
 inline constexpr std::size_t kVisitedShards = 16;
 
-/// Work-stealing frontier search over the Model's choice tree.
-ExploreResult frontier_search(const Scenario& scenario, const ExploreOptions& options);
-
-/// Seeded random walks to quiescence, distributed over the worker pool. Runs
-/// keep their sequential identity (run r always uses seed + r * odd), and
-/// per-run stat deltas are merged in run order up to the first violating run
-/// — bit-identical to the sequential engine for every thread count.
-ExploreResult random_search(const Scenario& scenario, const ExploreOptions& options,
-                            std::uint64_t seed, std::size_t runs);
-
 }  // namespace sa::check

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "check/engine.hpp"
 #include "obs/export.hpp"
 #include "util/json.hpp"
 
@@ -18,15 +17,6 @@ Model make_model(const Scenario& scenario, const ExploreOptions& options) {
   }
   model.start();
   return model;
-}
-
-ExploreResult explore_dfs(const Scenario& scenario, const ExploreOptions& options) {
-  return frontier_search(scenario, options);
-}
-
-ExploreResult explore_random(const Scenario& scenario, const ExploreOptions& options,
-                             std::uint64_t seed, std::size_t runs) {
-  return random_search(scenario, options, seed, runs);
 }
 
 ReplayResult replay(const Scenario& scenario, const ExploreOptions& options,

@@ -97,8 +97,13 @@ struct ExploreResult {
 
 Model make_model(const Scenario& scenario, const ExploreOptions& options);
 
+/// Work-stealing frontier search over the Model's choice tree (engine.hpp).
 ExploreResult explore_dfs(const Scenario& scenario, const ExploreOptions& options);
 
+/// Seeded random walks to quiescence, distributed over the worker pool. Runs
+/// keep their sequential identity (run r always uses seed + r * odd), and
+/// per-run stat deltas are merged in run order up to the first violating run
+/// — bit-identical to the sequential engine for every thread count.
 ExploreResult explore_random(const Scenario& scenario, const ExploreOptions& options,
                              std::uint64_t seed, std::size_t runs);
 

@@ -19,9 +19,11 @@
 //   * p50/p99 latencies per span category (root epoch, epoch, request,
 //     ticket).
 //
-// The input is parsed JSONL — parse_trace_line() understands both plain and
-// region-tagged lines — so the analysis runs offline on a trace file without
-// access to the recorder that produced it.
+// The input is parsed JSONL — parse_trace() reads an exporter's output, plain
+// or region-tagged, through util::parse_json — so the analysis runs offline
+// on a trace file without access to the recorder that produced it. The same
+// lines feed proto::check_stream, which judges them against the protocol's
+// automata and, through analyze(), enforces the telescoping invariant.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,12 @@ namespace sa::obs {
 
 /// One parsed JSONL trace line: either an event or a track_name meta line.
 struct TraceLine {
-  std::uint64_t region = 0;  ///< 0 for single-system (untagged) traces
+  std::size_t line = 0;  ///< 1-based line number in the parsed text
+  /// Why the line breaks the exporter's schema (invalid JSON, unknown kind,
+  /// a missing integer field); empty for a well-formed line. analyze() skips
+  /// such lines and proto::check_stream reports them.
+  std::string error;
+  std::optional<std::uint64_t> region;  ///< unset for single-system traces
   bool meta = false;
   // meta == true:
   std::int64_t meta_track = 0;
@@ -46,9 +53,12 @@ struct TraceLine {
   Event event;
 };
 
-/// Parses one exporter line. Returns std::nullopt for blank lines or lines
-/// that are not trace-schema objects (unknown "kind" values fail).
+/// Parses one exporter line. Returns std::nullopt for a blank line, and a
+/// line with `error` set for one outside the schema.
 std::optional<TraceLine> parse_trace_line(std::string_view line);
+
+/// Parses every non-blank line of `jsonl`, stamping line numbers.
+std::vector<TraceLine> parse_trace(std::string_view jsonl);
 
 struct CriticalPathNode {
   std::uint64_t span = 0;

@@ -1,13 +1,16 @@
 // The protocol's state vocabulary — the single home of the Figure 1 / Figure 2
-// automata states, the terminal adaptation outcomes, and their names.
+// automata (states and transition relations), the terminal adaptation
+// outcomes, and their names.
 //
 // Everything that talks about manager phases or agent states (the sans-I/O
 // cores, the runtime drivers, the observability exporters, the interleaving
-// explorer, tools) includes this header, so a state name is rendered the same
-// way everywhere and a new state cannot be added in one place but not the
-// others.
+// explorer, the trace checker, tools) includes this header, so a state name
+// is rendered and parsed the same way everywhere, a recorded transition is
+// judged against one relation, and a new state cannot be added in one place
+// but not the others.
 #pragma once
 
+#include <optional>
 #include <string_view>
 
 namespace sa::proto {
@@ -24,11 +27,19 @@ enum class ManagerPhase {
 };
 
 std::string_view to_string(ManagerPhase phase);
+/// Inverse of to_string; std::nullopt for a name that is no phase.
+std::optional<ManagerPhase> manager_phase_from_string(std::string_view name);
+/// True iff Figure 2 has an edge `from` -> `to`.
+bool is_transition(ManagerPhase from, ManagerPhase to);
 
 /// Figure 1: the per-process agent automaton.
 enum class AgentState { Running, Resetting, Safe, Adapted, Resuming };
 
 std::string_view to_string(AgentState state);
+/// Inverse of to_string; std::nullopt for a name that is no state.
+std::optional<AgentState> agent_state_from_string(std::string_view name);
+/// True iff Figure 1 has an edge `from` -> `to`.
+bool is_transition(AgentState from, AgentState to);
 
 /// The coordinator's epoch pipeline over one manager-tree node (§7 scaled to
 /// a fleet): requests batch and coalesce during an epoch window, seal into
