@@ -52,6 +52,7 @@ class TraceHandle {
   /// Stamps the current time and, on an event without a track, the default
   /// track; then records. Call only after wants() returned true.
   void record(obs::Event event) const;
+  obs::TraceRecorder* recorder() const { return recorder_; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:

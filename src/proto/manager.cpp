@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "obs/trace_recorder.hpp"
 #include "util/log.hpp"
 
 namespace sa::proto {
@@ -38,9 +39,9 @@ AdaptationManager::AdaptationManager(runtime::Runtime& rt, runtime::NodeId node,
 AdaptationManager::~AdaptationManager() { transport_->set_handler(node_, nullptr); }
 
 void AdaptationManager::set_observability(obs::TraceRecorder* recorder,
-                                          obs::MetricsRegistry* metrics) {
+                                          obs::MetricsRegistry* metrics, std::int64_t track) {
   std::lock_guard lock(mutex_);
-  trace_.attach(recorder, metrics, obs::kManagerTrack);
+  trace_.attach(recorder, metrics, track);
 }
 
 void AdaptationManager::observe_blocked(config::ProcessId process, runtime::Time blocked) {
@@ -259,12 +260,15 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
       case OutputKind::BlockedObserved:
         observe_blocked(out.process, out.blocked);
         if (trace_.wants(obs::EventKind::BlockedWindow)) {
-          // The blocked window belongs to the agent's track; its parent is
-          // the owning adaptation request's span, so critical-path analysis
-          // can attribute per-process disruption to the tree node above it.
+          // The blocked window belongs to the agent's track (the process id
+          // unless the agent's node has its own); its parent is the owning
+          // adaptation request's span, so critical-path analysis can
+          // attribute per-process disruption to the tree node above it.
           obs::Event e;
           e.kind = obs::EventKind::BlockedWindow;
-          e.track = static_cast<std::int64_t>(out.process);
+          e.track = trace_.recorder()
+                        ->node_track(agents_.at(out.process).node)
+                        .value_or(static_cast<std::int64_t>(out.process));
           e.coords = coords_of(out.ref);
           e.span = span_of(node_, SpanKind::Request, out.request_id);
           e.value = static_cast<double>(out.blocked);

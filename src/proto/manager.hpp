@@ -54,9 +54,11 @@ class AdaptationManager {
 
   /// Wires the observability layer in: adaptation/step spans, Fig. 2 phase
   /// transitions, and protocol-timer events flow into `recorder` (when it is
-  /// enabled); latency/blocking histograms and outcome counters into
-  /// `metrics`. Null pointers detach. Normally called by the system facade.
-  void set_observability(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics);
+  /// enabled) on `track`; latency/blocking histograms and outcome counters
+  /// into `metrics`. Null pointers detach. Normally called by the system
+  /// facade.
+  void set_observability(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics,
+                         std::int64_t track = obs::kManagerTrack);
 
   /// Registers the agent responsible for `process`. `stage` orders resets
   /// within a step: lower stages (upstream/senders) quiesce first; agents in

@@ -27,8 +27,10 @@
 #include "core/paper_scenario.hpp"
 #include "core/system.hpp"
 #include "obs/export.hpp"
+#include "obs/trace_analysis.hpp"
 #include "obs/trace_recorder.hpp"
 #include "proto/effects.hpp"
+#include "proto/trace_check.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "runtime/threaded_runtime.hpp"
 
@@ -107,45 +109,18 @@ std::string jsonl(const obs::TraceRecorder& recorder) {
   return out.str();
 }
 
-/// Every Fig. 1 / Fig. 2 transition is legal and every agent's chain links
-/// up (the manager's too when `one_manager`: a composite's shard managers
-/// share the manager track). Every TimerFired follows more arms than cancels
-/// and fires of its slot (same track and label).
-void expect_legal_stream(const std::vector<obs::Event>& events, bool one_manager) {
-  const std::multimap<std::string, std::string> fig2{
-      {"running", "preparing"},     {"preparing", "adapting"},  {"preparing", "running"},
-      {"adapting", "adapted"},      {"adapting", "rolling-back"}, {"adapted", "resuming"},
-      {"resuming", "resumed"},      {"resuming", "running"},    {"resumed", "adapting"},
-      {"resumed", "running"},       {"rolling-back", "adapting"}, {"rolling-back", "running"},
-  };
-  const std::multimap<std::string, std::string> fig1{
-      {"running", "resetting"}, {"resetting", "safe"},   {"resetting", "running"},
-      {"safe", "adapted"},      {"safe", "running"},     {"adapted", "resuming"},
-      {"resuming", "running"},
-  };
-  const auto legal = [](const std::multimap<std::string, std::string>& relation,
-                        const obs::Event& e) {
-    for (auto [it, end] = relation.equal_range(e.detail); it != end; ++it) {
-      if (it->second == e.name) return true;
-    }
-    return false;
-  };
-  std::map<std::int64_t, std::string> state;  // per manager / agent track
+/// The recorded stream passes proto::check_stream (every Fig. 1 / Fig. 2
+/// transition is legal and chains on its track, every manager and agent ends
+/// running), and every TimerFired follows more arms than cancels and fires of
+/// its slot (same track and label).
+void expect_legal_stream(const obs::TraceRecorder& recorder) {
+  for (const std::string& violation : check_stream(obs::parse_trace(jsonl(recorder)))) {
+    ADD_FAILURE() << violation;
+  }
   std::map<std::pair<std::int64_t, std::string>, int> armed;
   std::size_t fired = 0;
-  for (const obs::Event& e : events) {
-    if (e.kind == obs::EventKind::ManagerPhase || e.kind == obs::EventKind::AgentState) {
-      const bool manager = e.kind == obs::EventKind::ManagerPhase;
-      auto [it, inserted] = state.emplace(e.track, "running");
-      if (one_manager || !manager) {
-        EXPECT_EQ(e.detail, it->second)
-            << "track " << e.track << " does not chain at seq " << e.seq;
-      }
-      EXPECT_TRUE(legal(manager ? fig2 : fig1, e))
-          << "illegal " << (manager ? "Fig. 2" : "Fig. 1") << " transition " << e.detail
-          << " -> " << e.name << " at seq " << e.seq;
-      it->second = e.name;
-    } else if (e.kind == obs::EventKind::TimerArmed) {
+  for (const obs::Event& e : recorder.events()) {
+    if (e.kind == obs::EventKind::TimerArmed) {
       ++armed[{e.track, e.name}];
     } else if (e.kind == obs::EventKind::TimerCancelled) {
       --armed[{e.track, e.name}];
@@ -210,7 +185,7 @@ TEST(StaleTimerFire, PaperMapOverRefusedCancelsMatchesThePlainSimulator) {
   late_rt.advance(runtime::seconds(60));
   EXPECT_GT(late_rt.late_clock().late_runs(), 0U);
   EXPECT_EQ(late.system.tracer().size(), events);
-  expect_legal_stream(late.system.tracer().events(), /*one_manager=*/true);
+  expect_legal_stream(late.system.tracer());
 }
 
 struct CompositeRun {
@@ -274,7 +249,7 @@ TEST(StaleTimerFire, CompositeRequestOverRefusedCancelsMatchesThePlainSimulator)
   late_rt.advance(runtime::seconds(600));
   EXPECT_GT(late_rt.late_clock().late_runs(), 0U);
   EXPECT_EQ(late.system.tracer().size(), events);
-  expect_legal_stream(late.system.tracer().events(), /*one_manager=*/false);
+  expect_legal_stream(late.system.tracer());
 }
 
 // Arms, re-arms and disarms one slot while the timer thread fires it. A
