@@ -710,7 +710,7 @@ FuzzArtifact artifact_from_json(const std::string& text) {
   FuzzArtifact artifact;
   artifact.scenario = require("scenario").string;
   if (const Value* backend = root.find("backend")) artifact.backend = backend->string;
-  artifact.seed = static_cast<std::uint64_t>(require("seed").number);
+  artifact.seed = require("seed").integer;
   if (const Value* fault = root.find("fault")) {
     artifact.fault = check::fault_from_string(fault->string);
   }

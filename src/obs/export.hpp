@@ -2,7 +2,7 @@
 //
 //   * write_jsonl        — one JSON object per event, in append (seq) order.
 //                          On SimRuntime the stream is byte-identical across
-//                          same-seed runs; scripts/check_trace.py validates
+//                          same-seed runs; proto::check_stream validates
 //                          the schema and the Fig. 1 / Fig. 2 state machines.
 //   * write_chrome_trace — Chrome trace_event JSON: one track per process
 //                          plus the manager (phase/state slices), async spans

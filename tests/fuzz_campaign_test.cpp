@@ -141,6 +141,18 @@ TEST(FuzzCampaign, ShrinkingKeepsTheViolationClass) {
   EXPECT_TRUE(matched);
 }
 
+// Seeds span 64 bits and violation strings may carry control bytes: both
+// survive the artifact's JSON exactly.
+TEST(FuzzCampaign, ArtifactKeepsA64BitSeedAndControlBytes) {
+  FuzzArtifact artifact;
+  artifact.scenario = "paper";
+  artifact.seed = 18446744073709551557ULL;  // 2^64 - 59: no double holds it
+  artifact.violations = {"resume\x01" "before adapt done"};
+  const FuzzArtifact parsed = artifact_from_json(to_json(artifact));
+  EXPECT_EQ(parsed.seed, artifact.seed);
+  EXPECT_EQ(parsed.violations, artifact.violations);
+}
+
 TEST(FuzzCampaign, ArtifactParserRejectsGarbage) {
   EXPECT_THROW(artifact_from_json("not json"), std::runtime_error);
   EXPECT_THROW(artifact_from_json("[]"), std::runtime_error);
