@@ -71,7 +71,7 @@ namespace sa::check {
 /// Visited-set shards at every thread count. A growing shard holds its old
 /// and new slot arrays at once, so more shards mean a smaller peak; 16 keeps
 /// that overshoot near 1/16 of the table while a shard of the exhaustive pair
-/// search's table (2^23 slots) still spans whole huge pages.
+/// search's table (2^22 slots) still spans whole huge pages.
 inline constexpr std::size_t kVisitedShards = 16;
 
 }  // namespace sa::check

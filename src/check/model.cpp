@@ -329,7 +329,10 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
         }
         break;
       case proto::OutputKind::StepCommitted:
-        if (!scenario_->invariants->satisfied(out.config)) {
+        // safe_configs lists every safe configuration, ascending, so a
+        // binary search judges the step without evaluating any invariant.
+        if (!std::binary_search(scenario_->safe_configs.begin(), scenario_->safe_configs.end(),
+                                out.config)) {
           std::string names;
           for (const auto& name : scenario_->invariants->violations(out.config)) {
             if (!names.empty()) names += ", ";

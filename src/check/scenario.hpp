@@ -41,6 +41,8 @@ struct Scenario {
   std::unique_ptr<config::ComponentRegistry> registry;
   std::unique_ptr<config::InvariantSet> invariants;
   std::unique_ptr<actions::ActionTable> actions;
+  /// Every safe configuration, ascending (config::enumerate_safe_pruned);
+  /// the model judges each committed step by a binary search here.
   std::vector<config::Configuration> safe_configs;
   std::unique_ptr<actions::SafeAdaptationGraph> sag;
   std::unique_ptr<actions::PathPlanner> planner;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <optional>
 
 #include "util/log.hpp"
 

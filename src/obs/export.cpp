@@ -100,8 +100,13 @@ void write_jsonl(const std::vector<Event>& events, std::ostream& out) {
 namespace {
 
 /// Chrome tids must be non-negative: the manager track (-1) becomes tid 0,
-/// process p becomes tid p + 1.
-std::int64_t tid_of(std::int64_t track) { return track + 1; }
+/// process or node p becomes tid p + 1, and the negative rows below it
+/// (coordinators: -101, -102, ...) get a range of their own, -track above a
+/// million, which process and node ids never reach.
+std::int64_t tid_of(std::int64_t track) {
+  constexpr std::int64_t kNegativeRowTids = 1'000'000;
+  return track >= kManagerTrack ? track + 1 : kNegativeRowTids - track;
+}
 
 std::string step_span_id(const StepCoords& c) {
   return "r" + std::to_string(c.request) + ".p" + std::to_string(c.plan) + ".s" +

@@ -36,17 +36,20 @@ inline std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
-/// Slots reserved up-front for `expected` values: load factor <= 0.5 at the
-/// expected size keeps probe chains short. Clamped before doubling, so a
-/// huge `expected` cannot wrap.
-std::size_t reserved_slots(std::size_t expected) {
-  const std::size_t wanted = std::min(expected, kMaxReserveSlots) * 2;
-  return std::clamp(next_pow2(wanted), kMinCapacity, kMaxReserveSlots);
+/// The one load policy of both sets: a table is over it once more than 15/16
+/// of its slots are taken.
+inline bool over_threshold(std::size_t values, std::size_t capacity) {
+  return values * 16 > capacity * 15;
 }
 
-/// Load factor 0.75.
-inline bool over_threshold(std::size_t values, std::size_t capacity) {
-  return values * 4 > capacity * 3;
+/// Slots reserved up-front for `expected` values: the smallest power of two
+/// that holds them without going over the load policy. Clamped first, so a
+/// huge `expected` cannot wrap.
+std::size_t reserved_slots(std::size_t expected) {
+  const std::size_t wanted = std::min(expected, kMaxReserveSlots);
+  std::size_t slots = kMinCapacity;
+  while (slots < kMaxReserveSlots && over_threshold(wanted, slots)) slots <<= 1;
+  return slots;
 }
 
 /// Puts `value` into the first empty slot of its probe chain. Only for

@@ -13,10 +13,20 @@
 //                           counter on the way. Each inserting thread counts
 //                           its fresh values privately and publishes them in
 //                           batches; a shard that the published counts show
-//                           three-quarters full is grown on a slow path that
-//                           briefly stops every inserter. High bits of the
-//                           mixed fingerprint pick the shard, so growth
+//                           over the load policy is grown on a slow path
+//                           that briefly stops every inserter. High bits of
+//                           the mixed fingerprint pick the shard, so growth
 //                           rehashes one shard at a time.
+//
+// Load policy. Both sets follow one rule: a table grows (doubles) only once
+// more than 15/16 of its slots are taken, and the up-front reservation for
+// `expected` values is the smallest power of two that holds them under that
+// same bound. Linear probing stays cheap that full because an insert's cost
+// is dominated by the one cache miss on its first slot, which the explorer
+// prefetches; the next slots of a probe chain share that line or follow it.
+// A lower bound would only double the table earlier: the exhaustive pair
+// search ends 91.5% full in 2^22 slots (32 MiB) where a 3/4 bound needs
+// 2^23, and its inserts cost no more (EXPERIMENTS.md, "Visited-set memory").
 //
 // Memory. Every slot array is its own anonymous mmap region: it starts as
 // untouched zero pages, so a large reservation costs nothing until the search
@@ -37,7 +47,7 @@
 //
 // Both sets cap their up-front reservation at 2^22 slots (32 MiB) in total,
 // so a huge expected count does not map eagerly; past the cap they grow on
-// demand.
+// demand, under the same load policy.
 #pragma once
 
 #include <atomic>
@@ -67,8 +77,8 @@ MappedSlots map_slots(std::size_t count);
 
 class FingerprintSet {
  public:
-  /// Reserves capacity for `expected` values up-front (rounded up to the next
-  /// power of two over the load-factor headroom, capped); the set still grows
+  /// Reserves capacity for `expected` values up-front (the smallest power of
+  /// two that holds them under the load policy, capped); the set still grows
   /// by doubling if the estimate was low.
   explicit FingerprintSet(std::size_t expected = 0);
 

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -37,10 +37,12 @@ void emit(LogLevel level, std::string_view component, std::string_view message);
 ///
 /// A disabled record (level below the global threshold) does no work at all:
 /// the component stays a borrowed string_view (callers pass literals that
-/// outlive the statement) and the ostringstream is only constructed on the
+/// outlive the statement) and the ostringstream is only allocated on the
 /// first streamed value, so `SA_DEBUG(...) << ...` costs two stores and a
 /// branch when debug logging is off. bench_protocol guards this with
-/// BM_DisabledLogging.
+/// BM_DisabledLogging. The stream lives behind a pointer, not in a
+/// std::optional: with -fsanitize=address, GCC 12 reports the disengaged
+/// optional's payload as maybe-uninitialized, which -Werror turns fatal.
 class LogRecord {
  public:
   LogRecord(LogLevel level, std::string_view component)
@@ -48,13 +50,15 @@ class LogRecord {
   LogRecord(const LogRecord&) = delete;
   LogRecord& operator=(const LogRecord&) = delete;
   ~LogRecord() {
-    if (enabled_) detail::emit(level_, component_, stream_ ? stream_->str() : std::string());
+    if (!enabled_) return;
+    const std::unique_ptr<std::ostringstream> stream(stream_);
+    detail::emit(level_, component_, stream ? stream->str() : std::string());
   }
 
   template <typename T>
   LogRecord& operator<<(const T& value) {
     if (enabled_) {
-      if (!stream_) stream_.emplace();
+      if (stream_ == nullptr) stream_ = new std::ostringstream;
       *stream_ << value;
     }
     return *this;
@@ -64,7 +68,10 @@ class LogRecord {
   LogLevel level_;
   std::string_view component_;
   bool enabled_;
-  std::optional<std::ostringstream> stream_;  ///< constructed on first <<
+  /// Allocated by the first << of an enabled record and deleted by the
+  /// destructor, so a disabled record's destructor is its one enabled_
+  /// branch (a smart-pointer member would add a second test).
+  std::ostringstream* stream_ = nullptr;
 };
 
 }  // namespace sa::util

@@ -3,7 +3,9 @@
 // caught, and every counterexample replays deterministically.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "check/explorer.hpp"
 #include "check/model.hpp"
@@ -104,6 +106,29 @@ TEST(Explorer, SimPolicyDrainsToSuccess) {
   EXPECT_TRUE(model.violations().empty());
   ASSERT_NE(model.outcome(), nullptr);
   EXPECT_EQ(model.outcome()->outcome, proto::AdaptationOutcome::Success);
+}
+
+// A planner over every configuration, safe or not, takes tiny through {A, B}:
+// growing B and then dropping A is cheaper than the swap. The manager commits
+// that unsafe step, and the model must name the invariant it breaks.
+TEST(Explorer, PlanThroughAnUnsafeConfigurationIsCaught) {
+  Scenario scenario = make_tiny_scenario();
+  scenario.actions->add("grow", {}, {"B"}, 0.25, "add B beside A");
+  scenario.actions->add("shrink", {"A"}, {}, 0.25, "remove A");
+  const std::vector<config::Configuration> every{
+      config::Configuration(0), config::Configuration(1), config::Configuration(2),
+      config::Configuration(3)};
+  scenario.sag = std::make_unique<actions::SafeAdaptationGraph>(*scenario.actions, every);
+  scenario.planner = std::make_unique<actions::PathPlanner>(*scenario.sag);
+  ExploreOptions options;
+  options.max_depth = 40;
+  const ExploreResult result = explore_dfs(scenario, options);
+  ASSERT_TRUE(result.counterexample.has_value());
+  ASSERT_FALSE(result.counterexample->violations.empty());
+  EXPECT_NE(result.counterexample->violations.front().find(
+                "committed unsafe configuration B,A (violates: exclusive)"),
+            std::string::npos)
+      << result.counterexample->violations.front();
 }
 
 // --- mutation checks: a broken manager core must be caught -------------------

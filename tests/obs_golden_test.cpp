@@ -8,11 +8,15 @@
 // coordinator tree whose epoch window and commit timeout both fire. Any
 // change to what the manager, agent or coordinator drivers record — event
 // order, coordinates, tracks, labels, values, metric series — moves a digest.
+// The composite run's Chrome export is checked for one valid tid per track.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_recorder.hpp"
 #include "runtime/sim_runtime.hpp"
+#include "util/json.hpp"
 
 namespace sa::obs {
 namespace {
@@ -99,49 +104,91 @@ TEST(ObsGolden, PaperMapWithLossAndFailingProcess) {
 // with the root's first link cut for good: the root seals its epoch when the
 // window fires, and the cut subtree's shards are orphaned when the commit
 // timeout fires.
-TEST(ObsGolden, CompositeTreeWithCutCoordinatorLink) {
-  runtime::SimRuntime sim(7);
-  inject::FaultyRuntime rt(sim, 11);
-  core::CompositeConfig config;
-  config.seed = 7;
-  config.topology.lanes_per_leaf = 1;
-  config.topology.fanout = 2;
-  config.topology.commit_timeout = runtime::ms(100);
-  core::CompositeAdaptationSystem system(rt, config);
-  constexpr std::size_t kClusters = 4;
+struct CutCompositeRun {
+  static core::CompositeConfig config() {
+    core::CompositeConfig config;
+    config.seed = 7;
+    config.topology.lanes_per_leaf = 1;
+    config.topology.fanout = 2;
+    config.topology.commit_timeout = runtime::ms(100);
+    return config;
+  }
+
+  runtime::SimRuntime sim{7};
+  inject::FaultyRuntime rt{sim, 11};
+  core::CompositeAdaptationSystem system{rt, config()};
   std::vector<std::unique_ptr<StubProcess>> processes;
-  for (std::size_t c = 0; c < kClusters; ++c) {
-    const std::string s = std::to_string(c);
-    system.registry().add("X" + s, static_cast<config::ProcessId>(c));
-    system.registry().add("Y" + s, static_cast<config::ProcessId>(c));
-  }
-  config::Configuration source, target;
-  for (std::size_t c = 0; c < kClusters; ++c) {
-    const std::string s = std::to_string(c);
-    system.add_invariant("one" + s, "one(X" + s + ", Y" + s + ")");
-    system.add_action("swap" + s, {"X" + s}, {"Y" + s}, 10);
-    system.add_action("back" + s, {"Y" + s}, {"X" + s}, 10);
-    processes.push_back(std::make_unique<StubProcess>());
-    system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
-    source = source.with(static_cast<config::ComponentId>(2 * c));
-    target = target.with(static_cast<config::ComponentId>(2 * c + 1));
-  }
-  system.tracer().set_detail(TraceDetail::Full);
-  system.tracer().set_enabled(true);
-  system.finalize();
-  system.set_current_configuration(source);
-  ASSERT_FALSE(system.coordinator_links().empty());
-  const auto [parent, child] = system.coordinator_links().front();
-  rt.faulty_transport().partition_pair(parent, child, true);
+  core::CompositeResult result;
 
-  const core::CompositeResult result = system.adapt_and_wait(target);
-  EXPECT_FALSE(result.success);
-  EXPECT_GT(result.orphaned, 0U);
-  EXPECT_GT(count(system.tracer(), EventKind::TimerFired, "epoch window"), 0U);
-  EXPECT_GT(count(system.tracer(), EventKind::TimerFired, "commit timeout"), 0U);
+  CutCompositeRun() {
+    constexpr std::size_t kClusters = 4;
+    for (std::size_t c = 0; c < kClusters; ++c) {
+      const std::string s = std::to_string(c);
+      system.registry().add("X" + s, static_cast<config::ProcessId>(c));
+      system.registry().add("Y" + s, static_cast<config::ProcessId>(c));
+    }
+    config::Configuration source, target;
+    for (std::size_t c = 0; c < kClusters; ++c) {
+      const std::string s = std::to_string(c);
+      system.add_invariant("one" + s, "one(X" + s + ", Y" + s + ")");
+      system.add_action("swap" + s, {"X" + s}, {"Y" + s}, 10);
+      system.add_action("back" + s, {"Y" + s}, {"X" + s}, 10);
+      processes.push_back(std::make_unique<StubProcess>());
+      system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
+      source = source.with(static_cast<config::ComponentId>(2 * c));
+      target = target.with(static_cast<config::ComponentId>(2 * c + 1));
+    }
+    system.tracer().set_detail(TraceDetail::Full);
+    system.tracer().set_enabled(true);
+    system.finalize();
+    system.set_current_configuration(source);
+    if (system.coordinator_links().empty()) throw std::logic_error("tree has no coordinator link");
+    const auto [parent, child] = system.coordinator_links().front();
+    rt.faulty_transport().partition_pair(parent, child, true);
+    result = system.adapt_and_wait(target);
+  }
+};
 
-  const std::string text = export_all(system.tracer(), system.metrics());
+TEST(ObsGolden, CompositeTreeWithCutCoordinatorLink) {
+  CutCompositeRun run;
+  EXPECT_FALSE(run.result.success);
+  EXPECT_GT(run.result.orphaned, 0U);
+  EXPECT_GT(count(run.system.tracer(), EventKind::TimerFired, "epoch window"), 0U);
+  EXPECT_GT(count(run.system.tracer(), EventKind::TimerFired, "commit timeout"), 0U);
+
+  const std::string text = export_all(run.system.tracer(), run.system.metrics());
   EXPECT_EQ(fnv1a(text), 0x33811deb1f997a11ULL) << std::hex << fnv1a(text);
+}
+
+// The same run's Chrome export: shard managers and agents record on tracks
+// numbered by their nodes, coordinators on negative tracks, and every one of
+// them must land on a non-negative tid of its own.
+TEST(ObsGolden, CompositeChromeExportGivesEachTrackItsOwnNonNegativeTid) {
+  CutCompositeRun run;
+  std::ostringstream out;
+  write_chrome_trace(run.system.tracer(), out);
+  const util::JsonValue trace = util::parse_json(out.str(), "Chrome trace");
+  const util::JsonValue* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+
+  std::set<std::int64_t> thread_tids;
+  std::size_t thread_names = 0;
+  for (const util::JsonValue& e : events->array) {
+    const util::JsonValue* tid = e.find("tid");
+    if (tid == nullptr) continue;
+    ASSERT_TRUE(tid->is_integer);
+    const auto value = static_cast<std::int64_t>(tid->integer);
+    EXPECT_GE(value, 0);
+    const util::JsonValue* name = e.find("name");
+    if (name != nullptr && name->string == "thread_name") {
+      ++thread_names;
+      thread_tids.insert(value);
+    }
+  }
+  const std::map<std::int64_t, std::string> tracks = run.system.tracer().track_names();
+  EXPECT_LT(tracks.begin()->first, kManagerTrack) << "the run has no coordinator track";
+  EXPECT_EQ(thread_names, tracks.size());
+  EXPECT_EQ(thread_tids.size(), tracks.size()) << "two tracks share a tid";
 }
 
 }  // namespace

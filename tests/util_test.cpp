@@ -222,6 +222,18 @@ TEST(FingerprintSet, ReservationAvoidsEarlyGrowth) {
   EXPECT_EQ(set.capacity(), initial);
 }
 
+TEST(FingerprintSet, GrowsOnlyPastFifteenSixteenthsOfItsReservation) {
+  // 15,360 is exactly 15/16 of 16,384: the reservation is that power of two,
+  // and the set fills it to the bound before its first doubling.
+  FingerprintSet set(/*expected=*/15'360);
+  ASSERT_EQ(set.capacity(), 16'384U);
+  for (std::uint64_t i = 1; i <= 15'360; ++i) set.insert(i * 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(set.capacity(), 16'384U);
+  set.insert(15'361 * 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(set.capacity(), 32'768U);
+  EXPECT_EQ(set.size(), 15'361U);
+}
+
 TEST(FingerprintSet, HugeExpectedCountReservesOnlyTheCap) {
   // expected * 2 used to wrap, and the power-of-two search never ended.
   const FingerprintSet set(std::numeric_limits<std::size_t>::max());
@@ -240,19 +252,22 @@ TEST(ShardedFingerprintSet, ReservationCapCoversAllShards) {
 }
 
 TEST(ShardedFingerprintSet, PeakBytesAreFinalPlusLargestShardGrownFrom) {
-  // 16 shards of 4096 slots; 65,536 values put about 4096 in each, so every
-  // shard doubles exactly once. Old arrays are unmapped right after their
-  // rehash: the peak is the final table plus one 4096-slot shard.
+  // 16 shards of 4096 slots; 90,000 values put about 5,625 in each (sigma
+  // 75), far past 15/16 of 4096 (3,840) and far below 15/16 of 8192 (7,680),
+  // so every shard doubles exactly once. Old arrays are unmapped right after
+  // their rehash: the peak is the final table plus one 4096-slot shard.
   ShardedFingerprintSet set(/*expected=*/32'768, /*shards=*/16);
   ASSERT_EQ(set.capacity(), 16U * 4096);
   EXPECT_EQ(set.peak_bytes(), set.capacity() * sizeof(std::uint64_t));
   Rng rng(3);
-  for (int i = 0; i < 65'536; ++i) set.insert(rng.next_u64());
+  for (int i = 0; i < 90'000; ++i) set.insert(rng.next_u64());
   ASSERT_EQ(set.capacity(), 16U * 8192);
   EXPECT_EQ(set.peak_bytes(), (16U * 8192 + 4096) * sizeof(std::uint64_t));
 }
 
 TEST(ShardedFingerprintSet, OneShardPeaksAtOneAndAHalfTimesItsFinalSize) {
+  // 10,000 values pass 15/16 of 8,192 (7,680) and stay under 15/16 of
+  // 16,384 (15,360): the last growth is 8,192 -> 16,384 slots.
   ShardedFingerprintSet set(/*expected=*/16, /*shards=*/1);
   Rng rng(4);
   for (int i = 0; i < 10'000; ++i) set.insert(rng.next_u64());
@@ -301,20 +316,52 @@ TEST(ShardedFingerprintSetParallel, GrowsWhileEightThreadsInsert) {
 }
 
 TEST(ShardedFingerprintSetParallel, SixteenShardsGrowWhileEightThreadsInsert) {
-  // The explorer's layout: 16 shards. 120k values put about 7,500 in each,
-  // so every shard ends at 16,384 slots after growing from 8,192 — and
-  // growths are serialized, so the peak is the final table plus one such
-  // shard, however the threads interleave.
+  // The explorer's layout: 16 shards. 192k values put about 12,000 in each
+  // (sigma 110): past 15/16 of 8,192 (7,680) even with eight threads' worth
+  // of unpublished counts, and under 15/16 of 16,384 (15,360). So every
+  // shard ends at 16,384 slots after growing from 8,192 — and growths are
+  // serialized, so the peak is the final table plus one such shard, however
+  // the threads interleave.
   ShardedFingerprintSet set(/*expected=*/16, /*shards=*/16);
   std::vector<std::uint64_t> values;
   Rng rng(12);
-  for (int i = 0; i < 120'000; ++i) values.push_back(rng.next_u64());
+  for (int i = 0; i < 192'000; ++i) values.push_back(rng.next_u64());
   const std::size_t fresh = insert_from_eight_threads(set, values);
   const std::set<std::uint64_t> reference(values.begin(), values.end());
   EXPECT_EQ(fresh, reference.size());
   EXPECT_EQ(set.size(), reference.size());
   ASSERT_EQ(set.capacity(), 16U * 16'384);
   EXPECT_EQ(set.peak_bytes(), (16U * 16'384 + 8'192) * sizeof(std::uint64_t));
+  for (const std::uint64_t value : values) EXPECT_FALSE(set.insert(value));
+}
+
+TEST(ShardedFingerprintSetParallel, SixteenShardsFillToFifteenSixteenthsThenGrowOnce) {
+  // The explorer's reservation rule at its own scale: 2^20 slots in 16
+  // shards of 65,536. Filled to 0.92 (about 60,290 per shard, sigma 245,
+  // 4.7 sigma under 15/16 = 61,440) the set must not grow. Filled to 0.97
+  // (about 63,570 per shard, 8.7 sigma past it, and under 2^16 itself)
+  // every shard must grow exactly once.
+  constexpr std::size_t kSlots = std::size_t{1} << 20;
+  const std::size_t fill = kSlots * 92 / 100;
+  ShardedFingerprintSet set(/*expected=*/fill, /*shards=*/16);
+  ASSERT_EQ(set.capacity(), kSlots);
+  std::vector<std::uint64_t> values;
+  Rng rng(13);
+  for (std::size_t i = 0; i < fill; ++i) values.push_back(rng.next_u64());
+  std::set<std::uint64_t> reference(values.begin(), values.end());
+  EXPECT_EQ(insert_from_eight_threads(set, values), reference.size());
+  EXPECT_EQ(set.size(), reference.size());
+  EXPECT_EQ(set.capacity(), kSlots);
+  EXPECT_EQ(set.peak_bytes(), kSlots * sizeof(std::uint64_t));
+
+  std::vector<std::uint64_t> more;
+  for (std::size_t i = fill; i < kSlots * 97 / 100; ++i) more.push_back(rng.next_u64());
+  const std::size_t before = reference.size();
+  reference.insert(more.begin(), more.end());
+  EXPECT_EQ(insert_from_eight_threads(set, more), reference.size() - before);
+  EXPECT_EQ(set.size(), reference.size());
+  ASSERT_EQ(set.capacity(), 2 * kSlots);
+  EXPECT_EQ(set.peak_bytes(), (2 * kSlots + kSlots / 16) * sizeof(std::uint64_t));
   for (const std::uint64_t value : values) EXPECT_FALSE(set.insert(value));
 }
 
