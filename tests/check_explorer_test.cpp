@@ -3,7 +3,9 @@
 // caught, and every counterexample replays deterministically.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -171,6 +173,51 @@ TEST(Explorer, RollbackAfterResumeIsCaughtAndReplays) {
   EXPECT_TRUE(replayed.schedule_valid);
   ASSERT_FALSE(replayed.violations.empty());
   EXPECT_EQ(replayed.violations.front().description, result.counterexample->violations.front());
+}
+
+// A search's models record no transitions, so its forks copy none: turning
+// recording off drops the events start() already recorded. Replay keeps
+// recording on and still returns the whole Fig. 1/2 log from the start.
+TEST(Explorer, RecordingOffDropsRecordedTransitionsAndForksCopyNone) {
+  const Scenario scenario = make_pair_scenario();
+  const ExploreOptions options;
+  Model recycled = make_model(scenario, options);
+  ASSERT_FALSE(recycled.transitions().empty()) << "start() records the manager's first phases";
+
+  Model model = make_model(scenario, options);
+  model.set_record_transitions(false);
+  EXPECT_TRUE(model.transitions().empty());
+  EXPECT_EQ(model.transitions().capacity(), 0U);
+  const Model copy = model;
+  EXPECT_TRUE(copy.transitions().empty());
+  recycled = model;  // a fork target that held recorded events
+  EXPECT_TRUE(recycled.transitions().empty());
+
+  // Walk the simulator's schedule to quiescence with recording off: no fork
+  // along it gains an event.
+  std::vector<Choice> schedule;
+  Model recording = make_model(scenario, options);
+  const std::size_t start_events = recording.transitions().size();
+  while (const std::optional<Choice> choice = model.sim_choice()) {
+    Model fork = model;
+    ASSERT_TRUE(fork.apply(*choice));
+    EXPECT_TRUE(fork.transitions().empty());
+    model = fork;
+    ASSERT_TRUE(recording.apply(*choice));
+    schedule.push_back(*choice);
+  }
+  ASSERT_NE(model.outcome(), nullptr);
+  EXPECT_EQ(model.outcome()->outcome, proto::AdaptationOutcome::Success);
+
+  const ReplayResult replayed = replay(scenario, options, schedule);
+  ASSERT_TRUE(replayed.schedule_valid);
+  ASSERT_EQ(replayed.transitions.size(), recording.transitions().size());
+  EXPECT_GT(replayed.transitions.size(), start_events);
+  for (std::size_t i = 0; i < replayed.transitions.size(); ++i) {
+    EXPECT_EQ(replayed.transitions[i].seq, i);
+    EXPECT_EQ(replayed.transitions[i].kind, recording.transitions()[i].kind) << "event " << i;
+    EXPECT_EQ(replayed.transitions[i].name, recording.transitions()[i].name) << "event " << i;
+  }
 }
 
 TEST(Explorer, CounterexampleJsonRoundTrips) {
