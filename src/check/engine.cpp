@@ -491,44 +491,69 @@ class FrontierEngine {
     return std::nullopt;
   }
 
+  /// Expands frames from a private LIFO stack, refilled from the worker's
+  /// deque or by stealing when it runs dry. The stack is shared only while
+  /// another worker sleeps: then its older (shallower) half moves to the
+  /// locked deque, where thieves take the oldest first.
+  ///
+  /// pending_ counts frames not yet expanded, wherever they are, plus those
+  /// being expanded, so it reaches 0 only when the search has drained. A frame
+  /// with k surviving children adds k - 1 to it in one step; a frame with one
+  /// child hands its count to that child and touches no shared line.
   void worker_loop(int worker) {
     WorkerStats& ws = stats_[static_cast<std::size_t>(worker)];
     WorkerQueue& own = queues_[static_cast<std::size_t>(worker)];
     Scratch scratch;
-    std::vector<Frame> buffer;
+    std::vector<Frame> stack;
     while (!stop_.load(std::memory_order_relaxed) &&
            pending_.load(std::memory_order_acquire) != 0) {
-      std::optional<Frame> frame = try_pop(worker);
-      if (!frame) {
-        // Nothing local, nothing to steal: sleep until a producer pushes or
-        // the search drains. The timeout bounds termination latency when a
-        // notify races the wait.
-        std::unique_lock<std::mutex> lock(idle_mu_);
-        sleepers_.fetch_add(1, std::memory_order_relaxed);
-        idle_cv_.wait_for(lock, std::chrono::microseconds(200));
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      buffer.clear();
-      expand_children(std::move(*frame), ws, scratch, buffer);
-      if (!buffer.empty()) {
-        pending_.fetch_add(buffer.size(), std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(own.mu);
-          // buffer is in reverse choice order, so pushing forward puts the
-          // first choice's child on top of the LIFO and local expansion stays
-          // depth-first preorder.
-          for (Frame& child : buffer) {
-            own.frames.push_back(std::move(child));
-          }
+      if (stack.empty()) {
+        std::optional<Frame> frame = try_pop(worker);
+        if (!frame) {
+          // Nothing local, nothing to steal: sleep until a producer shares
+          // or the search drains. The timeout bounds termination latency
+          // when a notify races the wait.
+          std::unique_lock<std::mutex> lock(idle_mu_);
+          sleepers_.fetch_add(1, std::memory_order_relaxed);
+          idle_cv_.wait_for(lock, std::chrono::microseconds(200));
+          sleepers_.fetch_sub(1, std::memory_order_relaxed);
+          continue;
         }
-        if (sleepers_.load(std::memory_order_relaxed) > 0) idle_cv_.notify_all();
+        stack.push_back(std::move(*frame));
       }
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(idle_mu_);
-        idle_cv_.notify_all();
+      Frame frame = std::move(stack.back());
+      stack.pop_back();
+      const std::size_t before = stack.size();
+      // Children land in reverse choice order, so the first choice's child
+      // ends on top of the stack and expansion stays depth-first preorder.
+      expand_children(std::move(frame), ws, scratch, stack);
+      const std::size_t children = stack.size() - before;
+      if (children == 0) {
+        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          std::lock_guard<std::mutex> lock(idle_mu_);
+          idle_cv_.notify_all();
+        }
+      } else if (children > 1) {
+        pending_.fetch_add(children - 1, std::memory_order_relaxed);
+      }
+      if (stack.size() > 1 && sleepers_.load(std::memory_order_relaxed) > 0) {
+        share_older_half(own, stack);
       }
     }
+  }
+
+  /// Moves the bottom half of `stack` to the worker's deque, oldest first,
+  /// and wakes the sleepers to steal it.
+  void share_older_half(WorkerQueue& own, std::vector<Frame>& stack) {
+    const auto half = static_cast<std::ptrdiff_t>(stack.size() / 2);
+    {
+      std::lock_guard<std::mutex> lock(own.mu);
+      for (auto it = stack.begin(); it != stack.begin() + half; ++it) {
+        own.frames.push_back(std::move(*it));
+      }
+    }
+    stack.erase(stack.begin(), stack.begin() + half);
+    idle_cv_.notify_all();
   }
 
   void record_violation(const PathPtr& path, const Choice* last,

@@ -3,10 +3,17 @@
 // The frontier search runs a fixed pool of workers over explicit stack frames
 // (Model + schedule chain + depth) instead of recursion:
 //
-//   * each worker owns a mutex-guarded deque; the owner pushes and pops at
-//     the back (LIFO — depth-first, keeps the frontier small), idle workers
-//     steal from the front of a victim's deque (FIFO — steals the shallowest
-//     frame, i.e. the largest remaining subtree);
+//   * each worker expands frames from a private stack (LIFO — depth-first,
+//     keeps the frontier small) and owns a mutex-guarded deque. While
+//     another worker sleeps, it moves the older half of its stack to the
+//     back of its deque; idle workers steal from the front of a victim's
+//     deque (FIFO — steals the shallowest frame, i.e. the largest remaining
+//     subtree), and an owner whose stack runs dry pops its deque's back.
+//     No lock is taken while nobody is idle;
+//   * the count of frames not yet finished (pending_, the termination test)
+//     changes once per frame at most: a frame with k > 1 children adds
+//     k - 1, a leaf subtracts 1, and a frame with one child hands its count
+//     to that child;
 //   * the pool is seeded by expanding a breadth-first prefix of the tree
 //     until there are a few frames per worker to spread across the deques;
 //   * visited-state deduplication goes through a sharded open-addressing
