@@ -141,7 +141,9 @@ void FingerprintSet::grow() {
 // operations, so either the inserter sees `growing_` and backs off before
 // touching the shard, or the grower sees the flag and waits for the probe to
 // finish. Each inserter writes only its own flag's cache line, so the fast
-// path shares nothing with other inserters but the slots themselves.
+// path shares nothing with other inserters but the slots themselves. A
+// ScopedWriter holds the flag across a run of inserts, so the run pays for
+// one handshake.
 
 ShardedFingerprintSet::ShardedFingerprintSet(std::size_t expected, std::size_t shards)
     : id_(g_next_set_id.fetch_add(1, std::memory_order_relaxed)),
@@ -189,7 +191,7 @@ ShardedFingerprintSet::Writer& ShardedFingerprintSet::writer() {
   if (found == nullptr) {
     auto fresh = std::make_unique<Writer>();
     fresh->owner = me;
-    fresh->pending = std::make_unique<std::atomic<std::size_t>[]>(shards_.size());
+    fresh->pending = std::make_unique<PendingCounts[]>((shards_.size() + 7) / 8);
     found = fresh.get();
     writers_.push_back(std::move(fresh));
   }
@@ -197,45 +199,47 @@ ShardedFingerprintSet::Writer& ShardedFingerprintSet::writer() {
   return *found;
 }
 
-bool ShardedFingerprintSet::insert(std::uint64_t value) {
-  if (value == 0) value = kZeroSentinel;
-  const std::uint64_t mixed = remix(value);
-  const std::size_t s = shard_of(mixed);
-  Writer& w = writer();
+void ShardedFingerprintSet::enter(Writer& w) {
   while (true) {
     w.active.store(true);
-    if (growing_.load()) {
-      w.active.store(false, std::memory_order_release);
-      while (growing_.load(std::memory_order_acquire)) std::this_thread::yield();
-      continue;
-    }
-    Shard& shard = shards_[s];
+    if (!growing_.load()) return;
+    w.active.store(false, std::memory_order_release);
+    while (growing_.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+}
+
+void ShardedFingerprintSet::leave(Writer& w) { w.active.store(false, std::memory_order_release); }
+
+bool ShardedFingerprintSet::insert(std::uint64_t value) { return ScopedWriter(*this).insert(value); }
+
+ShardedFingerprintSet::ScopedWriter::ScopedWriter(ShardedFingerprintSet& set)
+    : set_(set), writer_(set.writer()) {
+  set_.enter(writer_);
+}
+
+ShardedFingerprintSet::ScopedWriter::~ScopedWriter() { set_.leave(writer_); }
+
+bool ShardedFingerprintSet::ScopedWriter::insert(std::uint64_t value) {
+  if (value == 0) value = kZeroSentinel;
+  const std::uint64_t mixed = remix(value);
+  const std::size_t s = set_.shard_of(mixed);
+  while (true) {
+    Shard& shard = set_.shards_[s];
     std::uint64_t* const slots = shard.slots.load(std::memory_order_relaxed);
     const std::size_t mask = shard.mask.load(std::memory_order_relaxed);
     std::size_t idx = static_cast<std::size_t>(mixed) & mask;
-    bool inserted = false;
-    bool present = false;
     for (std::size_t probes = 0; probes <= mask; ++probes) {
       std::atomic_ref<std::uint64_t> slot(slots[idx]);
       std::uint64_t seen = slot.load(std::memory_order_relaxed);
       if (seen == 0 && slot.compare_exchange_strong(seen, value, std::memory_order_relaxed)) {
-        inserted = true;
-        break;
+        set_.publish(writer_, s, mask);
+        return true;
       }
-      if (seen == value) {
-        present = true;
-        break;
-      }
+      if (seen == value) return false;
       idx = (idx + 1) & mask;
     }
-    w.active.store(false, std::memory_order_release);
-    if (present) return false;
-    if (inserted) {
-      publish(w, s, mask);
-      return true;
-    }
     // Every slot is taken (unpublished counts hid the load): grow and retry.
-    grow(s, mask);
+    set_.grow_from_scope(writer_, s, mask);
   }
 }
 
@@ -252,7 +256,7 @@ void ShardedFingerprintSet::prefetch(std::uint64_t value) const {
 
 void ShardedFingerprintSet::publish(Writer& w, std::size_t shard, std::size_t seen_mask) {
   const std::size_t batch = std::clamp<std::size_t>((seen_mask + 1) >> 6, 1, kPublishBatch);
-  std::atomic<std::size_t>& pending = w.pending[shard];
+  std::atomic<std::size_t>& pending = w.pending_of(shard);
   const std::size_t count = pending.load(std::memory_order_relaxed) + 1;
   if (count < batch) {
     pending.store(count, std::memory_order_relaxed);
@@ -261,7 +265,13 @@ void ShardedFingerprintSet::publish(Writer& w, std::size_t shard, std::size_t se
   pending.store(0, std::memory_order_relaxed);
   const std::size_t total =
       shards_[shard].published.fetch_add(count, std::memory_order_relaxed) + count;
-  if (over_threshold(total, seen_mask + 1)) grow(shard, seen_mask);
+  if (over_threshold(total, seen_mask + 1)) grow_from_scope(w, shard, seen_mask);
+}
+
+void ShardedFingerprintSet::grow_from_scope(Writer& w, std::size_t shard, std::size_t seen_mask) {
+  leave(w);
+  grow(shard, seen_mask);
+  enter(w);
 }
 
 void ShardedFingerprintSet::grow(std::size_t shard_index, std::size_t seen_mask) {
@@ -297,7 +307,7 @@ std::size_t ShardedFingerprintSet::size() const {
   for (const Shard& shard : shards_) total += shard.published.load(std::memory_order_relaxed);
   for (const auto& w : writers_) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      total += w->pending[s].load(std::memory_order_relaxed);
+      total += w->pending_of(s).load(std::memory_order_relaxed);
     }
   }
   return total;

@@ -16,7 +16,9 @@
 //                           over the load policy is grown on a slow path
 //                           that briefly stops every inserter. High bits of
 //                           the mixed fingerprint pick the shard, so growth
-//                           rehashes one shard at a time.
+//                           rehashes one shard at a time. A ScopedWriter
+//                           runs many inserts under one stop-the-world
+//                           handshake (the explorer opens one per frame).
 //
 // Load policy. Both sets follow one rule: a table grows (doubles) only once
 // more than 15/16 of its slots are taken, and the up-front reservation for
@@ -107,8 +109,11 @@ class ShardedFingerprintSet {
   ShardedFingerprintSet(const ShardedFingerprintSet&) = delete;
   ShardedFingerprintSet& operator=(const ShardedFingerprintSet&) = delete;
 
+  class ScopedWriter;
+
   /// True iff `value` was not present. Thread-safe; lock-free except while a
-  /// shard grows, when every inserter waits for the rehash to finish.
+  /// shard grows, when every inserter waits for the rehash to finish. One
+  /// insert in its own ScopedWriter.
   bool insert(std::uint64_t value);
 
   /// Starts loading the cache line where insert(value) begins its probe, so
@@ -137,19 +142,34 @@ class ShardedFingerprintSet {
     std::atomic<std::size_t> published{0};  ///< fresh values counted so far
   };
 
+  /// Eight of a writer's per-shard counts: a cache line of them, so no two
+  /// writers' counts share a line.
+  struct alignas(64) PendingCounts {
+    std::atomic<std::size_t> count[8];
+  };
+
   /// One inserting thread: its in-progress flag (the stop-the-world
   /// handshake) and its not-yet-published fresh counts per shard.
   struct alignas(64) Writer {
     std::atomic<bool> active{false};
     std::thread::id owner;
-    std::unique_ptr<std::atomic<std::size_t>[]> pending;
+    std::unique_ptr<PendingCounts[]> pending;
+    std::atomic<std::size_t>& pending_of(std::size_t shard) {
+      return pending[shard / 8].count[shard % 8];
+    }
   };
 
   std::size_t shard_of(std::uint64_t mixed) const;
   Writer& writer();
+  /// The handshake: sets `writer`'s active flag once no shard is growing.
+  void enter(Writer& writer);
+  void leave(Writer& writer);
   void publish(Writer& writer, std::size_t shard, std::size_t seen_mask);
   /// Doubles `shard` unless another thread already grew it past `seen_mask`.
+  /// The caller must not be active.
   void grow(std::size_t shard, std::size_t seen_mask);
+  /// grow() from inside an active scope: leaves the handshake around it.
+  void grow_from_scope(Writer& writer, std::size_t shard, std::size_t seen_mask);
 
   const std::uint64_t id_;  ///< distinguishes sets in the per-thread writer cache
   std::vector<Shard> shards_;
@@ -161,6 +181,28 @@ class ShardedFingerprintSet {
   std::vector<std::unique_ptr<Writer>> writers_;
   std::size_t bytes_ = 0;       ///< slot bytes mapped now
   std::size_t peak_bytes_ = 0;  ///< most slot bytes mapped at once
+};
+
+/// One thread's run of inserts under a single stop-the-world handshake: the
+/// constructor waits out any growing shard and marks the thread active, the
+/// destructor clears the mark, and each insert between them is a probe and a
+/// compare-and-swap with no handshake of its own. An insert that has to grow
+/// a shard steps out of the handshake for the growth and back in after it.
+/// A growing shard waits for every open scope to close, so a scope must not
+/// wait for another inserting thread, and a thread opens one at a time.
+class ShardedFingerprintSet::ScopedWriter {
+ public:
+  explicit ScopedWriter(ShardedFingerprintSet& set);
+  ~ScopedWriter();
+  ScopedWriter(const ScopedWriter&) = delete;
+  ScopedWriter& operator=(const ScopedWriter&) = delete;
+
+  /// True iff `value` was not present (and is now).
+  bool insert(std::uint64_t value);
+
+ private:
+  ShardedFingerprintSet& set_;
+  Writer& writer_;
 };
 
 }  // namespace sa::util
