@@ -109,7 +109,7 @@ ExploreResult explore_random(const Scenario& scenario, const ExploreOptions& opt
 
 struct ReplayResult {
   std::vector<Violation> violations;
-  std::optional<proto::AdaptationResult> outcome;
+  std::optional<proto::AdaptationSummary> outcome;
   std::vector<obs::Event> transitions;
   /// False if some schedule entry was not enabled (schedule and scenario /
   /// options diverged); violations up to that point are still reported.

@@ -389,7 +389,7 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
         }
         break;
       case proto::OutputKind::Outcome:
-        outcome_ = std::make_shared<const proto::AdaptationResult>(out.result);
+        outcome_ = out.result;
         // Judged here, not at quiescence: a depth-capped schedule never
         // reaches finalize().
         for (std::string& what : proto::outcome_violations(
@@ -532,7 +532,7 @@ std::uint64_t Model::fingerprint() const {
   }
   mix(h, static_cast<std::uint64_t>(drops_left_));
   mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_ != nullptr);
+  mix(h, outcome_.has_value());
   // The safety monitor is intentionally not mixed in: it only records the
   // manager's own sends and receives, so for the current step it is a
   // function of the manager core's per-step state (involved set, acks, resume
@@ -579,7 +579,7 @@ std::uint64_t Model::canonical_fingerprint() const {
   for (const std::uint64_t sub : subs) mix(h, sub);
   mix(h, static_cast<std::uint64_t>(drops_left_));
   mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_ != nullptr);
+  mix(h, outcome_.has_value());
   return h;
 }
 

@@ -166,7 +166,7 @@ class Model {
 
   const std::vector<Violation>& violations() const { return violations_; }
   /// The manager's terminal result, or nullptr while the request is open.
-  const proto::AdaptationResult* outcome() const { return outcome_.get(); }
+  const proto::AdaptationSummary* outcome() const { return outcome_ ? &*outcome_ : nullptr; }
   /// Fig. 1 / Fig. 2 transitions in emission order, as the runtime drivers
   /// record them (proto::transition_event), on the manager track or the
   /// agent's process track; seq is the index, time the model's clock.
@@ -348,9 +348,8 @@ class Model {
 
   proto::SafetyMonitor monitor_;  ///< P2/P3 over the manager's sends and receives
   std::vector<Violation> violations_;
-  /// Shared rather than held by value: the result carries a detail string,
-  /// and a fork of a finished run should copy a pointer, not the string.
-  std::shared_ptr<const proto::AdaptationResult> outcome_;
+  /// Held by value: the summary has no text, so a fork copies plain bytes.
+  std::optional<proto::AdaptationSummary> outcome_;
   std::vector<obs::Event> transitions_;
 };
 

@@ -1,5 +1,7 @@
 #include "proto/core/agent_core.hpp"
 
+#include "util/block_pool.hpp"
+
 namespace sa::proto {
 
 namespace {
@@ -55,7 +57,7 @@ template <typename Msg>
 void AgentCore::send(const StepRef& step, Msg prototype) {
   prototype.step = step;
   Output& out = emit(OutputKind::Send);
-  out.message = std::make_shared<Msg>(std::move(prototype));
+  out.message = util::make_pooled<Msg>(std::move(prototype));
 }
 
 void AgentCore::set_state(AgentState next) {

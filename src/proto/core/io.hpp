@@ -12,8 +12,11 @@
 // The runtime drivers pass a local vector per input. The model checker keeps
 // one buffer per thread and nesting depth (an agent's outputs can step the
 // same agent again while the outer list is being applied), so stepping a
-// forked core allocates only the messages it sends. Output::command shares
-// the step's LocalCommand instead of copying it.
+// forked core allocates only the messages it sends, and those come from
+// per-thread free lists (util/block_pool.hpp). Output::command shares the
+// step's LocalCommand instead of copying it, Output::name points at a
+// literal or the action table, and an Outcome carries its reason as data
+// (OutcomeReason) that the driver formats only where it records the text.
 //
 // Delivery contract: a MessageDelivered input does not own its message. It
 // points at a MessagePtr the caller holds, which must stay valid for the one
@@ -38,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -131,6 +135,26 @@ struct CoordinatorInput {
   std::variant<SubmitRequest, ChildDone, ShardFinished, TimerFired> event;
 };
 
+/// Why a manager request finished, as data: a static reason and the fields
+/// its text names, so emitting an Outcome builds no string. A driver that
+/// records or logs the outcome formats the text with describe().
+struct OutcomeReason {
+  enum class Form : std::uint8_t {
+    Plain,   ///< text
+    Count,   ///< text, count, " agent(s)"
+    Config,  ///< text, config
+    Path,    ///< text, config, " to ", target
+  };
+  const char* text = "";
+  Form form = Form::Plain;
+  std::size_t count = 0;
+  config::Configuration config{};
+  config::Configuration target{};
+};
+
+/// The reason's text, its configurations named through `registry`.
+std::string describe(const OutcomeReason& reason, const config::ComponentRegistry& registry);
+
 enum class OutputKind : std::uint8_t {
   // --- transport / timer effects (both cores) -------------------------------
   Send,         ///< manager: message -> `process`; agent: message -> manager
@@ -185,7 +209,9 @@ struct Output {
   ManagerTimer timer = ManagerTimer::Protocol;  ///< Arm/DisarmTimer slot
   runtime::Time delay = 0;        ///< ArmTimer timeout
   const char* label = "";         ///< timer label / retransmission phase / dup type
-  std::string name;               ///< action name (Step*), outcome name
+  /// Action name (Step*, from the core's action table), outcome name, or a
+  /// request note's literal name; never owns its characters.
+  std::string_view name;
   std::string detail;             ///< human-readable description for traces
   double value = 0;               ///< plan cost, involved count, ...
   bool has_value = false;
@@ -198,7 +224,8 @@ struct Output {
   AgentState state_from = AgentState::Running;      ///< Transition (agent)
   AgentState state_to = AgentState::Running;
   runtime::Time blocked = 0;      ///< BlockedObserved µs
-  AdaptationResult result;        ///< Outcome payload / ExecuteShard completion
+  AdaptationSummary result;       ///< Outcome payload
+  OutcomeReason reason;           ///< Outcome: why the request finished
 
   // --- coordinator-only fields ----------------------------------------------
   CoordinatorTimer ctimer = CoordinatorTimer::Epoch;  ///< Arm/DisarmTimer slot

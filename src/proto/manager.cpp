@@ -283,7 +283,9 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
 }
 
 void AdaptationManager::apply_outcome(const Output& out) {
-  const AdaptationResult& result = out.result;
+  // The core reports why the request finished as data; its text is made
+  // here, where it is recorded, logged and handed to the caller.
+  const AdaptationResult result{out.result, describe(out.reason, table_->registry())};
   if (trace_.wants(obs::EventKind::AdaptationFinished)) {
     obs::Event e;
     e.kind = obs::EventKind::AdaptationFinished;

@@ -18,10 +18,10 @@
 
 namespace sa::proto {
 
-/// Everything the manager can learn about one finished adaptation request.
-/// Lives here (not io.hpp) because coordinator messages carry per-shard
-/// results up the manager tree.
-struct AdaptationResult {
+/// The verdict and counts of one finished adaptation request, without its
+/// text: what the manager core keeps and the model checker copies, as plain
+/// bytes.
+struct AdaptationSummary {
   AdaptationOutcome outcome = AdaptationOutcome::Success;
   config::Configuration final_config;
   std::size_t steps_committed = 0;
@@ -30,6 +30,12 @@ struct AdaptationResult {
   std::size_t message_retries = 0;  ///< retransmission rounds
   runtime::Time started = 0;
   runtime::Time finished = 0;
+};
+
+/// Everything the manager can learn about one finished adaptation request.
+/// Lives here (not io.hpp) because coordinator messages carry per-shard
+/// results up the manager tree.
+struct AdaptationResult : AdaptationSummary {
   std::string detail;
 };
 
