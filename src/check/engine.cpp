@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/block_pool.hpp"
 #include "util/fingerprint_set.hpp"
 #include "util/rng.hpp"
 #include "util/small_vector.hpp"
@@ -43,6 +44,8 @@ int effective_threads(int requested) {
 /// Immutable reversed schedule: each frame holds the chain of choices that
 /// produced it. Shared between a parent's children (shared_ptr refcounts are
 /// atomic), so extending a schedule is O(1) instead of copying the prefix.
+/// Nodes come from the per-thread block pool (util/block_pool.hpp), which
+/// takes back a node on whichever worker drops the last reference to it.
 struct PathNode {
   Choice choice;
   std::shared_ptr<const PathNode> parent;
@@ -370,10 +373,13 @@ class FrontierEngine {
       visited_.prefetch(child.key);
     }
     // Second pass, in the same order: per-edge accounting (explored count,
-    // violation check, dedup insert, state-cap check). Every early return
-    // ends the search, so the children it skips are simply dropped.
+    // violation check, dedup insert, state-cap check), with the inserts under
+    // one visited-set handshake for the whole frame. Every early return ends
+    // the search, so the children it skips are simply dropped.
     const int child_depth = frame.depth + 1;
-    for (Child& child : children) {
+    util::ShardedFingerprintSet::ScopedWriter visited(visited_);
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      Child& child = children[i];
       if (stop_.load(std::memory_order_relaxed)) return;
       ++ws.states_explored;
       ++ws.edges_by_kind[static_cast<std::size_t>(child.choice.kind)];
@@ -382,7 +388,7 @@ class FrontierEngine {
         record_violation(frame.path, &child.choice, child.model->violations());
         return;
       }
-      if (!visited_.insert(child.key)) {
+      if (!visited.insert(child.key)) {
         ++ws.states_deduped;
         scratch.pool.recycle(std::move(child.model));
         continue;
@@ -392,8 +398,10 @@ class FrontierEngine {
         stop_.store(true, std::memory_order_release);
         return;
       }
+      // The last child takes the parent's reference to the schedule.
+      PathPtr parent = i + 1 == children.size() ? std::move(frame.path) : frame.path;
       out.push_back(Frame{std::move(child.model),
-                          std::make_shared<const PathNode>(PathNode{child.choice, frame.path}),
+                          util::make_pooled<PathNode>(PathNode{child.choice, std::move(parent)}),
                           child_depth, std::move(child.sleep)});
     }
   }
@@ -496,20 +504,33 @@ class FrontierEngine {
   /// another worker sleeps: then its older (shallower) half moves to the
   /// locked deque, where thieves take the oldest first.
   ///
-  /// pending_ counts frames not yet expanded, wherever they are, plus those
-  /// being expanded, so it reaches 0 only when the search has drained. A frame
-  /// with k surviving children adds k - 1 to it in one step; a frame with one
-  /// child hands its count to that child and touches no shared line.
+  /// pending_ counts the frames in the deques plus the busy workers (those
+  /// with a frame on their stack or in hand), so it reaches 0 only when the
+  /// search has drained. Expanding a frame never changes it: the children
+  /// stay on the busy worker's stack. It changes when a share moves frames
+  /// into a deque (before they are visible there), when a busy worker whose
+  /// stack ran dry takes a frame from a deque (the frame's count goes, the
+  /// worker's stays), and when a busy worker goes idle. An idle worker that
+  /// takes a frame turns the frame's count into its own and writes nothing.
   void worker_loop(int worker) {
     WorkerStats& ws = stats_[static_cast<std::size_t>(worker)];
     WorkerQueue& own = queues_[static_cast<std::size_t>(worker)];
     Scratch scratch;
     std::vector<Frame> stack;
-    while (!stop_.load(std::memory_order_relaxed) &&
-           pending_.load(std::memory_order_acquire) != 0) {
+    bool busy = false;  ///< counted in pending_
+    while (!stop_.load(std::memory_order_relaxed)) {
       if (stack.empty()) {
         std::optional<Frame> frame = try_pop(worker);
         if (!frame) {
+          if (busy) {
+            busy = false;
+            if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+              std::lock_guard<std::mutex> lock(idle_mu_);
+              idle_cv_.notify_all();
+              return;
+            }
+          }
+          if (pending_.load(std::memory_order_acquire) == 0) return;
           // Nothing local, nothing to steal: sleep until a producer shares
           // or the search drains. The timeout bounds termination latency
           // when a notify races the wait.
@@ -519,23 +540,15 @@ class FrontierEngine {
           sleepers_.fetch_sub(1, std::memory_order_relaxed);
           continue;
         }
+        if (busy) pending_.fetch_sub(1, std::memory_order_relaxed);
+        busy = true;
         stack.push_back(std::move(*frame));
       }
       Frame frame = std::move(stack.back());
       stack.pop_back();
-      const std::size_t before = stack.size();
       // Children land in reverse choice order, so the first choice's child
       // ends on top of the stack and expansion stays depth-first preorder.
       expand_children(std::move(frame), ws, scratch, stack);
-      const std::size_t children = stack.size() - before;
-      if (children == 0) {
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> lock(idle_mu_);
-          idle_cv_.notify_all();
-        }
-      } else if (children > 1) {
-        pending_.fetch_add(children - 1, std::memory_order_relaxed);
-      }
       if (stack.size() > 1 && sleepers_.load(std::memory_order_relaxed) > 0) {
         share_older_half(own, stack);
       }
@@ -546,6 +559,9 @@ class FrontierEngine {
   /// and wakes the sleepers to steal it.
   void share_older_half(WorkerQueue& own, std::vector<Frame>& stack) {
     const auto half = static_cast<std::ptrdiff_t>(stack.size() / 2);
+    // Counted before a thief can see them: a thief that takes one and goes
+    // idle must not bring the count to 0 while this worker is still busy.
+    pending_.fetch_add(static_cast<std::size_t>(half), std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(own.mu);
       for (auto it = stack.begin(); it != stack.begin() + half; ++it) {

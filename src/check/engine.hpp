@@ -10,19 +10,20 @@
 //     deque (FIFO — steals the shallowest frame, i.e. the largest remaining
 //     subtree), and an owner whose stack runs dry pops its deque's back.
 //     No lock is taken while nobody is idle;
-//   * the count of frames not yet finished (pending_, the termination test)
-//     changes once per frame at most: a frame with k > 1 children adds
-//     k - 1, a leaf subtracts 1, and a frame with one child hands its count
-//     to that child;
+//   * the termination test (pending_) counts the frames in the deques plus
+//     the busy workers, so expanding a frame never writes it: it changes
+//     when a share moves frames into a deque, when a busy worker whose stack
+//     ran dry takes a frame from a deque, and when a busy worker goes idle;
 //   * the pool is seeded by expanding a breadth-first prefix of the tree
 //     until there are a few frames per worker to spread across the deques;
 //   * visited-state deduplication goes through a sharded open-addressing
 //     fingerprint set (util/fingerprint_set.hpp) reserved from max_states,
 //     16 shards at every thread count so a growing shard overshoots the
 //     table's size by only 1/16: an insert is one lock-free compare-and-swap
-//     on the slot, and the state cap is checked against per-worker
-//     fresh-insert counts published in batches (exact at one thread), so no
-//     shared counter is touched on each edge;
+//     on the slot, a frame's inserts share one stop-the-world handshake
+//     (ShardedFingerprintSet::ScopedWriter), and the state cap is checked
+//     against per-worker fresh-insert counts published in batches (exact at
+//     one thread), so no shared counter is touched on each edge;
 //   * a frame's children are all forked, applied and keyed before the first
 //     is inserted, and each key's home slot is prefetched as it is made, so
 //     the inserts overlap their cache misses; the per-edge accounting then
@@ -33,8 +34,12 @@
 //     buffers and does not allocate. The last child steals the parent's
 //     model, so a node with k children costs k-1 copies, and a quiescent
 //     leaf is finalized in place (no defensive copy);
+//   * schedule nodes and the messages the cores send come from per-thread
+//     free lists (util/block_pool.hpp), so a warm search allocates on almost
+//     no edge;
 //   * per-worker stats and queues and the shared counters each sit on their
-//     own cache line.
+//     own cache line: apart from the visited slot it claims, an edge writes
+//     no line another worker writes.
 //
 // Determinism: with threads == 1 frames expand in depth-first preorder and
 // results are bit-identical run to run. With N threads the expansion order is
@@ -43,8 +48,9 @@
 // dedup-invariant totals (states_explored, edges_by_kind, states_deduped,
 // runs_completed, sleep_pruned, outcomes) are identical for any thread
 // count; max_depth_reached, expanded_by_depth and the totals of
-// budget-capped searches are not guaranteed. When violations are found concurrently the canonically least
-// schedule (shortest, then lexicographic) among them is returned.
+// budget-capped searches are not guaranteed. When violations are found
+// concurrently the canonically least schedule (shortest, then lexicographic)
+// among them is returned.
 //
 // Reductions (ExploreOptions::dpor / ::symmetry, frontier search only;
 // random walks ignore both):
