@@ -195,8 +195,8 @@ BENCHMARK(BM_CheckEngineDfs)
 // Fork microbenchmark: cost of one copy + apply at a representative state a
 // few steps into the tiny scenario.
 
-check::Model mid_search_state(bool record_transitions) {
-  const check::Scenario scenario = check::make_scenario("tiny");
+/// The model keeps pointers into `scenario`, which must outlive it.
+check::Model mid_search_state(const check::Scenario& scenario, bool record_transitions) {
   check::ExploreOptions options = tiny_exhaustive_options();
   check::Model model = check::make_model(scenario, options);
   model.set_record_transitions(record_transitions);
@@ -210,7 +210,8 @@ check::Model mid_search_state(bool record_transitions) {
 
 void BM_CheckModelFork(benchmark::State& state) {
   const bool record = state.range(0) != 0;
-  const check::Model parent = mid_search_state(record);
+  const check::Scenario scenario = check::make_scenario("tiny");
+  const check::Model parent = mid_search_state(scenario, record);
   const std::vector<check::Choice> choices = parent.choices();
   if (choices.empty()) {
     state.SkipWithError("mid-search state is quiescent");

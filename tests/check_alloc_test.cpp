@@ -1,7 +1,11 @@
 // Allocation budget of the model checker's hot path (src/check): forking a
-// Model into a recycled one must not allocate, and an exhaustive search must
-// stay within a small number of allocations per explored edge — the messages
-// the cores send and the schedule node of each new frame.
+// Model into a recycled one must not allocate, and a search must stay within
+// a small fraction of an allocation per explored edge. Schedule nodes and
+// sent messages come from per-thread free lists (util/block_pool.hpp) and
+// outcomes carry no text, so what is left is the manager building a reset's
+// command and re-planning after a failed step: 0.009 allocations per edge on
+// the exhaustive pair search, 0.142 on the bounded three-agent search, where
+// more steps start and more resets go out.
 //
 // The binary links sa_alloc_counter, which replaces the global operator new
 // with a counting one.
@@ -85,7 +89,7 @@ TEST(CheckAlloc, CopyIntoRecycledThreeAgentModelAllocatesNothing) {
                                                            << " copies";
 }
 
-TEST(CheckAlloc, ExhaustivePairSearchStaysUnderThreeAllocationsPerEdge) {
+TEST(CheckAlloc, ExhaustivePairSearchStaysUnderOneAllocationPerHundredEdges) {
   const Scenario scenario = make_pair_scenario();
   ExploreResult result;
   std::size_t allocations = 0;
@@ -99,11 +103,11 @@ TEST(CheckAlloc, ExhaustivePairSearchStaysUnderThreeAllocationsPerEdge) {
   const double per_edge =
       static_cast<double>(allocations) / static_cast<double>(result.stats.states_explored);
   RecordProperty("allocations_per_edge", std::to_string(per_edge));
-  EXPECT_LE(per_edge, 3.0) << allocations << " allocations over "
-                           << result.stats.states_explored << " edges";
+  EXPECT_LE(per_edge, 0.01) << allocations << " allocations over "
+                            << result.stats.states_explored << " edges";
 }
 
-TEST(CheckAlloc, BoundedThreeAgentSearchStaysUnderThreeAllocationsPerEdge) {
+TEST(CheckAlloc, BoundedThreeAgentSearchStaysUnderFifteenAllocationsPerHundredEdges) {
   const Scenario scenario = make_scenario("paper");
   ExploreResult result;
   std::size_t allocations = 0;
@@ -117,8 +121,8 @@ TEST(CheckAlloc, BoundedThreeAgentSearchStaysUnderThreeAllocationsPerEdge) {
   const double per_edge =
       static_cast<double>(allocations) / static_cast<double>(result.stats.states_explored);
   RecordProperty("allocations_per_edge", std::to_string(per_edge));
-  EXPECT_LE(per_edge, 3.0) << allocations << " allocations over "
-                           << result.stats.states_explored << " edges";
+  EXPECT_LE(per_edge, 0.15) << allocations << " allocations over "
+                            << result.stats.states_explored << " edges";
 }
 
 }  // namespace

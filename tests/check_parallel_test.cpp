@@ -13,7 +13,13 @@
 // Test names contain "Parallel" so the CI ThreadSanitizer job picks them up.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/explorer.hpp"
@@ -162,6 +168,58 @@ TEST(ParallelExplorer, SequentialCounterexampleIsDeterministic) {
   ASSERT_EQ(first.counterexample->schedule.size(), second.counterexample->schedule.size());
   EXPECT_EQ(first.counterexample->schedule, second.counterexample->schedule);
   EXPECT_EQ(first.counterexample->violations, second.counterexample->violations);
+}
+
+// --- termination count -------------------------------------------------------
+
+/// Runs `search` on its own thread and aborts the binary if it has not
+/// returned within five minutes: a termination-count bug shows as a hang
+/// (or an early exit, which the counters catch), not as a wrong verdict.
+ExploreResult within_deadline(const std::function<ExploreResult()>& search) {
+  std::packaged_task<ExploreResult()> task(search);
+  std::future<ExploreResult> done = task.get_future();
+  std::thread runner(std::move(task));
+  if (done.wait_for(std::chrono::minutes(5)) != std::future_status::ready) {
+    std::fprintf(stderr, "explore_dfs did not terminate within five minutes\n");
+    std::abort();
+  }
+  runner.join();
+  return done.get();
+}
+
+TEST(ParallelExplorer, EightWorkersRepeatedlyDrainToTheOneThreadCounters) {
+  // Eight workers on few cores share and steal often, and each search ends
+  // with most of them idle: every run must end, and only once its last frame
+  // is expanded. The pair search's depth bound lies above its deepest state:
+  // a bound that cuts would make the counters depend on which worker reached
+  // a state first.
+  struct Case {
+    Scenario scenario;
+    ExploreOptions options;
+  };
+  std::vector<Case> cases;
+  ExploreOptions tiny;
+  tiny.max_depth = 300;
+  tiny.max_states = 2'000'000;
+  cases.push_back({make_tiny_scenario(), tiny});
+  ExploreOptions pair;
+  pair.max_depth = 200;
+  pair.max_states = 2'000'000;
+  pair.dpor = true;
+  pair.symmetry = true;
+  pair.fail_to_reset = {1};
+  cases.push_back({make_pair_scenario(), pair});
+  for (const Case& c : cases) {
+    const ExploreResult reference = run_with_threads(c.scenario, c.options, 1);
+    ASSERT_TRUE(reference.complete);
+    ASSERT_EQ(reference.stats.depth_capped, 0U);
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      const ExploreResult result =
+          within_deadline([&] { return run_with_threads(c.scenario, c.options, 8); });
+      expect_same_invariants(reference, result, 8);
+      EXPECT_EQ(result.stats.sleep_pruned, reference.stats.sleep_pruned);
+    }
+  }
 }
 
 TEST(ParallelExplorer, ZeroThreadsMeansHardwareConcurrency) {
