@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/sleep_set.hpp"
 #include "util/block_pool.hpp"
 #include "util/fingerprint_set.hpp"
 #include "util/rng.hpp"
@@ -73,14 +74,6 @@ bool schedule_less(const std::vector<Choice>& a, const std::vector<Choice>& b) {
   return false;
 }
 
-/// DPOR sleep set: choices whose subtrees were (or will be) explored from an
-/// earlier sibling and commute with everything executed since. Entries keep
-/// their full footprint because independence tests against later choices and
-/// the orbit-stable dedup hash both need it. Sleeping entries are always still
-/// enabled: independence preserves enabledness, so a quiescent state always
-/// has an empty sleep set and leaf accounting is unaffected by DPOR.
-using SleepSet = util::SmallVector<ChoiceFootprint, 4>;
-
 struct Frame {
   std::unique_ptr<Model> model;
   PathPtr path;
@@ -114,30 +107,6 @@ class ModelPool {
   std::vector<std::unique_ptr<Model>> free_;
 };
 
-/// Orbit-stable hash of one sleeping choice: kind, channel direction, message
-/// content / timer slot class, and the *role* fingerprint of the touched
-/// agent — deliberately not the process id and not the seq, so two states
-/// that canonicalize together under symmetry reduction also hash their sleep
-/// sets together, keeping results thread-count independent.
-std::uint64_t sleep_entry_hash(const ChoiceFootprint& fp) {
-  std::uint64_t h = 0x2545f4914f6cdd1dULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<std::uint64_t>(fp.kind));
-  mix(fp.channel_to_manager ? 1 : 0);
-  mix(fp.content);
-  mix(fp.role);
-  return h;
-}
-
-/// Commutative (order-independent) hash of a whole sleep set.
-std::uint64_t sleep_hash(const SleepSet& sleep) {
-  std::uint64_t sum = 0;
-  for (const ChoiceFootprint& fp : sleep) sum += sleep_entry_hash(fp);
-  return sum;
-}
-
 struct alignas(kCacheLine) WorkerStats {
   std::size_t states_explored = 0;
   std::size_t states_deduped = 0;
@@ -152,20 +121,22 @@ struct alignas(kCacheLine) WorkerStats {
 };
 
 /// One generated child of the frame being expanded, keyed and waiting for
-/// its dedup insert.
+/// its dedup insert. Its sleep set is built only if the insert finds it
+/// fresh; until then the key carries the set's hash alone.
 struct Child {
   std::unique_ptr<Model> model;
   Choice choice;
-  SleepSet sleep;
   std::uint64_t key = 0;
 };
 
 /// Per-worker scratch buffers and model pool for expand_children, reused
-/// across frames so the hot loop does not allocate.
+/// across frames so the hot loop does not allocate. With DPOR, `footprints`
+/// holds the awake choices in orbit-stable order and `entries` their sleep
+/// entries, index for index.
 struct Scratch {
   std::vector<Choice> choices;
-  std::vector<Choice> awake;
   std::vector<ChoiceFootprint> footprints;
+  std::vector<SleepEntry> entries;
   std::vector<Child> children;
   ModelPool pool;
 };
@@ -194,10 +165,16 @@ struct alignas(kCacheLine) WorkerQueue {
   std::deque<Frame> frames;
 };
 
+using Insert = util::ShardedFingerprintSet::Insert;
+
 class FrontierEngine {
  public:
-  FrontierEngine(const ExploreOptions& options, int threads)
+  /// `expand_every_raise` makes a revisit with more depth left always expand
+  /// again (the rerun of a parallel bounded search, see expand_raised()).
+  FrontierEngine(const ExploreOptions& options, int threads, bool expand_every_raise)
       : options_(&options),
+        threads_(threads),
+        expand_every_raise_(expand_every_raise),
         depth_limit_(options.max_depth > 0 ? options.max_depth
                                            : std::numeric_limits<int>::max()),
         // One fresh insert per batch at one thread keeps the cap exact; with
@@ -208,13 +185,25 @@ class FrontierEngine {
                                           options.max_states /
                                               (static_cast<std::size_t>(threads) * 64),
                                           1, 256)),
-        visited_(options.max_states, kVisitedShards),
+        // Only a depth-bounded search keeps each state's remaining depth.
+        visited_(options.max_states, kVisitedShards, /*budgets=*/options.max_depth > 0),
         queues_(static_cast<std::size_t>(threads)),
         stats_(static_cast<std::size_t>(threads)) {}
 
   /// Marks the root visited; it counts toward max_states like every other
   /// distinct state.
-  void insert_root(const Model& model) { visited_.insert(dedup_key(model, {})); }
+  void insert_root(const Model& model) {
+    util::ShardedFingerprintSet::ScopedWriter(visited_).insert(dedup_key(model, 0), budget_at(0));
+  }
+
+  /// True when the search stopped, or would have ended, with a state left
+  /// unexpanded that a depth cut may have needed again (expand_raised()):
+  /// the caller reruns it with expand_every_raise. A counterexample found
+  /// meanwhile is real and stands.
+  bool needs_rerun() const {
+    return skipped_raise_.load(std::memory_order_relaxed) &&
+           depth_cut_.load(std::memory_order_relaxed) && !counterexample_;
+  }
 
   /// Seeds the deques from `root` and runs the pool to completion.
   void run(Frame&& root, int threads) {
@@ -276,8 +265,16 @@ class FrontierEngine {
   void expand_children(Frame&& frame, WorkerStats& ws, Scratch& scratch,
                        std::vector<Frame>& out) {
     Model& model = *frame.model;
-    model.choices(scratch.choices);
-    if (scratch.choices.empty()) {
+    // With DPOR the footprints are the source of truth: they carry their
+    // choice, and below the sleeping ones are dropped and the rest sorted.
+    const bool dpor = options_->dpor;
+    std::vector<ChoiceFootprint>& fps = scratch.footprints;
+    if (dpor) {
+      model.choice_footprints(fps);
+    } else {
+      model.choices(scratch.choices);
+    }
+    if (dpor ? fps.empty() : scratch.choices.empty()) {
       model.finalize();
       if (!model.violations().empty()) {
         record_violation(frame.path, nullptr, model.violations());
@@ -292,21 +289,14 @@ class FrontierEngine {
     }
     // DPOR: a sleeping choice's subtree is explored (modulo reorderings of
     // independent choices) from an earlier sibling — skip it here.
-    const bool dpor = options_->dpor;
-    std::vector<Choice>* awake = &scratch.choices;
     if (dpor && !frame.sleep.empty()) {
-      scratch.awake.clear();
-      for (const Choice& c : scratch.choices) {
-        bool sleeping = false;
-        for (const ChoiceFootprint& s : frame.sleep) {
-          if (s.choice == c) {
-            sleeping = true;
-            break;
-          }
+      std::erase_if(fps, [&frame](const ChoiceFootprint& fp) {
+        for (const SleepEntry& s : frame.sleep) {
+          if (s.access.seq == fp.choice.seq && s.access.kind == fp.kind) return true;
         }
-        if (!sleeping) scratch.awake.push_back(c);
-      }
-      if (scratch.awake.empty()) {
+        return false;
+      });
+      if (fps.empty()) {
         // Every enabled choice is asleep. This is neither quiescence nor a
         // depth cap — just a fully redundant interleaving; the search stays
         // complete.
@@ -314,62 +304,57 @@ class FrontierEngine {
         scratch.pool.recycle(std::move(frame.model));
         return;
       }
-      awake = &scratch.awake;
     }
     if (frame.depth >= depth_limit_) {
       ++ws.depth_capped;
       capped_.store(true, std::memory_order_relaxed);
+      if (!depth_cut_.exchange(true, std::memory_order_relaxed) &&
+          skipped_raise_.load(std::memory_order_relaxed)) {
+        // A state was not expanded again before this first cut showed that
+        // the bound cuts the search; only a rerun can cover it (needs_rerun()).
+        stop_.store(true, std::memory_order_release);
+      }
       scratch.pool.recycle(std::move(frame.model));
       return;
     }
     if (dpor) {
-      scratch.footprints.clear();
-      for (const Choice& c : *awake) {
-        scratch.footprints.push_back(model.choice_footprint(c));
-      }
       // Stable insertion sort: an awake list holds a handful of choices, and
       // std::stable_sort would allocate a scratch buffer for every frame.
-      std::vector<ChoiceFootprint>& fps = scratch.footprints;
       for (std::size_t i = 1; i < fps.size(); ++i) {
         const ChoiceFootprint fp = fps[i];
         std::size_t j = i;
         for (; j > 0 && footprint_order_less(fp, fps[j - 1]); --j) fps[j] = fps[j - 1];
         fps[j] = fp;
       }
+      scratch.entries.clear();
+      for (const ChoiceFootprint& fp : fps) {
+        scratch.entries.push_back(sleep_entry(fp));
+      }
     }
+    const std::size_t awake = dpor ? fps.size() : scratch.choices.size();
     if (ws.expanded_by_depth.size() <= static_cast<std::size_t>(frame.depth)) {
       ws.expanded_by_depth.resize(static_cast<std::size_t>(frame.depth) + 1);
     }
     ++ws.expanded_by_depth[static_cast<std::size_t>(frame.depth)];
     // First pass: fork, apply and key every child, and start loading each
     // key's home slot in the visited set, so the inserts below find their
-    // slots in cache instead of each stalling on its own miss.
+    // slots in cache instead of each stalling on its own miss. A child's
+    // sleep set enters its key as the sum of its entries' hashes; the set
+    // itself is built in the second pass, and only for a fresh child.
     std::vector<Child>& children = scratch.children;
     children.clear();
-    for (std::size_t i = awake->size(); i > 0; --i) {
-      // Footprints are the source of truth for DPOR: they carry their choice
-      // and were re-ordered by the orbit-stable sort above.
+    for (std::size_t i = awake; i > 0; --i) {
       Child& child = children.emplace_back();
-      child.choice = dpor ? scratch.footprints[i - 1].choice : (*awake)[i - 1];
-      // Child sleep set, built before the choice is applied (footprints refer
-      // to the parent state): inherited entries that commute with the choice,
-      // plus every earlier awake sibling that commutes with it — the
-      // sibling's subtree covers the reordered schedule.
+      child.choice = dpor ? fps[i - 1].choice : scratch.choices[i - 1];
+      std::uint64_t sleep_hash = 0;
       if (dpor) {
-        const ChoiceFootprint& fp = scratch.footprints[i - 1];
-        for (const ChoiceFootprint& s : frame.sleep) {
-          if (!choices_dependent(s, fp)) child.sleep.push_back(s);
-        }
-        for (std::size_t j = 0; j + 1 < i; ++j) {
-          if (!choices_dependent(scratch.footprints[j], fp)) {
-            child.sleep.push_back(scratch.footprints[j]);
-          }
-        }
+        for_each_child_sleep_entry(frame.sleep, scratch.entries, i - 1,
+                                   [&sleep_hash](const SleepEntry& s) { sleep_hash += s.hash; });
       }
       // The last child takes the parent's model; the others fork it.
       child.model = i == 1 ? std::move(frame.model) : scratch.pool.fork(model);
       child.model->apply(child.choice);
-      child.key = dedup_key(*child.model, child.sleep);
+      child.key = dedup_key(*child.model, sleep_hash);
       visited_.prefetch(child.key);
     }
     // Second pass, in the same order: per-edge accounting (explored count,
@@ -377,6 +362,7 @@ class FrontierEngine {
     // one visited-set handshake for the whole frame. Every early return ends
     // the search, so the children it skips are simply dropped.
     const int child_depth = frame.depth + 1;
+    const std::uint32_t budget = budget_at(child_depth);
     util::ShardedFingerprintSet::ScopedWriter visited(visited_);
     for (std::size_t i = 0; i < children.size(); ++i) {
       Child& child = children[i];
@@ -388,22 +374,48 @@ class FrontierEngine {
         record_violation(frame.path, &child.choice, child.model->violations());
         return;
       }
-      if (!visited.insert(child.key)) {
+      const Insert found = visited.insert(child.key, budget);
+      if (found == Insert::Present || (found == Insert::Raised && !expand_raised())) {
         ++ws.states_deduped;
         scratch.pool.recycle(std::move(child.model));
         continue;
       }
-      if (count_fresh(ws)) {
+      if (found == Insert::Fresh && count_fresh(ws)) {
         capped_.store(true, std::memory_order_relaxed);
         stop_.store(true, std::memory_order_release);
         return;
+      }
+      SleepSet sleep;
+      if (dpor) {
+        for_each_child_sleep_entry(frame.sleep, scratch.entries, awake - 1 - i,
+                                   [&sleep](const SleepEntry& s) { sleep.push_back(s); });
       }
       // The last child takes the parent's reference to the schedule.
       PathPtr parent = i + 1 == children.size() ? std::move(frame.path) : frame.path;
       out.push_back(Frame{std::move(child.model),
                           util::make_pooled<PathNode>(PathNode{child.choice, std::move(parent)}),
-                          child_depth, std::move(child.sleep)});
+                          child_depth, std::move(sleep)});
     }
+  }
+
+  /// The visited-set budget of a state at `depth`: the depth it has left
+  /// under max_depth (0, unused, in an unbounded search).
+  std::uint32_t budget_at(int depth) const {
+    return options_->max_depth > 0 ? static_cast<std::uint32_t>(depth_limit_ - depth) : 0;
+  }
+
+  /// Whether a state reached again with more depth left than before is
+  /// expanded again. Only a depth cut can have left part of its earlier
+  /// subtree unexplored, so before the first cut it is not, and the counts of
+  /// a bounded search that the bound never cuts match an unbounded one. At
+  /// one thread that is exact: the earlier expansion's subtree was finished
+  /// before this revisit, with no cut in it. A worker may still be inside it
+  /// when more run, so there the skip is noted and a cut that follows it
+  /// stops the search for a rerun that expands every such revisit.
+  bool expand_raised() {
+    if (expand_every_raise_ || depth_cut_.load(std::memory_order_relaxed)) return true;
+    if (threads_ > 1) skipped_raise_.store(true, std::memory_order_relaxed);
+    return false;
   }
 
   /// Counts one fresh visited-set insert toward max_states; true once the
@@ -422,13 +434,10 @@ class FrontierEngine {
   /// — revisiting a state with a *different* sleep set must re-explore it
   /// (sleep sets + state caching is otherwise unsound: the first visit may
   /// have skipped transitions the second visit still needs).
-  std::uint64_t dedup_key(const Model& model, const SleepSet& sleep) const {
+  std::uint64_t dedup_key(const Model& model, std::uint64_t sleep_hash) const {
     std::uint64_t key =
         options_->symmetry ? model.canonical_fingerprint() : model.fingerprint();
-    if (options_->dpor) {
-      const std::uint64_t s = sleep_hash(sleep);
-      key ^= s + 0x9e3779b97f4a7c15ULL + (key << 6) + (key >> 2);
-    }
+    if (options_->dpor) key ^= sleep_hash + 0x9e3779b97f4a7c15ULL + (key << 6) + (key >> 2);
     return key;
   }
 
@@ -448,7 +457,10 @@ class FrontierEngine {
   }
 
   /// Expands a breadth-first prefix of the tree until there are a few frames
-  /// per worker, then deals the frontier round-robin across the deques.
+  /// per worker, then deals the frontier round-robin across the deques, each
+  /// deque in reverse: an owner pops its deque's back, so worker w starts on
+  /// the w-th frame and the workers together sweep the tree from its first
+  /// choices on, as one thread would, while thieves take the last frames.
   void seed_breadth_first(Frame&& root, int threads) {
     const std::size_t target = static_cast<std::size_t>(threads) * 8;
     std::deque<Frame> frontier;
@@ -470,7 +482,7 @@ class FrontierEngine {
     pending_.store(frontier.size(), std::memory_order_relaxed);
     std::size_t next_queue = 0;
     while (!frontier.empty()) {
-      queues_[next_queue].frames.push_back(std::move(frontier.front()));
+      queues_[next_queue].frames.push_front(std::move(frontier.front()));
       frontier.pop_front();
       next_queue = (next_queue + 1) % queues_.size();
     }
@@ -587,6 +599,8 @@ class FrontierEngine {
   }
 
   const ExploreOptions* options_;
+  const int threads_;
+  const bool expand_every_raise_;
   const int depth_limit_;  ///< max_depth, or INT_MAX when <= 0 (unbounded)
   const std::size_t publish_batch_;
   util::ShardedFingerprintSet visited_;
@@ -598,6 +612,8 @@ class FrontierEngine {
   alignas(kCacheLine) std::atomic<std::size_t> pending_{0};
   alignas(kCacheLine) std::atomic<bool> stop_{false};
   std::atomic<bool> capped_{false};
+  std::atomic<bool> depth_cut_{false};      ///< a frame hit max_depth
+  std::atomic<bool> skipped_raise_{false};  ///< see expand_raised()
   alignas(kCacheLine) std::atomic<int> sleepers_{0};
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
@@ -610,18 +626,24 @@ class FrontierEngine {
 ExploreResult explore_dfs(const Scenario& scenario, const ExploreOptions& options) {
   const int threads = effective_threads(options.threads);
   ExploreResult result;
-  auto root = std::make_unique<Model>(make_model(scenario, options));
-  root->set_record_transitions(false);
-  FrontierEngine engine(options, threads);
-  engine.insert_root(*root);
-  if (!root->violations().empty()) {
-    Counterexample ce;
-    for (const Violation& v : root->violations()) ce.violations.push_back(v.description);
-    result.counterexample = std::move(ce);
-    return result;
-  }
-  engine.run(Frame{std::move(root), nullptr, 0, {}}, threads);
-  engine.merge_into(result);
+  // One search from a fresh root; false if it has to be run again.
+  const auto search = [&](bool expand_every_raise) {
+    auto root = std::make_unique<Model>(make_model(scenario, options));
+    root->set_record_transitions(false);
+    if (!root->violations().empty()) {
+      Counterexample ce;
+      for (const Violation& v : root->violations()) ce.violations.push_back(v.description);
+      result.counterexample = std::move(ce);
+      return true;
+    }
+    FrontierEngine engine(options, threads, expand_every_raise);
+    engine.insert_root(*root);
+    engine.run(Frame{std::move(root), nullptr, 0, {}}, threads);
+    if (engine.needs_rerun()) return false;
+    engine.merge_into(result);
+    return true;
+  };
+  if (!search(/*expand_every_raise=*/false)) search(/*expand_every_raise=*/true);
   return result;
 }
 

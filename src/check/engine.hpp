@@ -15,7 +15,9 @@
 //     when a share moves frames into a deque, when a busy worker whose stack
 //     ran dry takes a frame from a deque, and when a busy worker goes idle;
 //   * the pool is seeded by expanding a breadth-first prefix of the tree
-//     until there are a few frames per worker to spread across the deques;
+//     until there are a few frames per worker to spread across the deques,
+//     dealt so that worker w starts on the w-th frame: together the workers
+//     sweep the tree from its first choices on, as one thread would;
 //   * visited-state deduplication goes through a sharded open-addressing
 //     fingerprint set (util/fingerprint_set.hpp) reserved from max_states,
 //     16 shards at every thread count so a growing shard overshoots the
@@ -23,11 +25,17 @@
 //     on the slot, a frame's inserts share one stop-the-world handshake
 //     (ShardedFingerprintSet::ScopedWriter), and the state cap is checked
 //     against per-worker fresh-insert counts published in batches (exact at
-//     one thread), so no shared counter is touched on each edge;
+//     one thread), so no shared counter is touched on each edge. A
+//     depth-bounded search (max_depth > 0) also keeps each state's remaining
+//     depth beside its slot and expands a state again when it is reached
+//     with more depth left (see below); an unbounded one maps no such array;
 //   * a frame's children are all forked, applied and keyed before the first
 //     is inserted, and each key's home slot is prefetched as it is made, so
 //     the inserts overlap their cache misses; the per-edge accounting then
-//     runs child by child in the same order as a one-at-a-time loop would;
+//     runs child by child in the same order as a one-at-a-time loop would.
+//     A child's sleep set enters its key as a hash sum, and the set itself
+//     (check/sleep_set.hpp) is built only once the insert finds the child
+//     fresh, so the ~63% of children that are duplicates copy none;
 //   * a frame owns its model through a unique_ptr drawn from a per-worker
 //     pool; it is expanded by applying each enabled choice to a fork of the
 //     model, a copy-assignment into a recycled model that reuses its
@@ -51,6 +59,19 @@
 // budget-capped searches are not guaranteed. When violations are found
 // concurrently the canonically least schedule (shortest, then lexicographic)
 // among them is returned.
+//
+// Depth bounds: a state first reached deep in one branch may be reached
+// again with more depth left in another, and which comes first depends on
+// the thread split. Such a revisit is expanded again once the bound has cut
+// any branch (before that, no subtree can be missing anything), so every
+// state within the bound is expanded with the most depth any path reaching
+// it leaves, and a depth-capped search reaches the same verdict at every
+// thread count unless its state budget runs out first. At one thread the
+// earlier expansion's subtree is finished before the revisit; with more, a
+// worker may still be inside it, so a revisit skipped before the first cut
+// makes that cut stop the search, which then runs again expanding every
+// such revisit from the start. A bound the search never hits changes
+// nothing: its counts equal the unbounded search's.
 //
 // Reductions (ExploreOptions::dpor / ::symmetry, frontier search only;
 // random walks ignore both):

@@ -63,25 +63,6 @@ constexpr runtime::NodeId kManagerNode = ChoiceFootprint::kEntityManager;
 
 }  // namespace
 
-bool choices_dependent(const ChoiceFootprint& a, const ChoiceFootprint& b) {
-  if (a.choice.seq == b.choice.seq) return true;  // same message / same timer
-  if (a.entity != ChoiceFootprint::kEntityNone && a.entity == b.entity) return true;
-  // Drops share the drop budget, duplicates the dup budget: executing one can
-  // disable the other, so their order is never free.
-  if (a.kind == Choice::Kind::Drop && b.kind == Choice::Kind::Drop) return true;
-  if (a.kind == Choice::Kind::Duplicate && b.kind == Choice::Kind::Duplicate) return true;
-  // A duplicate appends a copy to the tail of its channel. So does the
-  // channel's producer core when it steps — swapping them reorders the FIFO.
-  const auto dup_races_producer = [](const ChoiceFootprint& dup, const ChoiceFootprint& other) {
-    if (dup.kind != Choice::Kind::Duplicate) return false;
-    const std::uint8_t producer =
-        dup.channel_to_manager ? dup.channel_agent : ChoiceFootprint::kEntityManager;
-    return other.entity == producer;
-  };
-  if (dup_races_producer(a, b) || dup_races_producer(b, a)) return true;
-  return false;
-}
-
 const char* to_string(Choice::Kind kind) {
   switch (kind) {
     case Choice::Kind::Deliver: return "deliver";
@@ -153,7 +134,7 @@ void Model::append_in_flight(const InFlight& m) {
   in_flight_.push_back(m);
   AgentEntity& entity = agents_[m.slot].second;
   mix(entity.channel_fp[m.to_manager], m.msg_fp);
-  ++entity.channel_len[m.to_manager];
+  if (entity.channel_len[m.to_manager]++ == 0) ++open_channels_;
 }
 
 void Model::remove_in_flight(std::size_t index) {
@@ -161,6 +142,7 @@ void Model::remove_in_flight(std::size_t index) {
   const bool to_manager = in_flight_[index].to_manager;
   AgentEntity& entity = agents_[slot].second;
   std::uint32_t left = --entity.channel_len[to_manager];
+  if (left == 0) --open_channels_;
   in_flight_.erase(in_flight_.begin() + index);
   // A FIFO removal takes the channel's head, so the rest of the channel
   // follows `index` in creation order; under reordering it may have been
@@ -223,19 +205,24 @@ bool Model::deliverable(const InFlight& m) const {
 
 template <typename Visit>
 void Model::for_each_deliverable(Visit&& visit) const {
+  if (limits_.reorder) {
+    for (const InFlight& m : in_flight_) visit(m);
+    return;
+  }
   // FIFO per directed channel: only a channel's oldest in-flight message is
   // deliverable. in_flight_ is kept in creation order, so one pass that marks
-  // each channel as its head goes by finds every head.
+  // each channel as its head goes by finds every head, and it can stop once
+  // it has found a head for every open channel.
   std::uint64_t to_manager_seen = 0;
   std::uint64_t to_agent_seen = 0;
-  for (const InFlight& m : in_flight_) {
-    if (!limits_.reorder) {
-      std::uint64_t& seen = m.to_manager ? to_manager_seen : to_agent_seen;
-      const std::uint64_t channel = std::uint64_t{1} << m.agent;  // ids are < 64
-      if ((seen & channel) != 0) continue;
-      seen |= channel;
-    }
-    visit(m);
+  std::uint32_t heads_left = open_channels_;
+  for (const InFlight* m = in_flight_.begin(); heads_left > 0; ++m) {
+    std::uint64_t& seen = m->to_manager ? to_manager_seen : to_agent_seen;
+    const std::uint64_t channel = std::uint64_t{1} << m->agent;  // ids are < 64
+    if ((seen & channel) != 0) continue;
+    seen |= channel;
+    --heads_left;
+    visit(*m);
   }
 }
 
@@ -389,11 +376,11 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
         }
         break;
       case proto::OutputKind::Outcome:
-        outcome_ = out.result;
+        outcome_ = out.payload().result;
         // Judged here, not at quiescence: a depth-capped schedule never
         // reaches finalize().
         for (std::string& what : proto::outcome_violations(
-                 to_string(out.result.outcome), out.result.final_config, scenario_->source,
+                 to_string(outcome_->outcome), outcome_->final_config, scenario_->source,
                  scenario_->target, *scenario_->registry)) {
           violation(std::move(what));
         }
@@ -583,52 +570,53 @@ std::uint64_t Model::canonical_fingerprint() const {
   return h;
 }
 
+void Model::choice_footprints(std::vector<ChoiceFootprint>& out) const {
+  out.clear();
+  for_each_deliverable([this, &out](const InFlight& m) {
+    ChoiceFootprint fp;
+    fp.channel_agent = m.agent;
+    fp.channel_to_manager = m.to_manager;
+    fp.content = m.msg_fp;
+    fp.role = agents_[m.slot].second.role_fp;
+    const auto add = [&out, &fp, &m](Choice::Kind kind, std::uint8_t entity) {
+      fp.choice = Choice{kind, m.seq};
+      fp.kind = kind;
+      fp.entity = entity;
+      out.push_back(fp);
+    };
+    add(Choice::Kind::Deliver, m.to_manager ? ChoiceFootprint::kEntityManager : m.agent);
+    // Drop / Duplicate step no core.
+    if (drops_left_ > 0) add(Choice::Kind::Drop, ChoiceFootprint::kEntityNone);
+    if (dups_left_ > 0) add(Choice::Kind::Duplicate, ChoiceFootprint::kEntityNone);
+  });
+  // Timer slot classes: 0 = manager protocol, 1 = manager stage delay,
+  // 2 = agent retransmission timer (role distinguishes which kind of agent).
+  const auto add_timer = [&out](const TimerSlot& slot, std::uint8_t entity, std::uint64_t content,
+                                std::uint64_t role) {
+    if (!slot.armed) return;
+    ChoiceFootprint fp;
+    fp.choice = Choice{Choice::Kind::Fire, slot.seq};
+    fp.kind = Choice::Kind::Fire;
+    fp.entity = entity;
+    fp.content = content;
+    fp.role = role;
+    out.push_back(fp);
+  };
+  add_timer(mgr_protocol_, ChoiceFootprint::kEntityManager, 0, ChoiceFootprint::kManagerRole);
+  add_timer(mgr_stage_, ChoiceFootprint::kEntityManager, 1, ChoiceFootprint::kManagerRole);
+  for (const auto& [process, entity] : agents_) {
+    add_timer(entity.timer, static_cast<std::uint8_t>(process), 2, entity.role_fp);
+  }
+}
+
 ChoiceFootprint Model::choice_footprint(const Choice& choice) const {
-  ChoiceFootprint fp;
-  fp.choice = choice;
-  fp.kind = choice.kind;
-  if (choice.kind == Choice::Kind::Fire) {
-    // Timer slot classes: 0 = manager protocol, 1 = manager stage delay,
-    // 2 = agent retransmission timer (role distinguishes which kind of agent).
-    if (mgr_protocol_.armed && mgr_protocol_.seq == choice.seq) {
-      fp.entity = ChoiceFootprint::kEntityManager;
-      fp.content = 0;
-      fp.role = ChoiceFootprint::kManagerRole;
-      return fp;
-    }
-    if (mgr_stage_.armed && mgr_stage_.seq == choice.seq) {
-      fp.entity = ChoiceFootprint::kEntityManager;
-      fp.content = 1;
-      fp.role = ChoiceFootprint::kManagerRole;
-      return fp;
-    }
-    for (const auto& [process, entity] : agents_) {
-      if (entity.timer.armed && entity.timer.seq == choice.seq) {
-        fp.entity = static_cast<std::uint8_t>(process);
-        fp.content = 2;
-        fp.role = entity.role_fp;
-        return fp;
-      }
-    }
-    throw std::out_of_range("choice_footprint: no armed timer with seq " +
-                            std::to_string(choice.seq));
+  std::vector<ChoiceFootprint> all;
+  choice_footprints(all);
+  for (const ChoiceFootprint& fp : all) {
+    if (fp.choice == choice) return fp;
   }
-  const auto it = std::find_if(in_flight_.begin(), in_flight_.end(),
-                               [&choice](const InFlight& m) { return m.seq == choice.seq; });
-  if (it == in_flight_.end()) {
-    throw std::out_of_range("choice_footprint: no in-flight message with seq " +
-                            std::to_string(choice.seq));
-  }
-  fp.channel_agent = static_cast<std::uint8_t>(it->agent);
-  fp.channel_to_manager = it->to_manager;
-  fp.content = it->msg_fp;
-  fp.role = agents_[it->slot].second.role_fp;
-  if (choice.kind == Choice::Kind::Deliver) {
-    fp.entity = it->to_manager ? ChoiceFootprint::kEntityManager
-                               : static_cast<std::uint8_t>(it->agent);
-  }
-  // Drop / Duplicate step no core: entity stays kEntityNone.
-  return fp;
+  throw std::out_of_range(std::string("choice_footprint: no enabled ") + to_string(choice.kind) +
+                          " with seq " + std::to_string(choice.seq));
 }
 
 }  // namespace sa::check

@@ -105,6 +105,20 @@ struct ChoiceFootprint {
   std::uint64_t role = 0;     ///< role fp of the entity / channel agent
 };
 
+/// What the independence relation reads of a footprint: 16 bytes, so the
+/// engine's sleep entries (this plus a hash) stay small.
+struct ChoiceAccess {
+  std::uint64_t seq = 0;
+  Choice::Kind kind = Choice::Kind::Deliver;
+  std::uint8_t entity = ChoiceFootprint::kEntityNone;
+  std::uint8_t channel_agent = ChoiceFootprint::kEntityNone;
+  bool channel_to_manager = false;
+
+  static ChoiceAccess of(const ChoiceFootprint& fp) {
+    return {fp.choice.seq, fp.kind, fp.entity, fp.channel_agent, fp.channel_to_manager};
+  }
+};
+
 /// Conservative independence relation over co-enabled choices. Dependent iff:
 /// same seq (same message or timer), same core stepped (receiver for
 /// deliveries, owner for timer fires — a core's inputs must stay totally
@@ -114,7 +128,28 @@ struct ChoiceFootprint {
 /// deliveries on distinct channels, timer fires on distinct processes, and
 /// appends racing the consumption of an earlier message on the same channel
 /// (tail vs head of the queue). Symmetric.
-bool choices_dependent(const ChoiceFootprint& a, const ChoiceFootprint& b);
+inline bool choices_dependent(const ChoiceAccess& a, const ChoiceAccess& b) {
+  if (a.seq == b.seq) return true;  // same message / same timer
+  if (a.entity != ChoiceFootprint::kEntityNone && a.entity == b.entity) return true;
+  // Drops share the drop budget, duplicates the dup budget: executing one can
+  // disable the other, so their order is never free.
+  if (a.kind == b.kind && (a.kind == Choice::Kind::Drop || a.kind == Choice::Kind::Duplicate)) {
+    return true;
+  }
+  // A duplicate appends a copy to the tail of its channel. So does the
+  // channel's producer core when it steps — swapping them reorders the FIFO.
+  const auto dup_races_producer = [](const ChoiceAccess& dup, const ChoiceAccess& other) {
+    if (dup.kind != Choice::Kind::Duplicate) return false;
+    const std::uint8_t producer =
+        dup.channel_to_manager ? dup.channel_agent : ChoiceFootprint::kEntityManager;
+    return other.entity == producer;
+  };
+  return dup_races_producer(a, b) || dup_races_producer(b, a);
+}
+
+inline bool choices_dependent(const ChoiceFootprint& a, const ChoiceFootprint& b) {
+  return choices_dependent(ChoiceAccess::of(a), ChoiceAccess::of(b));
+}
 
 using Violation = proto::SafetyViolation;
 
@@ -206,8 +241,13 @@ class Model {
   /// every channel from scratch.
   std::uint64_t canonical_fingerprint() const;
 
+  /// The footprint of every enabled choice, in choices() order (so each
+  /// carries its Choice), made in one pass over the in-flight list: clears
+  /// and refills `out`. The DPOR engine calls this instead of choices().
+  void choice_footprints(std::vector<ChoiceFootprint>& out) const;
+
   /// Footprint of one currently enabled choice, for the DPOR independence
-  /// relation. Throws std::out_of_range on a stale seq.
+  /// relation. Throws std::out_of_range if `choice` is not enabled.
   ChoiceFootprint choice_footprint(const Choice& choice) const;
 
   /// The search's message table, shared by this model and all its copies.
@@ -340,6 +380,9 @@ class Model {
   util::SmallVector<std::pair<config::ProcessId, AgentEntity>, 4> agents_;
 
   util::SmallVector<InFlight, 16> in_flight_;  ///< ascending seq (push order)
+  /// Directed channels holding at least one message: a FIFO walk for the
+  /// deliverable heads stops once it has seen that many.
+  std::uint32_t open_channels_ = 0;
   runtime::Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   int drops_left_ = 0;

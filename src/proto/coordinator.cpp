@@ -114,6 +114,7 @@ void AdaptationCoordinator::dispatch(decltype(CoordinatorInput::event) event) {
 
 void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
   for (const Output& out : outputs) {
+    const OutputPayload& more = out.payload();
     switch (out.kind) {
       case OutputKind::Send:
         transport_->send(node_, child_nodes_.at(out.process), out.message);
@@ -139,9 +140,9 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         if (trace_.wants(obs::EventKind::EpochOpened)) {
           obs::Event e;
           e.kind = obs::EventKind::EpochOpened;
-          e.span = out.span;
-          e.epoch = out.epoch;
-          e.value = static_cast<double>(out.epoch);
+          e.span = more.span;
+          e.epoch = more.epoch;
+          e.value = static_cast<double>(more.epoch);
           e.has_value = true;
           trace_.record(std::move(e));
         }
@@ -150,9 +151,9 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         if (trace_.wants(obs::EventKind::FlowLink)) {
           obs::Event e;
           e.kind = obs::EventKind::FlowLink;
-          e.span = out.span;
-          e.parent_span = out.parent_span;
-          e.epoch = out.epoch;
+          e.span = more.span;
+          e.parent_span = more.parent_span;
+          e.epoch = more.epoch;
           trace_.record(std::move(e));
         }
         break;
@@ -161,11 +162,11 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         if (trace_.wants(obs::EventKind::EpochSealed)) {
           obs::Event e;
           e.kind = obs::EventKind::EpochSealed;
-          e.span = out.span;
-          e.epoch = out.epoch;
+          e.span = more.span;
+          e.epoch = more.epoch;
           e.value = out.value;   // shard count
           e.has_value = true;
-          e.detail = "coalesced " + std::to_string(static_cast<std::size_t>(out.extra));
+          e.detail = "coalesced " + std::to_string(static_cast<std::size_t>(more.extra));
           trace_.record(std::move(e));
         }
         if (obs::MetricsRegistry* metrics = trace_.metrics()) {
@@ -173,11 +174,11 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
               ->histogram("sa_epoch_batch_shards", {1, 2, 4, 8, 16, 32, 64, 128, 256},
                           {{"depth", depth_label()}}, "Shards per sealed epoch, by tree depth")
               .observe(out.value);
-          if (out.extra > 0) {
+          if (more.extra > 0) {
             metrics
                 ->counter("sa_epoch_coalesced_total", {{"depth", depth_label()}},
                           "Same-shard requests merged by group commit, by tree depth")
-                .inc(static_cast<std::uint64_t>(out.extra));
+                .inc(static_cast<std::uint64_t>(more.extra));
           }
         }
         break;
@@ -185,12 +186,12 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         if (trace_.wants(obs::EventKind::EpochCompleted)) {
           obs::Event e;
           e.kind = obs::EventKind::EpochCompleted;
-          e.span = out.span;
-          e.epoch = out.epoch;
+          e.span = more.span;
+          e.epoch = more.epoch;
           e.value = static_cast<double>(clock_->now() - epoch_sealed_at_);
           e.has_value = true;
-          if (out.extra > 0) {
-            e.detail = "orphaned " + std::to_string(static_cast<std::size_t>(out.extra));
+          if (more.extra > 0) {
+            e.detail = "orphaned " + std::to_string(static_cast<std::size_t>(more.extra));
           }
           trace_.record(std::move(e));
         }
@@ -204,11 +205,11 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
                           {{"depth", depth_label()}},
                           "Seal-to-complete commit latency, by tree depth")
               .observe(static_cast<double>(clock_->now() - epoch_sealed_at_));
-          if (out.extra > 0) {
+          if (more.extra > 0) {
             metrics
                 ->counter("sa_epoch_orphaned_shards_total", {{"depth", depth_label()}},
                           "Shards orphaned by the commit timeout, by tree depth")
-                .inc(static_cast<std::uint64_t>(out.extra));
+                .inc(static_cast<std::uint64_t>(more.extra));
           }
         }
         break;
@@ -216,7 +217,7 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
         apply_ticket_done(out);
         break;
       case OutputKind::DuplicateMessage:
-        SA_DEBUG("coordinator") << "absorbed " << out.label << ": " << out.detail;
+        SA_DEBUG("coordinator") << "absorbed " << out.label << ": " << more.detail;
         if (obs::MetricsRegistry* metrics = trace_.metrics()) {
           metrics
               ->counter("sa_coordinator_duplicates_total", {{"depth", depth_label()}},
@@ -231,14 +232,15 @@ void AdaptationCoordinator::apply(const std::vector<Output>& outputs) {
 }
 
 void AdaptationCoordinator::apply_execute_shard(const Output& out) {
-  AdaptationManager* manager = shard_manager_.at(out.shard);
-  const std::uint32_t shard = out.shard;
-  const std::uint64_t epoch = out.epoch;
+  const OutputPayload& more = out.payload();
+  AdaptationManager* manager = shard_manager_.at(more.shard);
+  const std::uint32_t shard = more.shard;
+  const std::uint64_t epoch = more.epoch;
   const config::Configuration target = out.config;
   // Both hops go through the executor so the coordinator lock and the
   // manager lock are never held together (no lock-order cycle when a manager
   // completion races a coordinator timer on the threaded backend).
-  const std::uint64_t cause = out.parent_span;
+  const std::uint64_t cause = more.parent_span;
   executor_->post([this, manager, shard, epoch, target, cause] {
     manager->enqueue_adaptation(
         target,
@@ -253,15 +255,16 @@ void AdaptationCoordinator::apply_execute_shard(const Output& out) {
 }
 
 void AdaptationCoordinator::apply_ticket_done(const Output& out) {
-  const auto it = pending_tickets_.find(out.ticket);
+  const OutputPayload& more = out.payload();
+  const auto it = pending_tickets_.find(more.ticket);
   if (it == pending_tickets_.end()) {
-    SA_WARN("coordinator") << "result for unknown ticket " << out.ticket;
+    SA_WARN("coordinator") << "result for unknown ticket " << more.ticket;
     return;
   }
   TicketResult result;
-  result.ticket = out.ticket;
-  result.epoch = out.epoch;
-  result.outcomes = out.shard_outcomes;
+  result.ticket = more.ticket;
+  result.epoch = more.epoch;
+  result.outcomes = more.shard_outcomes;
   result.started = it->second.started;
   result.finished = clock_->now();
   TicketHandler handler = std::move(it->second.handler);
@@ -269,9 +272,9 @@ void AdaptationCoordinator::apply_ticket_done(const Output& out) {
   if (trace_.wants(obs::EventKind::TicketDone)) {
     obs::Event e;
     e.kind = obs::EventKind::TicketDone;
-    e.span = out.span;
-    e.parent_span = out.parent_span;
-    e.epoch = out.epoch;
+    e.span = more.span;
+    e.parent_span = more.parent_span;
+    e.epoch = more.epoch;
     e.value = static_cast<double>(result.finished - result.started);
     e.has_value = true;
     trace_.record(std::move(e));

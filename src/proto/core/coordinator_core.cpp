@@ -46,7 +46,7 @@ void CoordinatorCore::note_duplicate(const char* label, std::string detail,
   Output note;
   note.kind = OutputKind::DuplicateMessage;
   note.label = label;
-  note.detail = std::move(detail);
+  note.payload().detail = std::move(detail);
   out.push_back(std::move(note));
 }
 
@@ -56,7 +56,7 @@ void CoordinatorCore::transition(CoordinatorPhase to, std::vector<Output>& out) 
   t.kind = OutputKind::Transition;
   t.cphase_from = phase_;
   t.cphase_to = to;
-  t.epoch = epoch_;
+  t.payload().epoch = epoch_;
   phase_ = to;
   out.push_back(std::move(t));
 }
@@ -65,8 +65,8 @@ void CoordinatorCore::open_epoch(std::vector<Output>& out) {
   transition(CoordinatorPhase::Batching, out);
   Output opened;
   opened.kind = OutputKind::EpochOpened;
-  opened.epoch = epoch_ + 1;
-  opened.span = epoch_span(epoch_ + 1);
+  opened.payload().epoch = epoch_ + 1;
+  opened.payload().span = epoch_span(epoch_ + 1);
   out.push_back(std::move(opened));
   Output arm;
   arm.kind = OutputKind::ArmTimer;
@@ -146,11 +146,11 @@ void CoordinatorCore::seal(runtime::Time now, std::vector<Output>& out) {
 
   Output sealed;
   sealed.kind = OutputKind::EpochSealed;
-  sealed.epoch = epoch_;
-  sealed.span = epoch_span(epoch_);
+  sealed.payload().epoch = epoch_;
+  sealed.payload().span = epoch_span(epoch_);
   sealed.value = static_cast<double>(targets.size());
   sealed.has_value = true;
-  sealed.extra = static_cast<double>(coalesced_);
+  sealed.payload().extra = static_cast<double>(coalesced_);
   out.push_back(std::move(sealed));
   coalesced_ = 0;
   transition(CoordinatorPhase::Committing, out);
@@ -161,9 +161,9 @@ void CoordinatorCore::seal(runtime::Time now, std::vector<Output>& out) {
     if (ticket.parent_span == 0) continue;
     Output link;
     link.kind = OutputKind::FlowLink;
-    link.epoch = epoch_;
-    link.span = epoch_span(epoch_);
-    link.parent_span = ticket.parent_span;
+    link.payload().epoch = epoch_;
+    link.payload().span = epoch_span(epoch_);
+    link.payload().parent_span = ticket.parent_span;
     out.push_back(std::move(link));
   }
 
@@ -186,7 +186,7 @@ void CoordinatorCore::seal(runtime::Time now, std::vector<Output>& out) {
     Output send;
     send.kind = OutputKind::Send;
     send.process = static_cast<config::ProcessId>(child);
-    send.epoch = commit_.wire;
+    send.payload().epoch = commit_.wire;
     send.message = std::move(message);
     out.push_back(std::move(send));
   }
@@ -199,10 +199,10 @@ void CoordinatorCore::seal(runtime::Time now, std::vector<Output>& out) {
   for (const auto& [lane, run] : commit_.lanes) {
     Output exec;
     exec.kind = OutputKind::ExecuteShard;
-    exec.epoch = epoch_;
-    exec.shard = run.queue.front().shard;
+    exec.payload().epoch = epoch_;
+    exec.payload().shard = run.queue.front().shard;
     exec.config = run.queue.front().target;
-    exec.parent_span = epoch_span(epoch_);
+    exec.payload().parent_span = epoch_span(epoch_);
     out.push_back(std::move(exec));
   }
   // Anything routed to neither a child nor a local lane cannot execute:
@@ -275,10 +275,10 @@ void CoordinatorCore::on_shard_finished(const CoordinatorInput::ShardFinished& f
       // not block the rest of its lane (§4.4 isolation per shard).
       Output exec;
       exec.kind = OutputKind::ExecuteShard;
-      exec.epoch = epoch_;
-      exec.shard = run.queue[run.next].shard;
+      exec.payload().epoch = epoch_;
+      exec.payload().shard = run.queue[run.next].shard;
       exec.config = run.queue[run.next].target;
-      exec.parent_span = epoch_span(epoch_);
+      exec.payload().parent_span = epoch_span(epoch_);
       out.push_back(std::move(exec));
     }
     maybe_complete(now, out, /*timed_out=*/false);
@@ -335,12 +335,12 @@ void CoordinatorCore::maybe_complete(runtime::Time now, std::vector<Output>& out
   }
   Output completed;
   completed.kind = OutputKind::EpochCompleted;
-  completed.epoch = epoch_;
-  completed.span = epoch_span(epoch_);
+  completed.payload().epoch = epoch_;
+  completed.payload().span = epoch_span(epoch_);
   completed.value = static_cast<double>(outcomes.size());
   completed.has_value = true;
-  completed.extra = static_cast<double>(orphans);
-  completed.shard_outcomes = outcomes;
+  completed.payload().extra = static_cast<double>(orphans);
+  completed.payload().shard_outcomes = outcomes;
   out.push_back(std::move(completed));
   ++epochs_completed_;
 
@@ -359,17 +359,17 @@ void CoordinatorCore::maybe_complete(runtime::Time now, std::vector<Output>& out
       message->outcomes = std::move(slice);
       Output send;
       send.kind = OutputKind::SendParent;
-      send.epoch = ticket.id;
+      send.payload().epoch = ticket.id;
       send.message = std::move(message);
       out.push_back(std::move(send));
     } else {
       Output done;
       done.kind = OutputKind::TicketDone;
-      done.ticket = ticket.id;
-      done.epoch = epoch_;
-      done.span = ticket.parent_span;  // the root ticket's own span
-      done.parent_span = epoch_span(epoch_);
-      done.shard_outcomes = std::move(slice);
+      done.payload().ticket = ticket.id;
+      done.payload().epoch = epoch_;
+      done.payload().span = ticket.parent_span;  // the root ticket's own span
+      done.payload().parent_span = epoch_span(epoch_);
+      done.payload().shard_outcomes = std::move(slice);
       out.push_back(std::move(done));
     }
   }

@@ -13,10 +13,16 @@
 // one buffer per thread and nesting depth (an agent's outputs can step the
 // same agent again while the outer list is being applied), so stepping a
 // forked core allocates only the messages it sends, and those come from
-// per-thread free lists (util/block_pool.hpp). Output::command shares the
-// step's LocalCommand instead of copying it, Output::name points at a
-// literal or the action table, and an Outcome carries its reason as data
-// (OutcomeReason) that the driver formats only where it records the text.
+// per-thread free lists (util/block_pool.hpp). An Output is a small record of
+// the fields most kinds use, with the rest (outcome, request notes,
+// coordinator bookkeeping) in an out-of-line OutputPayload, so a manager or
+// agent effect on an explored edge builds no string or vector.
+// Output::command shares the step's LocalCommand instead of copying it,
+// Output::name points at a literal or the action table, and the cores emit
+// data, never text: an Outcome carries its reason as an OutcomeReason, a
+// step its action id, a plan its action ids and a request its two
+// configurations, and the driver formats them only where it records the
+// text.
 //
 // Delivery contract: a MessageDelivered input does not own its message. It
 // points at a MessagePtr the caller holds, which must stay valid for the one
@@ -45,11 +51,14 @@
 #include <variant>
 #include <vector>
 
+#include "actions/action.hpp"
 #include "config/configuration.hpp"
 #include "proto/core/states.hpp"
 #include "proto/messages.hpp"
 #include "runtime/message.hpp"
 #include "runtime/time.hpp"
+#include "util/block_pool.hpp"
+#include "util/small_vector.hpp"
 
 namespace sa::proto {
 
@@ -197,48 +206,88 @@ enum class OutputKind : std::uint8_t {
   FlowLink,        ///< causal edge for tracing: `span` caused by `parent_span`
 };
 
-/// One side effect requested by a core, in emission order. A single flat
-/// struct (rather than a variant) keeps construction sites terse and lets
-/// drivers switch on `kind` while ignoring fields a kind does not use.
-struct Output {
-  OutputKind kind{};
-  StepRef ref;                    ///< step coordinates at emission time
-  std::uint64_t request_id = 0;   ///< owning request (Transition/Outcome/notes)
-  config::ProcessId process = 0;  ///< Send destination / note subject
-  runtime::MessagePtr message;    ///< Send payload
-  ManagerTimer timer = ManagerTimer::Protocol;  ///< Arm/DisarmTimer slot
-  runtime::Time delay = 0;        ///< ArmTimer timeout
-  const char* label = "";         ///< timer label / retransmission phase / dup type
-  /// Action name (Step*, from the core's action table), outcome name, or a
-  /// request note's literal name; never owns its characters.
-  std::string_view name;
-  std::string detail;             ///< human-readable description for traces
-  double value = 0;               ///< plan cost, involved count, ...
-  bool has_value = false;
-  double extra = 0;               ///< secondary number (e.g. plan length)
-  config::Configuration config;   ///< StepCommitted: the new configuration
-  std::shared_ptr<const LocalCommand> command;  ///< Process* operand (never null)
-  bool flag = false;              ///< drain (ProcessReachSafe), stalled (Commit)
-  ManagerPhase phase_from = ManagerPhase::Running;  ///< Transition (manager)
-  ManagerPhase phase_to = ManagerPhase::Running;
-  AgentState state_from = AgentState::Running;      ///< Transition (agent)
-  AgentState state_to = AgentState::Running;
-  runtime::Time blocked = 0;      ///< BlockedObserved µs
-  AdaptationSummary result;       ///< Outcome payload
-  OutcomeReason reason;           ///< Outcome: why the request finished
+/// The fields of the few kinds that need more than the common record: the
+/// terminal Outcome, the request-level notes, and the coordinator's epoch
+/// bookkeeping. Held out of line, in a block from the per-thread pool
+/// (util/block_pool.hpp), so emitting any other output constructs and
+/// destroys no string and no vector, and a warm model checker allocates
+/// none for the kinds that do.
+struct OutputPayload {
+  AdaptationSummary result;  ///< Outcome: the verdict
+  OutcomeReason reason;      ///< Outcome: why the request finished
+  config::Configuration target;  ///< AdaptationRequested: the target (config = source)
+  util::SmallVector<actions::ActionId, 8> plan;  ///< PlanComputed: the path's actions, in order
 
   // --- coordinator-only fields ----------------------------------------------
-  CoordinatorTimer ctimer = CoordinatorTimer::Epoch;  ///< Arm/DisarmTimer slot
-  CoordinatorPhase cphase_from = CoordinatorPhase::Idle;  ///< Transition
-  CoordinatorPhase cphase_to = CoordinatorPhase::Idle;
+  double extra = 0;  ///< EpochSealed: coalesced submissions; EpochCompleted: orphans
   std::uint64_t epoch = 0;   ///< epoch the output belongs to
   std::uint32_t shard = 0;   ///< ExecuteShard subject
   std::uint64_t ticket = 0;  ///< TicketDone subject
   std::vector<ShardOutcome> shard_outcomes;  ///< EpochCompleted / TicketDone
+  std::string detail;  ///< DuplicateMessage: what the coordinator absorbed
 
   // --- causal tracing ---------------------------------------------------------
   std::uint64_t span = 0;         ///< span this output belongs to
   std::uint64_t parent_span = 0;  ///< span that caused it (FlowLink / requests)
 };
+
+/// One side effect requested by a core, in emission order. One flat record
+/// of the fields most kinds use, so construction sites stay terse and drivers
+/// switch on `kind` while ignoring fields a kind does not use. The manager
+/// and agent outputs of every explored edge use only these; the rest sit in
+/// the OutputPayload, which the kinds that need it make on first use.
+struct Output {
+  OutputKind kind{};
+  ManagerTimer timer = ManagerTimer::Protocol;        ///< Arm/DisarmTimer slot
+  CoordinatorTimer ctimer = CoordinatorTimer::Epoch;  ///< Arm/DisarmTimer slot
+  ManagerPhase phase_from = ManagerPhase::Running;    ///< Transition (manager)
+  ManagerPhase phase_to = ManagerPhase::Running;
+  AgentState state_from = AgentState::Running;       ///< Transition (agent)
+  AgentState state_to = AgentState::Running;
+  CoordinatorPhase cphase_from = CoordinatorPhase::Idle;  ///< Transition
+  CoordinatorPhase cphase_to = CoordinatorPhase::Idle;
+  bool flag = false;              ///< drain (ProcessReachSafe), stalled (Commit)
+  bool has_value = false;
+  config::ProcessId process = 0;  ///< Send destination / note subject
+  StepRef ref;                    ///< step coordinates at emission time
+  std::uint64_t request_id = 0;   ///< owning request (Transition/Outcome/notes)
+  actions::ActionId action = 0;   ///< StepStarted: the step's action
+  runtime::MessagePtr message;    ///< Send payload
+  runtime::Time delay = 0;        ///< ArmTimer timeout
+  runtime::Time blocked = 0;      ///< BlockedObserved µs
+  const char* label = "";         ///< timer label / retransmission phase / dup type
+  /// Action name (Step*, from the core's action table), outcome name, or a
+  /// request note's literal name; never owns its characters.
+  std::string_view name;
+  double value = 0;               ///< plan cost, involved count, ...
+  config::Configuration config;   ///< StepCommitted/Outcome: new config; request: source
+  std::shared_ptr<const LocalCommand> command;  ///< Process* operand (never null)
+
+  /// The out-of-line fields, made on first use.
+  OutputPayload& payload() {
+    if (!payload_) {
+      payload_.reset(new (util::BlockPool::allocate(sizeof(OutputPayload))) OutputPayload());
+    }
+    return *payload_;
+  }
+  /// The out-of-line fields, or their defaults when none were made.
+  const OutputPayload& payload() const {
+    static const OutputPayload kNone{};
+    return payload_ ? *payload_ : kNone;
+  }
+
+ private:
+  struct PayloadDeleter {
+    void operator()(OutputPayload* payload) const noexcept {
+      payload->~OutputPayload();
+      util::BlockPool::deallocate(payload, sizeof(OutputPayload));
+    }
+  };
+  std::unique_ptr<OutputPayload, PayloadDeleter> payload_;
+};
+
+static_assert(sizeof(OutputPayload) <= util::BlockPool::kMaxPooledBytes,
+              "an output's payload comes from the block pool");
+static_assert(sizeof(Output) <= 176, "every effect value-initializes the common record");
 
 }  // namespace sa::proto

@@ -1,6 +1,7 @@
 #include "proto/core/manager_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <stdexcept>
 
@@ -160,9 +161,9 @@ void ManagerCore::handle_request(const config::Configuration& target) {
 
   Output& out = emit(OutputKind::AdaptationRequested);
   out.name = "adaptation";
-  out.parent_span = cause_span_;
-  out.detail =
-      current_.describe(table_->registry()) + " -> " + target.describe(table_->registry());
+  out.config = current_;
+  out.payload().target = target;
+  out.payload().parent_span = cause_span_;
 
   if (current_ == target_) {
     finish(AdaptationOutcome::Success, {.text = "already at target configuration"});
@@ -192,10 +193,9 @@ void ManagerCore::start_plan(const actions::AdaptationPlan& plan) {
   step_attempt_ = 0;
   Output& out = emit(OutputKind::PlanComputed);
   out.name = "map";
-  out.detail = plan.action_names(*table_);
   out.value = plan.total_cost;
   out.has_value = true;
-  out.extra = static_cast<double>(plan.steps.size());
+  for (const actions::PlanStep& s : plan_steps_) out.payload().plan.push_back(s.action);
   execute_current_step();
 }
 
@@ -204,8 +204,19 @@ void ManagerCore::execute_current_step() {
   const actions::AdaptiveAction& action = table_->action(plan_step.action);
   const auto& registry = table_->registry();
 
-  const std::vector<config::ProcessId> involved = action.affected_processes(registry, registry.size());
-  involved_.assign(involved.begin(), involved.end());
+  // The processes hosting a component the action removes or adds, ascending:
+  // AdaptiveAction::affected_processes, filled in place because every step
+  // attempt runs this and that function builds two vectors.
+  involved_.clear();
+  for (std::uint64_t touched = action.removes.unite(action.adds).bits(); touched != 0;
+       touched &= touched - 1) {
+    const config::ProcessId process =
+        registry.process(static_cast<config::ComponentId>(std::countr_zero(touched)));
+    if (std::find(involved_.begin(), involved_.end(), process) == involved_.end()) {
+      involved_.push_back(process);
+    }
+  }
+  std::sort(involved_.begin(), involved_.end());
   for (const config::ProcessId process : involved_) {
     if (!has_agent(process)) {
       throw std::logic_error("no agent registered for process " + std::to_string(process));
@@ -237,7 +248,7 @@ void ManagerCore::execute_current_step() {
   set_phase(ManagerPhase::Adapting);
   Output& out = emit(OutputKind::StepStarted);
   out.name = action.name;
-  out.detail = action.operation_text(registry);
+  out.action = plan_step.action;
   out.value = static_cast<double>(involved_.size());
   out.has_value = true;
   send_stage_resets(current_stage_);
@@ -554,10 +565,11 @@ void ManagerCore::finish(AdaptationOutcome outcome, const OutcomeReason& reason)
   result_.finished = now_;
   Output& out = emit(OutputKind::Outcome);
   out.name = to_string(outcome);
-  out.parent_span = cause_span_;
   out.config = result_.final_config;
-  out.result = result_;
-  out.reason = reason;
+  OutputPayload& more = out.payload();
+  more.parent_span = cause_span_;
+  more.result = result_;
+  more.reason = reason;
 }
 
 std::string describe(const OutcomeReason& reason, const config::ComponentRegistry& registry) {

@@ -133,6 +133,8 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
         }
         break;
       case OutputKind::StepStarted: {
+        const std::string operation =
+            table_->action(out.action).operation_text(table_->registry());
         StepRecord record;
         record.ref = out.ref;
         record.action_name = out.name;
@@ -143,13 +145,13 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
           e.kind = obs::EventKind::StepStarted;
           e.coords = coords_of(out.ref);
           e.name = out.name;
-          e.detail = out.detail;
+          e.detail = operation;
           e.value = out.value;
           e.has_value = true;
           trace_.record(std::move(e));
         }
         SA_INFO("manager") << "step " << out.ref.describe() << ": " << out.name << " ("
-                           << out.detail << "), " << static_cast<std::size_t>(out.value)
+                           << operation << "), " << static_cast<std::size_t>(out.value)
                            << " process(es)";
         break;
       }
@@ -209,19 +211,25 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
           e.kind = obs::EventKind::AdaptationRequested;
           e.coords.request = out.request_id;
           e.name = out.name;
-          e.detail = out.detail;
+          e.detail = out.config.describe(table_->registry()) + " -> " +
+                     out.payload().target.describe(table_->registry());
           e.span = span_of(node_, SpanKind::Request, out.request_id);
-          e.parent_span = out.parent_span;
+          e.parent_span = out.payload().parent_span;
           trace_.record(std::move(e));
         }
         break;
-      case OutputKind::PlanComputed:
+      case OutputKind::PlanComputed: {
+        std::string path;
+        for (const actions::ActionId action : out.payload().plan) {
+          if (!path.empty()) path += ", ";
+          path += table_->action(action).name;
+        }
         if (trace_.wants(obs::EventKind::PlanComputed)) {
           obs::Event e;
           e.kind = obs::EventKind::PlanComputed;
           e.coords = coords_of(out.ref);
           e.name = out.name;
-          e.detail = out.detail;
+          e.detail = path;
           e.value = out.value;
           e.has_value = true;
           trace_.record(std::move(e));
@@ -230,15 +238,16 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
           metrics
               ->histogram("sa_plan_length", {1, 2, 3, 4, 5, 6, 8, 10, 15, 20}, {},
                           "Steps per computed adaptation path")
-              .observe(out.extra);
+              .observe(static_cast<double>(out.payload().plan.size()));
           metrics
               ->histogram("sa_plan_cost", {1, 2, 5, 10, 20, 50, 100, 200, 500}, {},
                           "Total action cost per computed adaptation path")
               .observe(out.value);
         }
-        SA_INFO("manager") << (out.ref.plan == 0 ? "MAP: " : "replanned path: ") << out.detail
+        SA_INFO("manager") << (out.ref.plan == 0 ? "MAP: " : "replanned path: ") << path
                            << " (cost " << out.value << ")";
         break;
+      }
       case OutputKind::Retransmission:
         if (obs::MetricsRegistry* metrics = trace_.metrics()) {
           metrics
@@ -285,7 +294,8 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
 void AdaptationManager::apply_outcome(const Output& out) {
   // The core reports why the request finished as data; its text is made
   // here, where it is recorded, logged and handed to the caller.
-  const AdaptationResult result{out.result, describe(out.reason, table_->registry())};
+  const OutputPayload& outcome = out.payload();
+  const AdaptationResult result{outcome.result, describe(outcome.reason, table_->registry())};
   if (trace_.wants(obs::EventKind::AdaptationFinished)) {
     obs::Event e;
     e.kind = obs::EventKind::AdaptationFinished;
@@ -293,7 +303,7 @@ void AdaptationManager::apply_outcome(const Output& out) {
     e.name = out.name;
     e.detail = result.detail;
     e.span = span_of(node_, SpanKind::Request, out.request_id);
-    e.parent_span = out.parent_span;
+    e.parent_span = outcome.parent_span;
     e.value = static_cast<double>(result.finished - result.started);
     e.has_value = true;
     trace_.record(std::move(e));

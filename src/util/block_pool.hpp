@@ -1,9 +1,10 @@
 // Per-thread free lists of small heap blocks.
 //
 // The model checker makes and drops a few small objects on every explored
-// edge: the schedule node of each new frame, and the messages the protocol
+// edge: the schedule node of each new frame, the messages the protocol
 // cores send (most of which the search's message table already holds, so
-// they die within the step). Each used to be one malloc and one free. A
+// they die within the step), and the payloads of their outcome and plan
+// outputs. Each used to be one malloc and one free. A
 // BlockPool keeps the freed blocks of each small size class on a list owned
 // by the freeing thread, and the next allocation of that class on that
 // thread pops one, so a warm search allocates nothing on its hot path.
@@ -29,8 +30,9 @@ namespace sa::util {
 
 class BlockPool {
  public:
-  /// Blocks of at most this many bytes are pooled; larger ones go to the heap.
-  static constexpr std::size_t kMaxPooledBytes = 256;
+  /// Blocks of at most this many bytes are pooled; larger ones go to the
+  /// heap. The largest pooled object is a protocol core's OutputPayload.
+  static constexpr std::size_t kMaxPooledBytes = 512;
 
   /// A block of at least `bytes` bytes, aligned for any scalar type.
   static void* allocate(std::size_t bytes);

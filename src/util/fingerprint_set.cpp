@@ -1,6 +1,7 @@
 #include "util/fingerprint_set.hpp"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -52,12 +53,32 @@ std::size_t reserved_slots(std::size_t expected) {
   return slots;
 }
 
-/// Puts `value` into the first empty slot of its probe chain. Only for
-/// tables no other thread can see.
-void place(std::uint64_t* slots, std::size_t mask, std::uint64_t value) {
+/// Puts `value` into the first empty slot of its probe chain and returns
+/// the slot. Only for tables no other thread can see.
+std::size_t place(std::uint64_t* slots, std::size_t mask, std::uint64_t value) {
   std::size_t idx = static_cast<std::size_t>(remix(value)) & mask;
   while (slots[idx] != 0) idx = (idx + 1) & mask;
   slots[idx] = value;
+  return idx;
+}
+
+/// `bytes` rounded up to whole pages: where the next part of a region starts.
+std::size_t page_round(std::size_t bytes) {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return (bytes + page - 1) / page * page;
+}
+
+/// Raises the budget stored in `cell` (the budget plus one, 0 = none yet) to
+/// `budget`; true iff it was lower. Two inserters of one fresh value may race
+/// here: both may report a raise, never neither.
+bool raise_budget(std::uint32_t& cell, std::uint32_t budget) {
+  std::atomic_ref<std::uint32_t> stored(cell);
+  const std::uint32_t wanted = budget + 1;
+  std::uint32_t seen = stored.load(std::memory_order_relaxed);
+  while (seen < wanted) {
+    if (stored.compare_exchange_weak(seen, wanted, std::memory_order_relaxed)) return true;
+  }
+  return false;
 }
 
 /// Per-thread cache of the writer record of the set this thread inserted
@@ -78,8 +99,7 @@ void detail::SlotUnmapper::operator()(std::uint64_t* slots) const {
   ::munmap(slots, count * sizeof(std::uint64_t));
 }
 
-detail::MappedSlots detail::map_slots(std::size_t count) {
-  const std::size_t bytes = count * sizeof(std::uint64_t);
+void* detail::map_region(std::size_t bytes) {
   void* region =
       ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (region == MAP_FAILED) throw std::bad_alloc();
@@ -87,7 +107,12 @@ detail::MappedSlots detail::map_slots(std::size_t count) {
   // Advice only: without transparent huge pages the region keeps 4 KiB pages.
   ::madvise(region, bytes, MADV_HUGEPAGE);
 #endif
-  return MappedSlots(static_cast<std::uint64_t*>(region), SlotUnmapper{count});
+  return region;
+}
+
+detail::MappedSlots detail::map_slots(std::size_t count) {
+  return MappedSlots(static_cast<std::uint64_t*>(map_region(count * sizeof(std::uint64_t))),
+                     SlotUnmapper{count});
 }
 
 // --- FingerprintSet ----------------------------------------------------------
@@ -145,32 +170,53 @@ void FingerprintSet::grow() {
 // ScopedWriter holds the flag across a run of inserts, so the run pays for
 // one handshake.
 
-ShardedFingerprintSet::ShardedFingerprintSet(std::size_t expected, std::size_t shards)
+ShardedFingerprintSet::ShardedFingerprintSet(std::size_t expected, std::size_t shards,
+                                             bool budgets)
     : id_(g_next_set_id.fetch_add(1, std::memory_order_relaxed)),
+      budgets_(budgets),
       shards_(next_pow2(shards == 0 ? 1 : shards)) {
   std::size_t log2 = 0;
   while ((std::size_t{1} << log2) < shards_.size()) ++log2;
   shard_shift_ = 64 - log2;
   const std::size_t per_shard =
       std::max(kMinCapacity, reserved_slots(expected) / shards_.size());
-  // Mapped in full before the shards adopt them, so a refused mapping leaks
-  // none of the earlier ones.
-  std::vector<detail::MappedSlots> arrays;
-  arrays.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) arrays.push_back(detail::map_slots(per_shard));
+  // One region holds every shard's slots, then every shard's budgets, each
+  // part starting on a page boundary, so unmapping one part when its shard
+  // grows leaves the others mapped.
+  const std::size_t slot_stride = page_round(per_shard * sizeof(std::uint64_t));
+  const std::size_t budget_stride = budgets ? page_round(per_shard * sizeof(std::uint32_t)) : 0;
+  auto* const region = static_cast<char*>(
+      detail::map_region(shards_.size() * (slot_stride + budget_stride)));
+  char* const budget_base = region + shards_.size() * slot_stride;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].slots.store(arrays[s].release(), std::memory_order_relaxed);
+    shards_[s].slots.store(reinterpret_cast<std::uint64_t*>(region + s * slot_stride),
+                           std::memory_order_relaxed);
     shards_[s].mask.store(per_shard - 1, std::memory_order_relaxed);
+    if (budgets) {
+      shards_[s].budgets = reinterpret_cast<std::uint32_t*>(budget_base + s * budget_stride);
+    }
   }
-  bytes_ = shards_.size() * per_shard * sizeof(std::uint64_t);
+  bytes_ = shards_.size() * shard_bytes(per_shard);
   peak_bytes_ = bytes_;
 }
 
 ShardedFingerprintSet::~ShardedFingerprintSet() {
   for (Shard& shard : shards_) {
-    detail::SlotUnmapper{shard.mask.load(std::memory_order_relaxed) + 1}(
-        shard.slots.load(std::memory_order_relaxed));
+    unmap_shard(shard.slots.load(std::memory_order_relaxed), shard.budgets,
+                shard.mask.load(std::memory_order_relaxed) + 1);
   }
+}
+
+std::size_t ShardedFingerprintSet::shard_bytes(std::size_t slots) const {
+  return slots * (sizeof(std::uint64_t) + (budgets_ ? sizeof(std::uint32_t) : 0));
+}
+
+void ShardedFingerprintSet::unmap_shard(std::uint64_t* slots, std::uint32_t* budgets,
+                                        std::size_t count) const {
+  // munmap rounds the length up to whole pages, which is exactly a region
+  // part's extent.
+  ::munmap(slots, count * sizeof(std::uint64_t));
+  if (budgets != nullptr) ::munmap(budgets, count * sizeof(std::uint32_t));
 }
 
 std::size_t ShardedFingerprintSet::shard_of(std::uint64_t mixed) const {
@@ -219,7 +265,8 @@ ShardedFingerprintSet::ScopedWriter::ScopedWriter(ShardedFingerprintSet& set)
 
 ShardedFingerprintSet::ScopedWriter::~ScopedWriter() { set_.leave(writer_); }
 
-bool ShardedFingerprintSet::ScopedWriter::insert(std::uint64_t value) {
+ShardedFingerprintSet::Insert ShardedFingerprintSet::ScopedWriter::insert(std::uint64_t value,
+                                                                        std::uint32_t budget) {
   if (value == 0) value = kZeroSentinel;
   const std::uint64_t mixed = remix(value);
   const std::size_t s = set_.shard_of(mixed);
@@ -232,10 +279,16 @@ bool ShardedFingerprintSet::ScopedWriter::insert(std::uint64_t value) {
       std::atomic_ref<std::uint64_t> slot(slots[idx]);
       std::uint64_t seen = slot.load(std::memory_order_relaxed);
       if (seen == 0 && slot.compare_exchange_strong(seen, value, std::memory_order_relaxed)) {
+        if (shard.budgets != nullptr) raise_budget(shard.budgets[idx], budget);
         set_.publish(writer_, s, mask);
-        return true;
+        return Insert::Fresh;
       }
-      if (seen == value) return false;
+      if (seen == value) {
+        if (shard.budgets != nullptr && raise_budget(shard.budgets[idx], budget)) {
+          return Insert::Raised;
+        }
+        return Insert::Present;
+      }
       idx = (idx + 1) & mask;
     }
     // Every slot is taken (unpublished counts hid the load): grow and retry.
@@ -282,22 +335,29 @@ void ShardedFingerprintSet::grow(std::size_t shard_index, std::size_t seen_mask)
   // inserter still runs and growing_ was never set.
   const std::size_t capacity = (seen_mask + 1) * 2;
   detail::MappedSlots fresh = detail::map_slots(capacity);
+  std::uint32_t* const fresh_budgets =
+      budgets_ ? static_cast<std::uint32_t*>(detail::map_region(capacity * sizeof(std::uint32_t)))
+               : nullptr;
   growing_.store(true);
   for (const auto& w : writers_) {
     while (w->active.load()) std::this_thread::yield();
   }
-  bytes_ += capacity * sizeof(std::uint64_t);
+  bytes_ += shard_bytes(capacity);
   peak_bytes_ = std::max(peak_bytes_, bytes_);
   std::uint64_t* const old = shard.slots.load(std::memory_order_relaxed);
+  std::uint32_t* const old_budgets = shard.budgets;
   for (std::size_t i = 0; i <= seen_mask; ++i) {
-    if (old[i] != 0) place(fresh.get(), capacity - 1, old[i]);
+    if (old[i] == 0) continue;
+    const std::size_t idx = place(fresh.get(), capacity - 1, old[i]);
+    if (old_budgets != nullptr) fresh_budgets[idx] = old_budgets[i];
   }
   shard.slots.store(fresh.release(), std::memory_order_relaxed);
   shard.mask.store(capacity - 1, std::memory_order_relaxed);
+  shard.budgets = fresh_budgets;
   // Unmapped as soon as it is rehashed: the old and new arrays of only this
   // one shard are ever mapped together.
-  detail::SlotUnmapper{seen_mask + 1}(old);
-  bytes_ -= (seen_mask + 1) * sizeof(std::uint64_t);
+  unmap_shard(old, old_budgets, seen_mask + 1);
+  bytes_ -= shard_bytes(seen_mask + 1);
   growing_.store(false, std::memory_order_release);
 }
 

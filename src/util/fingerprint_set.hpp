@@ -30,17 +30,27 @@
 // search ends 91.5% full in 2^22 slots (32 MiB) where a 3/4 bound needs
 // 2^23, and its inserts cost no more (EXPERIMENTS.md, "Visited-set memory").
 //
-// Memory. Every slot array is its own anonymous mmap region: it starts as
-// untouched zero pages, so a large reservation costs nothing until the search
-// reaches it, and it goes straight back to the kernel (munmap) when a growth
-// replaces it — the allocator neither zeroes it up-front nor keeps it cached.
-// Regions are advised MADV_HUGEPAGE, since probes land on random slots and a
-// table of 4 KiB pages misses the TLB on nearly every one. A growing shard
-// holds its old and new arrays at once, so the set's peak is its final size
-// plus the largest shard it grew from: with many shards that overshoot is
-// small. The explorer uses a fixed shard count (check/engine.cpp), chosen so
-// that the overshoot stays near 1/16 of the table while each shard of a
-// search-sized table still spans whole huge pages.
+// Memory. Every slot array starts as untouched zero pages of an anonymous
+// mapping, so a large reservation costs nothing until the search reaches it,
+// and it goes straight back to the kernel (munmap) when a growth replaces it
+// — the allocator neither zeroes it up-front nor keeps it cached. The
+// sharded set maps its initial shards as one region, each shard's part
+// starting on a page boundary: setting up a search costs one mmap and one
+// madvise instead of one of each per shard, and a grown shard still unmaps
+// just its own part. Regions are advised MADV_HUGEPAGE, since probes land on
+// random slots and a table of 4 KiB pages misses the TLB on nearly every one.
+// A growing shard holds its old and new arrays at once, so the set's peak is
+// its final size plus the largest shard it grew from: with many shards that
+// overshoot is small. The explorer uses a fixed shard count
+// (check/engine.cpp), chosen so that the overshoot stays near 1/16 of the
+// table while each shard of a search-sized table still spans whole huge
+// pages.
+//
+// Budgets. A sharded set made with `budgets` keeps a 32-bit budget beside
+// every slot, in a side array of the same shape: the depth-bounded explorer
+// stores each state's remaining depth there, so a state reached again with
+// more depth left is expanded again (insert() then reports Raised). A set
+// made without budgets maps no side array.
 //
 // Both sets treat the value 0 as the empty-slot sentinel: an incoming 0 is
 // remapped to a fixed non-zero constant. Fingerprints are already hashes, so
@@ -70,6 +80,10 @@ struct SlotUnmapper {
   void operator()(std::uint64_t* slots) const;
 };
 using MappedSlots = std::unique_ptr<std::uint64_t[], SlotUnmapper>;
+
+/// `bytes` of zeroed memory in a fresh anonymous mapping, advised for huge
+/// pages; throws std::bad_alloc when the kernel refuses it.
+void* map_region(std::size_t bytes);
 
 /// `count` zeroed slots in a fresh anonymous mapping; throws std::bad_alloc
 /// when the kernel refuses it.
@@ -101,10 +115,17 @@ class FingerprintSet {
 
 class ShardedFingerprintSet {
  public:
+  /// What an insert found: the value was new, present with a budget at least
+  /// as large, or present with a smaller budget (now raised to the new one).
+  /// A set without budgets reports only Fresh and Present.
+  enum class Insert : std::uint8_t { Present, Fresh, Raised };
+
   /// `shards` is rounded up to a power of two (at least 1). `expected` is the
   /// total expected value count; the reservation for it is split evenly
-  /// across shards.
-  explicit ShardedFingerprintSet(std::size_t expected, std::size_t shards);
+  /// across shards. With `budgets`, every value carries a budget (see the
+  /// header comment).
+  explicit ShardedFingerprintSet(std::size_t expected, std::size_t shards,
+                                 bool budgets = false);
   ~ShardedFingerprintSet();
   ShardedFingerprintSet(const ShardedFingerprintSet&) = delete;
   ShardedFingerprintSet& operator=(const ShardedFingerprintSet&) = delete;
@@ -128,8 +149,8 @@ class ShardedFingerprintSet {
   std::size_t shard_count() const { return shards_.size(); }
   /// Total slots over all shards. Call only while no thread inserts.
   std::size_t capacity() const;
-  /// Most slot bytes mapped at once so far: a growing shard holds its old
-  /// and new arrays together until the rehash ends.
+  /// Most slot and budget bytes mapped at once so far: a growing shard holds
+  /// its old and new arrays together until the rehash ends.
   std::size_t peak_bytes() const;
 
  private:
@@ -140,6 +161,9 @@ class ShardedFingerprintSet {
     std::atomic<std::uint64_t*> slots{nullptr};
     std::atomic<std::size_t> mask{0};  ///< slot count - 1
     std::atomic<std::size_t> published{0};  ///< fresh values counted so far
+    /// Budget of the value in each slot, plus one (0 = none yet); null in a
+    /// set without budgets. Replaced together with `slots`.
+    std::uint32_t* budgets = nullptr;
   };
 
   /// Eight of a writer's per-shard counts: a cache line of them, so no two
@@ -170,8 +194,13 @@ class ShardedFingerprintSet {
   void grow(std::size_t shard, std::size_t seen_mask);
   /// grow() from inside an active scope: leaves the handshake around it.
   void grow_from_scope(Writer& writer, std::size_t shard, std::size_t seen_mask);
+  /// Slot and budget bytes of a shard of `slots` slots.
+  std::size_t shard_bytes(std::size_t slots) const;
+  /// Unmaps a shard's arrays of `slots` slots.
+  void unmap_shard(std::uint64_t* slots, std::uint32_t* budgets, std::size_t count) const;
 
   const std::uint64_t id_;  ///< distinguishes sets in the per-thread writer cache
+  const bool budgets_;
   std::vector<Shard> shards_;
   std::size_t shard_shift_ = 0;  ///< 64 - log2(shard count)
   alignas(64) std::atomic<bool> growing_{false};
@@ -198,7 +227,9 @@ class ShardedFingerprintSet::ScopedWriter {
   ScopedWriter& operator=(const ScopedWriter&) = delete;
 
   /// True iff `value` was not present (and is now).
-  bool insert(std::uint64_t value);
+  bool insert(std::uint64_t value) { return insert(value, 0) == Insert::Fresh; }
+  /// Inserts `value` with `budget` (ignored by a set without budgets).
+  Insert insert(std::uint64_t value, std::uint32_t budget);
 
  private:
   ShardedFingerprintSet& set_;

@@ -11,12 +11,14 @@
 // and the protocol cores need (push_back/emplace_back, assign, erase, clear,
 // iteration, indexing, copy and move). Copy assignment reuses the target's
 // buffer when it is large enough, so assigning into a recycled vector does not
-// allocate. Not exception-safe against throwing element copies mid-operation
+// allocate, and elements of a trivially copyable type are copied (and moved
+// out of inline storage) as one block of bytes. Not exception-safe against throwing element copies mid-operation
 // beyond the basic guarantee, which is fine for the value types it holds.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -46,6 +48,11 @@ class SmallVector {
       if (other.size_ > capacity_) {
         clear();
         relocate(other.size_);
+      }
+      if constexpr (std::is_trivially_copyable_v<T>) {  // plain bytes, one copy
+        std::memcpy(static_cast<void*>(data_), other.data_, other.size_ * sizeof(T));
+        size_ = other.size_;
+        return *this;
       }
       std::copy(other.data_, other.data_ + std::min(size_, other.size_), data_);
       while (size_ > other.size_) pop_back();
@@ -138,7 +145,12 @@ class SmallVector {
       data_ = inline_data();
       capacity_ = N;
       size_ = 0;
-      for (T& value : other) emplace_back(std::move(value));
+      if constexpr (std::is_trivially_copyable_v<T>) {
+        std::memcpy(static_cast<void*>(data_), other.data_, other.size_ * sizeof(T));
+        size_ = other.size_;
+      } else {
+        for (T& value : other) emplace_back(std::move(value));
+      }
       other.clear();
     } else {
       data_ = other.data_;

@@ -153,6 +153,28 @@ TEST(ParallelExplorer, RollbackAfterResumeCaughtAtEveryThreadCount) {
   }
 }
 
+// A depth bound that cuts the search must not make the verdict depend on the
+// thread count. The plain pair search reaches the rollback-after-resume
+// violation only on the 40th choice of its schedule, so at depth 40 a state
+// first reached deep in one branch and then with more depth left in another
+// must be expanded again, whichever worker reached it first.
+TEST(ParallelExplorer, CuttingDepthBoundGivesOneVerdictAtEveryThreadCount) {
+  const Scenario scenario = make_pair_scenario();
+  ExploreOptions options;
+  options.max_depth = 40;
+  options.max_states = 2'000'000;
+  options.fault = proto::ManagerFault::RollbackAfterResume;
+  for (const int threads : {1, 2, 4, 8}) {
+    const ExploreResult result = run_with_threads(scenario, options, threads);
+    ASSERT_TRUE(result.counterexample.has_value()) << "threads=" << threads;
+    ASSERT_FALSE(result.counterexample->violations.empty()) << "threads=" << threads;
+    EXPECT_NE(result.counterexample->violations.front().find("§4.4"), std::string::npos)
+        << "threads=" << threads;
+    EXPECT_LE(result.counterexample->schedule.size(), 40U) << "threads=" << threads;
+    EXPECT_GT(result.stats.depth_capped, 0U) << "threads=" << threads;
+  }
+}
+
 TEST(ParallelExplorer, SequentialCounterexampleIsDeterministic) {
   // threads == 1 uses the lock-free sequential path: two runs must produce
   // the exact same counterexample schedule, and it must be minimal-or-equal

@@ -14,6 +14,7 @@
 #include "check/explorer.hpp"
 #include "check/model.hpp"
 #include "check/scenario.hpp"
+#include "check/sleep_set.hpp"
 #include "util/rng.hpp"
 
 namespace sa::check {
@@ -190,6 +191,78 @@ void expect_same_conclusions(const ExploreResult& reference, const ExploreResult
   EXPECT_EQ(result.stats.runs_completed, reference.stats.runs_completed) << label;
   EXPECT_EQ(result.stats.outcomes, reference.stats.outcomes) << label;
   EXPECT_EQ(result.stats.depth_capped, 0u) << label;
+}
+
+// The engine keys a child by the sum of its sleep entries' hashes and builds
+// the set only for a child the visited set has not seen. Both must agree with
+// the eager construction the engine used before: every child's set copied
+// from full footprints, then hashed entry by entry. Along random walks with
+// drops, duplicates and reordering (so every dependence rule fires), each
+// state's enabled choices play the awake siblings and every other one the
+// inherited set.
+TEST(Reduction, LazySleepSetsMatchEagerConstruction) {
+  std::size_t children = 0;
+  std::size_t entries_seen = 0;
+  for (const char* name : {"tiny", "pair"}) {
+    const Scenario scenario = make_scenario(name);
+    ExploreOptions options;
+    options.drop_budget = 1;
+    options.dup_budget = 1;
+    options.reorder = true;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      util::Rng rng(seed);
+      Model model = make_model(scenario, options);
+      model.set_record_transitions(false);
+      std::vector<ChoiceFootprint> fps;
+      for (model.choice_footprints(fps); !fps.empty(); model.choice_footprints(fps)) {
+        std::vector<ChoiceFootprint> inherited_fps;
+        SleepSet inherited;
+        std::vector<SleepEntry> awake;
+        for (std::size_t i = 0; i < fps.size(); ++i) {
+          awake.push_back(sleep_entry(fps[i]));
+          if (i % 2 == 1) {
+            inherited_fps.push_back(fps[i]);
+            inherited.push_back(sleep_entry(fps[i]));
+          }
+        }
+        for (std::size_t index = 0; index < fps.size(); ++index) {
+          // Eager: the child's set as full footprints, in set order.
+          std::vector<ChoiceFootprint> eager;
+          for (const ChoiceFootprint& s : inherited_fps) {
+            if (!choices_dependent(s, fps[index])) eager.push_back(s);
+          }
+          for (std::size_t j = 0; j < index; ++j) {
+            if (!choices_dependent(fps[j], fps[index])) eager.push_back(fps[j]);
+          }
+          std::uint64_t eager_hash = 0;
+          for (const ChoiceFootprint& fp : eager) eager_hash += sleep_entry_hash(fp);
+          // Lazy: the hash first, the set only afterwards.
+          std::uint64_t lazy_hash = 0;
+          for_each_child_sleep_entry(inherited, awake, index,
+                                     [&lazy_hash](const SleepEntry& e) { lazy_hash += e.hash; });
+          SleepSet lazy;
+          for_each_child_sleep_entry(inherited, awake, index,
+                                     [&lazy](const SleepEntry& e) { lazy.push_back(e); });
+          ASSERT_EQ(lazy_hash, eager_hash) << name;
+          ASSERT_EQ(lazy.size(), eager.size()) << name;
+          for (std::size_t k = 0; k < eager.size(); ++k) {
+            const ChoiceAccess want = ChoiceAccess::of(eager[k]);
+            EXPECT_EQ(lazy[k].access.seq, want.seq) << name;
+            EXPECT_EQ(lazy[k].access.kind, want.kind) << name;
+            EXPECT_EQ(lazy[k].access.entity, want.entity) << name;
+            EXPECT_EQ(lazy[k].access.channel_agent, want.channel_agent) << name;
+            EXPECT_EQ(lazy[k].access.channel_to_manager, want.channel_to_manager) << name;
+            EXPECT_EQ(lazy[k].hash, sleep_entry_hash(eager[k])) << name;
+          }
+          ++children;
+          entries_seen += eager.size();
+        }
+        model.apply(fps[rng.next_below(fps.size())].choice);
+      }
+    }
+  }
+  EXPECT_GT(children, 1000U);
+  EXPECT_GT(entries_seen, children);  // the sets are not mostly empty
 }
 
 TEST(Reduction, TinyOutcomesUnchangedByEitherReduction) {

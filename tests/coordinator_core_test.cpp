@@ -67,7 +67,7 @@ TEST(CoordinatorCoreTest, SubmitOpensEpochAndArmsWindow) {
   EXPECT_EQ(core.phase(), CoordinatorPhase::Batching);
   const Output* opened = first_of(out, OutputKind::EpochOpened);
   ASSERT_NE(opened, nullptr);
-  EXPECT_EQ(opened->epoch, 1U);
+  EXPECT_EQ(opened->payload().epoch, 1U);
   const Output* arm = first_of(out, OutputKind::ArmTimer);
   ASSERT_NE(arm, nullptr);
   EXPECT_EQ(arm->ctimer, CoordinatorTimer::Epoch);
@@ -83,11 +83,11 @@ TEST(CoordinatorCoreTest, SameShardTargetsCoalesceLaterWins) {
   const Output* sealed = first_of(out, OutputKind::EpochSealed);
   ASSERT_NE(sealed, nullptr);
   EXPECT_EQ(sealed->value, 1.0);  // one shard in the batch
-  EXPECT_EQ(sealed->extra, 1.0);  // one coalesced submission
+  EXPECT_EQ(sealed->payload().extra, 1.0);  // one coalesced submission
 
   const auto executes = of_kind(out, OutputKind::ExecuteShard);
   ASSERT_EQ(executes.size(), 1U);
-  EXPECT_EQ(executes[0]->shard, 0U);
+  EXPECT_EQ(executes[0]->payload().shard, 0U);
   EXPECT_EQ(executes[0]->config, cfg(2));  // the later target
 }
 
@@ -117,7 +117,7 @@ TEST(CoordinatorCoreTest, SealPartitionsBatchAcrossChildrenAndLanes) {
   }
   const auto executes = of_kind(out, OutputKind::ExecuteShard);
   ASSERT_EQ(executes.size(), 1U);  // the local lane starts immediately
-  EXPECT_EQ(executes[0]->shard, 3U);
+  EXPECT_EQ(executes[0]->payload().shard, 3U);
 }
 
 TEST(CoordinatorCoreTest, LanesSerializeButDistinctLanesStartTogether) {
@@ -129,13 +129,13 @@ TEST(CoordinatorCoreTest, LanesSerializeButDistinctLanesStartTogether) {
   auto out = step(core, epoch_fires());
   auto executes = of_kind(out, OutputKind::ExecuteShard);
   ASSERT_EQ(executes.size(), 2U);  // lane heads only
-  EXPECT_EQ(executes[0]->shard, 0U);
-  EXPECT_EQ(executes[1]->shard, 2U);
+  EXPECT_EQ(executes[0]->payload().shard, 0U);
+  EXPECT_EQ(executes[1]->payload().shard, 2U);
 
   out = step(core, shard_done(1, 0));
   executes = of_kind(out, OutputKind::ExecuteShard);
   ASSERT_EQ(executes.size(), 1U);  // lane 0 advances to its second shard
-  EXPECT_EQ(executes[0]->shard, 1U);
+  EXPECT_EQ(executes[0]->payload().shard, 1U);
 }
 
 TEST(CoordinatorCoreTest, PartialFailureIsolatedPerShard) {
@@ -149,15 +149,15 @@ TEST(CoordinatorCoreTest, PartialFailureIsolatedPerShard) {
 
   const Output* done = first_of(out, OutputKind::TicketDone);
   ASSERT_NE(done, nullptr);
-  EXPECT_EQ(done->ticket, 7U);
-  ASSERT_EQ(done->shard_outcomes.size(), 2U);
-  EXPECT_EQ(done->shard_outcomes[0].result.outcome,
+  EXPECT_EQ(done->payload().ticket, 7U);
+  ASSERT_EQ(done->payload().shard_outcomes.size(), 2U);
+  EXPECT_EQ(done->payload().shard_outcomes[0].result.outcome,
             proto::AdaptationOutcome::UserInterventionRequired);
-  EXPECT_TRUE(done->shard_outcomes[0].reported);  // it DID report — just failed
-  EXPECT_EQ(done->shard_outcomes[1].result.outcome, proto::AdaptationOutcome::Success);
+  EXPECT_TRUE(done->payload().shard_outcomes[0].reported);  // it DID report — just failed
+  EXPECT_EQ(done->payload().shard_outcomes[1].result.outcome, proto::AdaptationOutcome::Success);
   const Output* completed = first_of(out, OutputKind::EpochCompleted);
   ASSERT_NE(completed, nullptr);
-  EXPECT_EQ(completed->extra, 0.0);  // failures are not orphans
+  EXPECT_EQ(completed->payload().extra, 0.0);  // failures are not orphans
 }
 
 TEST(CoordinatorCoreTest, CommitTimeoutOrphansSilentSubtree) {
@@ -172,11 +172,11 @@ TEST(CoordinatorCoreTest, CommitTimeoutOrphansSilentSubtree) {
   const auto out = step(core, commit_fires());
   const Output* completed = first_of(out, OutputKind::EpochCompleted);
   ASSERT_NE(completed, nullptr);
-  EXPECT_EQ(completed->extra, 2.0);  // both of the child's shards orphaned
+  EXPECT_EQ(completed->payload().extra, 2.0);  // both of the child's shards orphaned
   const Output* done = first_of(out, OutputKind::TicketDone);
   ASSERT_NE(done, nullptr);
-  ASSERT_EQ(done->shard_outcomes.size(), 3U);
-  for (const proto::ShardOutcome& outcome : done->shard_outcomes) {
+  ASSERT_EQ(done->payload().shard_outcomes.size(), 3U);
+  for (const proto::ShardOutcome& outcome : done->payload().shard_outcomes) {
     if (outcome.shard == 2) {
       EXPECT_TRUE(outcome.reported);
       EXPECT_EQ(outcome.result.outcome, proto::AdaptationOutcome::Success);
@@ -212,7 +212,7 @@ TEST(CoordinatorCoreTest, UnroutableShardOrphansAtSealNotAtTimeout) {
   const auto out = step(core, shard_done(1, 0));  // epoch completes without a timeout
   const Output* completed = first_of(out, OutputKind::EpochCompleted);
   ASSERT_NE(completed, nullptr);
-  EXPECT_EQ(completed->extra, 1.0);
+  EXPECT_EQ(completed->payload().extra, 1.0);
   EXPECT_EQ(core.phase(), CoordinatorPhase::Idle);
 }
 
@@ -227,7 +227,7 @@ TEST(CoordinatorCoreTest, MidCommitSubmissionsBecomeNextEpoch) {
   EXPECT_NE(first_of(out, OutputKind::TicketDone), nullptr);
   const Output* opened = first_of(out, OutputKind::EpochOpened);
   ASSERT_NE(opened, nullptr);  // the pipeline reopens for the buffered ticket
-  EXPECT_EQ(opened->epoch, 2U);
+  EXPECT_EQ(opened->payload().epoch, 2U);
   EXPECT_EQ(core.phase(), CoordinatorPhase::Batching);
 }
 

@@ -402,6 +402,55 @@ TEST(ShardedFingerprintSetParallel, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(set.shard_count(), 4U);
 }
 
+TEST(ShardedFingerprintSet, BudgetsRaiseOnlyUpward) {
+  using Insert = ShardedFingerprintSet::Insert;
+  ShardedFingerprintSet set(/*expected=*/16, /*shards=*/4, /*budgets=*/true);
+  ShardedFingerprintSet::ScopedWriter writer(set);
+  EXPECT_EQ(writer.insert(42, 5), Insert::Fresh);
+  EXPECT_EQ(writer.insert(42, 5), Insert::Present);
+  EXPECT_EQ(writer.insert(42, 3), Insert::Present);
+  EXPECT_EQ(writer.insert(42, 7), Insert::Raised);
+  EXPECT_EQ(writer.insert(42, 7), Insert::Present);
+  EXPECT_EQ(writer.insert(43, 0), Insert::Fresh);
+  EXPECT_EQ(writer.insert(43, 0), Insert::Present);
+  EXPECT_EQ(writer.insert(43, 1), Insert::Raised);
+}
+
+TEST(ShardedFingerprintSet, BudgetsSurviveGrowth) {
+  using Insert = ShardedFingerprintSet::Insert;
+  ShardedFingerprintSet set(/*expected=*/16, /*shards=*/2, /*budgets=*/true);
+  const std::size_t initial_capacity = set.capacity();
+  std::vector<std::uint64_t> values;
+  Rng rng(21);
+  for (int i = 0; i < 5'000; ++i) values.push_back(rng.next_u64());
+  {
+    ShardedFingerprintSet::ScopedWriter writer(set);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(writer.insert(values[i], static_cast<std::uint32_t>(i % 7)), Insert::Fresh);
+    }
+  }
+  ASSERT_GT(set.capacity(), initial_capacity * 16);
+  ShardedFingerprintSet::ScopedWriter writer(set);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const auto budget = static_cast<std::uint32_t>(i % 7);
+    EXPECT_EQ(writer.insert(values[i], budget), Insert::Present);
+    EXPECT_EQ(writer.insert(values[i], budget + 1), Insert::Raised);
+  }
+}
+
+TEST(ShardedFingerprintSet, PeakBytesCountTheBudgetArrays) {
+  // As PeakBytesAreFinalPlusLargestShardGrownFrom, with 4 budget bytes
+  // beside every 8-byte slot.
+  ShardedFingerprintSet set(/*expected=*/32'768, /*shards=*/16, /*budgets=*/true);
+  ASSERT_EQ(set.capacity(), 16U * 4096);
+  EXPECT_EQ(set.peak_bytes(), set.capacity() * 12);
+  Rng rng(3);
+  ShardedFingerprintSet::ScopedWriter writer(set);
+  for (int i = 0; i < 90'000; ++i) writer.insert(rng.next_u64(), 1);
+  ASSERT_EQ(set.capacity(), 16U * 8192);
+  EXPECT_EQ(set.peak_bytes(), (16U * 8192 + 4096) * 12);
+}
+
 // --- SmallVector -------------------------------------------------------------
 
 TEST(SmallVector, StaysInlineUpToCapacityThenSpills) {
@@ -412,6 +461,28 @@ TEST(SmallVector, StaysInlineUpToCapacityThenSpills) {
   EXPECT_FALSE(v.inline_storage());
   ASSERT_EQ(v.size(), 5U);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
+}
+
+TEST(SmallVector, TriviallyCopyableElementsCopyAndMoveAsBytes) {
+  SmallVector<std::uint64_t, 4> small;
+  for (std::uint64_t i = 0; i < 3; ++i) small.push_back(i + 1);
+  SmallVector<std::uint64_t, 4> big;
+  for (std::uint64_t i = 0; i < 9; ++i) big.push_back(i * 10);
+  SmallVector<std::uint64_t, 4> target = big;  // spilled
+  target = small;                              // shrinks in place
+  ASSERT_EQ(target.size(), 3U);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(target[i], i + 1);
+  target = big;  // grows back into its spilled buffer
+  ASSERT_EQ(target.size(), 9U);
+  EXPECT_EQ(target[8], 80U);
+  SmallVector<std::uint64_t, 4> inline_copy;
+  inline_copy = small;  // fits inline
+  EXPECT_TRUE(inline_copy.inline_storage());
+  SmallVector<std::uint64_t, 4> moved(std::move(inline_copy));
+  EXPECT_TRUE(moved.inline_storage());
+  ASSERT_EQ(moved.size(), 3U);
+  EXPECT_EQ(moved[2], 3U);
+  EXPECT_TRUE(inline_copy.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
 }
 
 TEST(SmallVector, CopyAndMovePreserveElements) {
