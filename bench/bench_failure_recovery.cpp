@@ -14,6 +14,7 @@
 #include "util/log.hpp"
 
 #include <cstdio>
+#include <map>
 #include <optional>
 
 #include "core/paper_scenario.hpp"
@@ -25,28 +26,19 @@ namespace {
 
 using namespace sa;
 
-struct NullProcess : proto::AdaptableProcess {
-  bool prepare(const proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const proto::LocalCommand&) override { return true; }
-  bool undo(const proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
-
 /// The paper system on the simulator behind the fault decorators.
 struct Harness {
   runtime::SimRuntime sim;
   inject::FaultyRuntime faulty;
   core::SafeAdaptationSystem system;
-  NullProcess server, handheld, laptop;
+  std::map<config::ProcessId, proto::ObedientProcess> processes;
 
   explicit Harness(core::SystemConfig config = {})
       : sim(config.seed), faulty(sim, config.seed), system(faulty, config) {
     core::configure_paper_system(system);
-    system.attach_process(core::kServerProcess, server, 0);
-    system.attach_process(core::kHandheldProcess, handheld, 1);
-    system.attach_process(core::kLaptopProcess, laptop, 1);
+    for (const auto& [process, stage] : core::paper_stages()) {
+      system.attach_process(process, processes[process], stage);
+    }
     system.finalize();
     system.set_current_configuration(core::paper_source(system.registry()));
   }

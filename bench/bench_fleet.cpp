@@ -180,15 +180,6 @@ BENCHMARK(BM_FleetTracedAdaptation)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-struct StormProcess : proto::AdaptableProcess {
-  bool prepare(const proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const proto::LocalCommand&) override { return true; }
-  bool undo(const proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
-
 /// Group-commit coalescing on the simulator: `range(0)` submissions land
 /// inside one root epoch window; same-shard targets coalesce so the pipeline
 /// runs far fewer epochs than tickets.
@@ -202,7 +193,7 @@ void BM_GroupCommitCoalescing(benchmark::State& state) {
     config.topology.lanes_per_leaf = 4;
     config.topology.fanout = 4;
     core::CompositeAdaptationSystem system(config);
-    std::vector<std::unique_ptr<StormProcess>> processes;
+    std::vector<std::unique_ptr<proto::ObedientProcess>> processes;
     for (std::size_t c = 0; c < clusters; ++c) {
       const std::string s = std::to_string(c);
       system.registry().add("X" + s, static_cast<config::ProcessId>(c));
@@ -214,7 +205,7 @@ void BM_GroupCommitCoalescing(benchmark::State& state) {
       system.add_action("swap" + s, {"X" + s}, {"Y" + s}, 10);
     }
     for (std::size_t c = 0; c < clusters; ++c) {
-      processes.push_back(std::make_unique<StormProcess>());
+      processes.push_back(std::make_unique<proto::ObedientProcess>());
       system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
     }
     system.finalize();

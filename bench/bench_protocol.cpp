@@ -13,6 +13,7 @@
 #include "util/log.hpp"
 
 #include <cstdio>
+#include <map>
 #include <optional>
 
 #include "core/paper_scenario.hpp"
@@ -23,24 +24,15 @@ namespace {
 
 using namespace sa;
 
-struct NullProcess : proto::AdaptableProcess {
-  bool prepare(const proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const proto::LocalCommand&) override { return true; }
-  bool undo(const proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
-
 struct Harness {
   core::SafeAdaptationSystem system;
-  NullProcess server, handheld, laptop;
+  std::map<config::ProcessId, proto::ObedientProcess> processes;
 
   explicit Harness(core::SystemConfig config = {}) : system(config) {
     core::configure_paper_system(system);
-    system.attach_process(core::kServerProcess, server, 0);
-    system.attach_process(core::kHandheldProcess, handheld, 1);
-    system.attach_process(core::kLaptopProcess, laptop, 1);
+    for (const auto& [process, stage] : core::paper_stages()) {
+      system.attach_process(process, processes[process], stage);
+    }
     system.finalize();
     system.set_current_configuration(core::paper_source(system.registry()));
   }

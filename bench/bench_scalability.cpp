@@ -208,15 +208,6 @@ BENCHMARK(BM_LazyPlanPartialExploration)->DenseRange(1, 8)->Arg(12);
 
 namespace {
 
-struct NullProcess : sa::proto::AdaptableProcess {
-  bool prepare(const sa::proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const sa::proto::LocalCommand&) override { return true; }
-  bool undo(const sa::proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
-
 /// Realization wall-clock (virtual time) for adapting k independent
 /// 2-component clusters at once: a single manager executes 2k plan steps in
 /// sequence; the §7 composite system runs one manager per cluster, and since
@@ -254,9 +245,9 @@ void print_composite_realization() {
     if (k <= 8) {
       core::SafeAdaptationSystem system;
       build_components(system);
-      std::vector<std::unique_ptr<NullProcess>> processes;
+      std::vector<std::unique_ptr<sa::proto::ObedientProcess>> processes;
       for (std::size_t c = 0; c < k; ++c) {
-        processes.push_back(std::make_unique<NullProcess>());
+        processes.push_back(std::make_unique<sa::proto::ObedientProcess>());
         system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
       }
       system.finalize();
@@ -270,9 +261,9 @@ void print_composite_realization() {
     {
       core::CompositeAdaptationSystem system;
       build_components(system);
-      std::vector<std::unique_ptr<NullProcess>> processes;
+      std::vector<std::unique_ptr<sa::proto::ObedientProcess>> processes;
       for (std::size_t c = 0; c < k; ++c) {
-        processes.push_back(std::make_unique<NullProcess>());
+        processes.push_back(std::make_unique<sa::proto::ObedientProcess>());
         system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
       }
       system.finalize();

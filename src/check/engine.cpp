@@ -245,8 +245,9 @@ class FrontierEngine {
     }
     result.stats.visited_peak_bytes = visited_.peak_bytes();
     if (counterexample_) result.counterexample = std::move(counterexample_);
-    result.complete =
-        !capped_.load(std::memory_order_relaxed) && !result.counterexample.has_value();
+    result.state_budget_reached = state_capped_.load(std::memory_order_relaxed);
+    result.complete = !result.state_budget_reached && result.stats.depth_capped == 0 &&
+                      !result.counterexample.has_value();
   }
 
  private:
@@ -307,7 +308,6 @@ class FrontierEngine {
     }
     if (frame.depth >= depth_limit_) {
       ++ws.depth_capped;
-      capped_.store(true, std::memory_order_relaxed);
       if (!depth_cut_.exchange(true, std::memory_order_relaxed) &&
           skipped_raise_.load(std::memory_order_relaxed)) {
         // A state was not expanded again before this first cut showed that
@@ -381,7 +381,7 @@ class FrontierEngine {
         continue;
       }
       if (found == Insert::Fresh && count_fresh(ws)) {
-        capped_.store(true, std::memory_order_relaxed);
+        state_capped_.store(true, std::memory_order_relaxed);
         stop_.store(true, std::memory_order_release);
         return;
       }
@@ -611,7 +611,7 @@ class FrontierEngine {
   alignas(kCacheLine) std::atomic<std::size_t> inserted_{1};
   alignas(kCacheLine) std::atomic<std::size_t> pending_{0};
   alignas(kCacheLine) std::atomic<bool> stop_{false};
-  std::atomic<bool> capped_{false};
+  std::atomic<bool> state_capped_{false};   ///< max_states stopped the search
   std::atomic<bool> depth_cut_{false};      ///< a frame hit max_depth
   std::atomic<bool> skipped_raise_{false};  ///< see expand_raised()
   alignas(kCacheLine) std::atomic<int> sleepers_{0};

@@ -93,6 +93,9 @@ struct ExploreResult {
   /// depth-capped branch, no state-cap abort (DFS only; random walks and
   /// violation-aborted searches are never complete).
   bool complete = false;
+  /// True iff max_states stopped the search (DFS only; depth cuts are
+  /// stats.depth_capped).
+  bool state_budget_reached = false;
 };
 
 Model make_model(const Scenario& scenario, const ExploreOptions& options);

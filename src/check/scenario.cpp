@@ -64,27 +64,31 @@ Scenario make_pair_scenario() {
   return s;
 }
 
-Scenario make_paper_check_scenario() {
+Scenario scenario_from(std::string name, core::ParsedScenario parsed) {
   Scenario s;
-  s.name = "paper";
-  core::PaperScenario paper = core::make_paper_scenario();
-  s.registry = std::move(paper.registry);
-  s.invariants = std::move(paper.invariants);
-  s.actions = std::move(paper.actions);
-  s.source = paper.source;
-  s.target = paper.target;
-  // Same topology as configure_paper_system: the server (video sender)
-  // quiesces first; both clients drain before blocking.
-  s.stages = {{core::kServerProcess, 0}, {core::kHandheldProcess, 1}, {core::kLaptopProcess, 1}};
+  s.name = std::move(name);
+  s.registry = std::move(parsed.registry);
+  s.invariants = std::move(parsed.invariants);
+  s.actions = std::move(parsed.actions);
+  for (const config::ProcessId process : s.registry->processes()) {
+    s.stages[process] = parsed.stage_of(process);
+  }
+  s.source = parsed.source.value();
+  s.target = parsed.target.value();
   finalize(s);
   return s;
+}
+
+Scenario make_paper_check_scenario() {
+  return scenario_from("paper", core::parse_scenario_text(core::paper_scenario_text()));
 }
 
 Scenario make_scenario(std::string_view name) {
   if (name == "tiny") return make_tiny_scenario();
   if (name == "pair") return make_pair_scenario();
   if (name == "paper") return make_paper_check_scenario();
-  throw std::invalid_argument("unknown scenario: " + std::string(name));
+  const std::string path(name);
+  return scenario_from(path, core::load_scenario(path));
 }
 
 }  // namespace sa::check

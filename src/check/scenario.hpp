@@ -14,7 +14,9 @@
 //          is the smallest scenario where the §4.3 global-safe-state rule has
 //          teeth (a resume sent one adapt-done early is observable).
 //   paper  the §5 case study (64->128-bit hardening, three processes) —
-//          explored under depth/state bounds rather than exhaustively.
+//          explored under depth/state bounds rather than exhaustively. It is
+//          the embedded examples/paper.scenario, converted by scenario_from
+//          like any user-written scenario file.
 #pragma once
 
 #include <map>
@@ -28,6 +30,7 @@
 #include "config/enumerate.hpp"
 #include "config/invariants.hpp"
 #include "config/registry.hpp"
+#include "core/scenario_file.hpp"
 #include "proto/core/agent_core.hpp"
 #include "proto/core/manager_core.hpp"
 
@@ -65,8 +68,13 @@ Scenario make_tiny_scenario();
 Scenario make_pair_scenario();
 Scenario make_paper_check_scenario();
 
-/// Dispatch by name ("tiny" | "pair" | "paper"); throws std::invalid_argument
-/// on anything else.
+/// A parsed scenario file as a checker scenario, every hosting process at
+/// parsed.stage_of(process). Throws std::bad_optional_access without a
+/// source or target.
+Scenario scenario_from(std::string name, core::ParsedScenario parsed);
+
+/// Dispatch by name ("tiny" | "pair" | "paper"); any other name is read as a
+/// scenario file path (core::load_scenario, which throws when it is not one).
 Scenario make_scenario(std::string_view name);
 
 }  // namespace sa::check

@@ -25,17 +25,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// A fleet agent: always ready, quiesces instantly. The campaign measures
-/// coordination cost, not application work.
-struct FleetProcess : proto::AdaptableProcess {
-  bool prepare(const proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const proto::LocalCommand&) override { return true; }
-  bool undo(const proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
-
 struct RegionEndpoints {
   config::Configuration source;  ///< every cluster on X
   config::Configuration target;  ///< every cluster on Y
@@ -46,7 +35,7 @@ struct RegionEndpoints {
 /// every cluster is its own collaborative set on its own lane.
 RegionEndpoints build_region(CompositeAdaptationSystem& system, std::size_t first,
                              std::size_t count,
-                             std::vector<std::unique_ptr<FleetProcess>>& processes) {
+                             std::vector<std::unique_ptr<proto::ObedientProcess>>& processes) {
   for (std::size_t c = 0; c < count; ++c) {
     const std::string s = std::to_string(first + c);
     system.registry().add("X" + s, static_cast<config::ProcessId>(c));
@@ -58,7 +47,7 @@ RegionEndpoints build_region(CompositeAdaptationSystem& system, std::size_t firs
     system.add_action("swap" + s, {"X" + s}, {"Y" + s}, 10);
   }
   for (std::size_t c = 0; c < count; ++c) {
-    processes.push_back(std::make_unique<FleetProcess>());
+    processes.push_back(std::make_unique<proto::ObedientProcess>());
     system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
   }
   system.finalize();
@@ -98,7 +87,7 @@ RegionReport run_region(const FleetSpec& spec, std::size_t region, std::size_t f
                                                : obs::TraceDetail::Causal);
     system.tracer().set_enabled(true);
   }
-  std::vector<std::unique_ptr<FleetProcess>> processes;
+  std::vector<std::unique_ptr<proto::ObedientProcess>> processes;
   const RegionEndpoints endpoints = build_region(system, first, count, processes);
 
   report.shards = system.shard_count();
@@ -250,7 +239,7 @@ ThreadedCampaignReport run_threaded_campaign(const ThreadedCampaignSpec& spec) {
   runtime::ThreadedRuntime rt(options);
 
   std::vector<std::unique_ptr<CompositeAdaptationSystem>> systems;
-  std::vector<std::vector<std::unique_ptr<FleetProcess>>> processes(regions);
+  std::vector<std::vector<std::unique_ptr<proto::ObedientProcess>>> processes(regions);
   std::vector<RegionEndpoints> endpoints;
   FleetSpec shape;  // reuse the per-region tree shape defaults
   shape.seed = spec.seed;

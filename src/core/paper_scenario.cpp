@@ -1,92 +1,44 @@
 #include "core/paper_scenario.hpp"
 
+#include "core/scenario_file.hpp"
 #include "core/system.hpp"
 
 namespace sa::core {
 
-void configure_paper_system(SafeAdaptationSystem& system, PaperActionSet action_set) {
-  register_paper_components(system.registry());
-  system.add_invariant("resource constraint", "one(D1, D2, D3)");
-  system.add_invariant("security constraint", "one(E1, E2)");
-  system.add_invariant("E1 dependency", "E1 -> (D1 | D2) & D4");
-  system.add_invariant("E2 dependency", "E2 -> (D3 | D2) & D5");
+namespace {
 
-  const bool singles = action_set != PaperActionSet::CombinedOnly;
-  const bool combined = action_set != PaperActionSet::SinglesOnly;
-  if (singles) {
-    system.add_action("A1", {"E1"}, {"E2"}, 10, "replace E1 with E2");
-    system.add_action("A2", {"D1"}, {"D2"}, 10, "replace D1 with D2");
-    system.add_action("A3", {"D1"}, {"D3"}, 10, "replace D1 with D3");
-    system.add_action("A4", {"D2"}, {"D3"}, 10, "replace D2 with D3");
-    system.add_action("A5", {"D4"}, {"D5"}, 10, "replace D4 with D5");
-  }
-  if (combined) {
-    system.add_action("A6", {"D1", "E1"}, {"D2", "E2"}, 100, "A1 and A2");
-    system.add_action("A7", {"D1", "E1"}, {"D3", "E2"}, 100, "A1 and A3");
-    system.add_action("A8", {"D2", "E1"}, {"D3", "E2"}, 100, "A1 and A4");
-    system.add_action("A9", {"D4", "E1"}, {"D5", "E2"}, 100, "A1 and A5");
-    system.add_action("A10", {"D1", "D4"}, {"D2", "D5"}, 50, "A2 and A5");
-    system.add_action("A11", {"D1", "D4"}, {"D3", "D5"}, 50, "A3 and A5");
-    system.add_action("A12", {"D2", "D4"}, {"D3", "D5"}, 50, "A4 and A5");
-    system.add_action("A13", {"D1", "D4", "E1"}, {"D2", "D5", "E2"}, 150, "A1 and A10");
-    system.add_action("A14", {"D1", "D4", "E1"}, {"D3", "D5", "E2"}, 150, "A1 and A11");
-    system.add_action("A15", {"D2", "D4", "E1"}, {"D3", "D5", "E2"}, 150, "A1 and A12");
-  }
-  system.add_action("A16", {"D4"}, {}, 10, "remove D4");
-  system.add_action("A17", {}, {"D5"}, 10, "insert D5");
+/// The embedded scenario, parsed once and only read afterwards.
+const ParsedScenario& paper() {
+  static const ParsedScenario parsed = parse_scenario_text(paper_scenario_text());
+  return parsed;
+}
+
+}  // namespace
+
+void configure_paper_system(SafeAdaptationSystem& system, PaperActionSet action_set) {
+  configure_system(system, paper(), [action_set](const actions::AdaptiveAction& action) {
+    const std::size_t removed = action.removes.count();
+    const std::size_t added = action.adds.count();
+    if (removed == 0 || added == 0) return true;  // structural: A16, A17
+    const bool single = removed == 1 && added == 1;
+    return single ? action_set != PaperActionSet::CombinedOnly
+                  : action_set != PaperActionSet::SinglesOnly;
+  });
 }
 
 void register_paper_components(config::ComponentRegistry& registry) {
-  registry.add("E1", kServerProcess, "DES 64-bit encoder");
-  registry.add("E2", kServerProcess, "DES 128-bit encoder");
-  registry.add("D1", kHandheldProcess, "DES 64-bit decoder");
-  registry.add("D2", kHandheldProcess, "DES 128/64-bit compatible decoder");
-  registry.add("D3", kHandheldProcess, "DES 128-bit decoder");
-  registry.add("D4", kLaptopProcess, "DES 64-bit decoder");
-  registry.add("D5", kLaptopProcess, "DES 128-bit decoder");
+  const config::ComponentRegistry& from = *paper().registry;
+  for (config::ComponentId id = 0; id < from.size(); ++id) {
+    const auto& info = from.info(id);
+    registry.add(info.name, info.process, info.description);
+  }
 }
 
-void add_paper_invariants(config::InvariantSet& invariants) {
-  // "One of the receivers, the hand-held device, allows only one DES decoder
-  // in the system at a given time due to computing power constraints."
-  invariants.add("resource constraint", "one(D1, D2, D3)");
-  // "The sender should have one encoder in the system so that the data is
-  // encoded during the adaptation."
-  invariants.add("security constraint", "one(E1, E2)");
-  // "E1 encoder requires the D1 or D2 decoder to work with the D4 decoder."
-  invariants.add("E1 dependency", "E1 -> (D1 | D2) & D4");
-  // "E2 encoder requires the D3 or D2 decoder to work with the D5 decoder."
-  invariants.add("E2 dependency", "E2 -> (D3 | D2) & D5");
-}
+config::Configuration paper_source(const config::ComponentRegistry&) { return *paper().source; }
 
-void add_paper_actions(actions::ActionTable& table) {
-  // Table 2: adaptive actions and corresponding cost (packet delay in ms).
-  table.add("A1", {"E1"}, {"E2"}, 10, "replace E1 with E2");
-  table.add("A2", {"D1"}, {"D2"}, 10, "replace D1 with D2");
-  table.add("A3", {"D1"}, {"D3"}, 10, "replace D1 with D3");
-  table.add("A4", {"D2"}, {"D3"}, 10, "replace D2 with D3");
-  table.add("A5", {"D4"}, {"D5"}, 10, "replace D4 with D5");
-  table.add("A6", {"D1", "E1"}, {"D2", "E2"}, 100, "A1 and A2");
-  table.add("A7", {"D1", "E1"}, {"D3", "E2"}, 100, "A1 and A3");
-  table.add("A8", {"D2", "E1"}, {"D3", "E2"}, 100, "A1 and A4");
-  table.add("A9", {"D4", "E1"}, {"D5", "E2"}, 100, "A1 and A5");
-  table.add("A10", {"D1", "D4"}, {"D2", "D5"}, 50, "A2 and A5");
-  table.add("A11", {"D1", "D4"}, {"D3", "D5"}, 50, "A3 and A5");
-  table.add("A12", {"D2", "D4"}, {"D3", "D5"}, 50, "A4 and A5");
-  table.add("A13", {"D1", "D4", "E1"}, {"D2", "D5", "E2"}, 150, "A1 and A10");
-  table.add("A14", {"D1", "D4", "E1"}, {"D3", "D5", "E2"}, 150, "A1 and A11");
-  table.add("A15", {"D2", "D4", "E1"}, {"D3", "D5", "E2"}, 150, "A1 and A12");
-  table.add("A16", {"D4"}, {}, 10, "remove D4");
-  table.add("A17", {}, {"D5"}, 10, "insert D5");
-}
+config::Configuration paper_target(const config::ComponentRegistry&) { return *paper().target; }
 
-config::Configuration paper_source(const config::ComponentRegistry& registry) {
-  return config::Configuration::from_bit_string("0100101", registry.size());
-}
-
-config::Configuration paper_target(const config::ComponentRegistry& registry) {
-  return config::Configuration::from_bit_string("1010010", registry.size());
-}
+const std::map<config::ProcessId, int>& paper_stages() { return paper().stages; }
 
 proto::FilterFactory paper_filter_factory(crypto::DesKeys keys) {
   return [keys](const std::string& name) -> components::FilterPtr {
@@ -102,16 +54,9 @@ proto::FilterFactory paper_filter_factory(crypto::DesKeys keys) {
 }
 
 PaperScenario make_paper_scenario() {
-  PaperScenario scenario;
-  scenario.registry = std::make_unique<config::ComponentRegistry>();
-  register_paper_components(*scenario.registry);
-  scenario.invariants = std::make_unique<config::InvariantSet>(*scenario.registry);
-  add_paper_invariants(*scenario.invariants);
-  scenario.actions = std::make_unique<actions::ActionTable>(*scenario.registry);
-  add_paper_actions(*scenario.actions);
-  scenario.source = paper_source(*scenario.registry);
-  scenario.target = paper_target(*scenario.registry);
-  return scenario;
+  ParsedScenario parsed = parse_scenario_text(paper_scenario_text());
+  return PaperScenario{std::move(parsed.registry), std::move(parsed.invariants),
+                       std::move(parsed.actions), *parsed.source, *parsed.target};
 }
 
 }  // namespace sa::core

@@ -1,10 +1,14 @@
 #include "core/scenario_file.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
+#include "core/system.hpp"
 #include "util/strings.hpp"
 
 namespace sa::core {
@@ -12,9 +16,12 @@ namespace sa::core {
 namespace {
 
 /// Splits a scenario line into whitespace-separated tokens, keeping quoted
-/// strings ("...") as single tokens with the quotes stripped.
-std::vector<std::string> tokenize(const std::string& line, std::size_t line_number) {
+/// strings ("...") as single tokens with the quotes stripped; `quoted` marks
+/// which tokens those were.
+std::vector<std::string> tokenize(const std::string& line, std::size_t line_number,
+                                  std::vector<bool>& quoted) {
   std::vector<std::string> tokens;
+  quoted.clear();
   std::size_t i = 0;
   while (i < line.size()) {
     if (std::isspace(static_cast<unsigned char>(line[i]))) {
@@ -28,6 +35,7 @@ std::vector<std::string> tokenize(const std::string& line, std::size_t line_numb
         throw ScenarioParseError("unterminated quoted string", line_number);
       }
       tokens.push_back(line.substr(i + 1, close - i - 1));
+      quoted.push_back(true);
       i = close + 1;
       continue;
     }
@@ -37,6 +45,7 @@ std::vector<std::string> tokenize(const std::string& line, std::size_t line_numb
       ++end;
     }
     tokens.push_back(line.substr(i, end - i));
+    quoted.push_back(false);
     i = end;
   }
   return tokens;
@@ -86,10 +95,11 @@ ParsedScenario parse_scenario(std::istream& input) {
   std::string line;
   std::size_t line_number = 0;
   bool components_frozen = false;
+  std::vector<bool> quoted;
 
   while (std::getline(input, line)) {
     ++line_number;
-    const auto tokens = tokenize(line, line_number);
+    const auto tokens = tokenize(line, line_number, quoted);
     if (tokens.empty()) continue;
     const std::string& directive = tokens[0];
 
@@ -102,23 +112,45 @@ ParsedScenario parse_scenario(std::istream& input) {
         if (tokens.size() < 3) {
           throw ScenarioParseError("component needs a name and process=<id>", line_number);
         }
-        const auto process = keyed(tokens[2], "process");
-        if (!process) throw ScenarioParseError("expected process=<id>", line_number);
+        const auto text = keyed(tokens[2], "process");
+        const auto process = text ? util::parse_u64(*text) : std::nullopt;
+        if (!process || *process > std::numeric_limits<config::ProcessId>::max()) {
+          throw ScenarioParseError("expected process=<id>", line_number);
+        }
         const std::string description = tokens.size() > 3 ? tokens[3] : "";
-        scenario.registry->add(tokens[1],
-                              static_cast<config::ProcessId>(std::stoul(*process)), description);
+        scenario.registry->add(tokens[1], static_cast<config::ProcessId>(*process), description);
+      } else if (directive == "process") {
+        const auto id = tokens.size() > 1 ? util::parse_u64(tokens[1]) : std::nullopt;
+        if (!id || *id >= 64) throw ScenarioParseError("process needs an id below 64", line_number);
+        const auto process = static_cast<config::ProcessId>(*id);
+        if (std::ranges::count(scenario.registry->processes(), process) == 0) {
+          throw ScenarioParseError("process " + tokens[1] + " hosts no component", line_number);
+        }
+        const auto value = tokens.size() > 2 && !quoted[2] ? keyed(tokens[2], "stage")
+                                                          : std::nullopt;
+        const auto stage = value ? util::parse_u64(*value) : std::nullopt;
+        if (!stage || *stage > std::numeric_limits<int>::max() || tokens.size() > 4 ||
+            (tokens.size() == 4 && !quoted[3])) {
+          throw ScenarioParseError("expected process <id> stage=<n> [\"description\"]",
+                                   line_number);
+        }
+        if (!scenario.stages.emplace(process, static_cast<int>(*stage)).second) {
+          throw ScenarioParseError("duplicate process " + tokens[1], line_number);
+        }
       } else if (directive == "invariant") {
         components_frozen = true;
         if (tokens.size() < 3) {
           throw ScenarioParseError("invariant needs a name and an expression", line_number);
         }
-        // The expression is everything after the name on the original line.
+        // The expression is everything after the name on the original line,
+        // up to a comment.
         const std::size_t name_pos = line.find('"');
         const std::size_t name_end = line.find('"', name_pos + 1);
         if (name_pos == std::string::npos || name_end == std::string::npos) {
           throw ScenarioParseError("invariant name must be quoted", line_number);
         }
-        const std::string expression(util::trim(line.substr(name_end + 1)));
+        const std::string expression(
+            util::trim(line.substr(name_end + 1, line.find('#', name_end) - name_end - 1)));
         scenario.invariants->add(tokens[1], expression);
       } else if (directive == "action") {
         components_frozen = true;
@@ -163,6 +195,47 @@ ParsedScenario parse_scenario(std::istream& input) {
 ParsedScenario parse_scenario_text(std::string_view text) {
   std::istringstream stream{std::string(text)};
   return parse_scenario(stream);
+}
+
+ParsedScenario load_scenario(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) throw std::runtime_error(path + ": cannot open the scenario file");
+  try {
+    ParsedScenario scenario = parse_scenario(file);
+    if (!scenario.source || !scenario.target) {
+      throw std::runtime_error("scenario must declare both source and target");
+    }
+    return scenario;
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+int ParsedScenario::stage_of(config::ProcessId process) const {
+  const auto it = stages.find(process);
+  return it != stages.end() ? it->second : static_cast<int>(process);
+}
+
+void configure_system(SafeAdaptationSystem& system, const ParsedScenario& scenario,
+                      const std::function<bool(const actions::AdaptiveAction&)>& keep) {
+  const config::ComponentRegistry& registry = *scenario.registry;
+  for (config::ComponentId id = 0; id < registry.size(); ++id) {
+    const auto& info = registry.info(id);
+    system.registry().add(info.name, info.process, info.description);
+  }
+  for (const auto& invariant : scenario.invariants->invariants()) {
+    system.add_invariant(invariant.name, invariant.predicate->to_string());
+  }
+  const auto names = [&registry](const config::Configuration& components) {
+    std::vector<std::string> out;
+    for (const auto id : components.components(registry.size())) out.push_back(registry.name(id));
+    return out;
+  };
+  for (const auto& action : scenario.actions->actions()) {
+    if (keep && !keep(action)) continue;
+    system.add_action(action.name, names(action.removes), names(action.adds), action.cost,
+                      action.description);
+  }
 }
 
 }  // namespace sa::core

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/paper_scenario.hpp"
 #include "proto/wire_codecs.hpp"
 #include "runtime/socket_runtime.hpp"  // wall_clock_us
 #include "runtime/wire.hpp"
@@ -173,10 +174,9 @@ std::string topology_json() {
     if (i == 0) {
       out << "\"role\": \"manager\"}";
     } else {
-      // Stage assignment mirrors the in-process campaign: the server (the
-      // upstream sender) quiesces in stage 0, both clients in stage 1.
-      out << "\"role\": \"agent\", \"process\": " << (i - 1) << ", \"stage\": "
-          << (i == 1 ? 0 : 1) << '}';
+      const auto process = static_cast<config::ProcessId>(i - 1);
+      out << "\"role\": \"agent\", \"process\": " << process << ", \"stage\": "
+          << paper_stages().at(process) << '}';
     }
     out << (i + 1 < names.size() ? ",\n" : "\n");
   }

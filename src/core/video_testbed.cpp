@@ -1,6 +1,7 @@
 #include "core/video_testbed.hpp"
 
 #include <algorithm>
+#include <map>
 
 namespace sa::core {
 
@@ -26,12 +27,18 @@ VideoTestbed::VideoTestbed(TestbedConfig config) : config_(config) {
   handheld_ = std::make_unique<video::VideoClient>(clock, net, handheld_data_, "handheld", factory);
   laptop_ = std::make_unique<video::VideoClient>(clock, net, laptop_data_, "laptop", factory);
 
-  // Initial composition = the paper's source configuration {D4, D1, E1}.
-  server_->chain().append_filter(factory("E1"));
-  handheld_->chain().append_filter(factory("D1"));
-  laptop_->chain().append_filter(factory("D4"));
+  // Initial composition = the paper's source configuration.
+  const config::ComponentRegistry& registry = system_->registry();
+  const std::map<config::ProcessId, components::FilterChain*> chains{
+      {kServerProcess, &server_->chain()},
+      {kHandheldProcess, &handheld_->chain()},
+      {kLaptopProcess, &laptop_->chain()}};
+  for (const config::ComponentId id : source().components(registry.size())) {
+    chains.at(registry.process(id))->append_filter(factory(registry.name(id)));
+  }
 
-  system_->attach_process(kServerProcess, server_->process(), /*stage=*/0);
+  const auto& stage = paper_stages();
+  system_->attach_process(kServerProcess, server_->process(), stage.at(kServerProcess));
   if (config_.frame_aligned_clients) {
     // §7 safe-state derivation: a frame's packets are a keyed critical
     // communication segment; the agent only blocks a client on a frame
@@ -55,11 +62,11 @@ VideoTestbed::VideoTestbed(TestbedConfig config) : config_(config) {
         std::make_unique<spec::MonitoredProcess>(handheld_->process(), *handheld_monitor_);
     laptop_monitored_ =
         std::make_unique<spec::MonitoredProcess>(laptop_->process(), *laptop_monitor_);
-    system_->attach_process(kHandheldProcess, *handheld_monitored_, /*stage=*/1);
-    system_->attach_process(kLaptopProcess, *laptop_monitored_, /*stage=*/1);
+    system_->attach_process(kHandheldProcess, *handheld_monitored_, stage.at(kHandheldProcess));
+    system_->attach_process(kLaptopProcess, *laptop_monitored_, stage.at(kLaptopProcess));
   } else {
-    system_->attach_process(kHandheldProcess, handheld_->process(), /*stage=*/1);
-    system_->attach_process(kLaptopProcess, laptop_->process(), /*stage=*/1);
+    system_->attach_process(kHandheldProcess, handheld_->process(), stage.at(kHandheldProcess));
+    system_->attach_process(kLaptopProcess, laptop_->process(), stage.at(kLaptopProcess));
   }
   system_->finalize();
   system_->set_current_configuration(source());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -30,18 +31,6 @@ namespace {
 /// perturbs the base execution's channel randomness.
 constexpr std::uint64_t kPlanStream = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kFaultStream = 0xbf58476d1ce4e5b9ULL;
-
-/// Always-succeeding AdaptableProcess for the protocol-only "paper" scenario;
-/// failures come from the fault decorators and agent-level fail-to-reset, so
-/// the campaign exercises the drivers, not a scripted stub.
-struct StubProcess final : proto::AdaptableProcess {
-  bool prepare(const proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const proto::LocalCommand&) override { return true; }
-  bool undo(const proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
 
 const std::vector<config::ProcessId>& paper_processes() {
   static const std::vector<config::ProcessId> processes{
@@ -225,10 +214,10 @@ RunResult run_paper(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
   core::SafeAdaptationSystem system(frt, config);
   arm_recorder(system.tracer());
   core::configure_paper_system(system, action_set);
-  StubProcess server, handheld, laptop;
-  system.attach_process(core::kServerProcess, server, /*stage=*/0);
-  system.attach_process(core::kHandheldProcess, handheld, /*stage=*/1);
-  system.attach_process(core::kLaptopProcess, laptop, /*stage=*/1);
+  std::map<config::ProcessId, proto::ObedientProcess> processes;
+  for (const auto& [process, stage] : core::paper_stages()) {
+    system.attach_process(process, processes[process], stage);
+  }
   system.finalize();
 
   const config::Configuration source = core::paper_source(system.registry());
@@ -403,7 +392,7 @@ RunResult run_fleet(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
   core::CompositeAdaptationSystem system(frt, config);
   arm_recorder(system.tracer());
 
-  std::vector<std::unique_ptr<StubProcess>> processes;
+  std::vector<std::unique_ptr<proto::ObedientProcess>> processes;
   for (std::size_t c = 0; c < kClusters; ++c) {
     const std::string s = std::to_string(c);
     system.registry().add("X" + s, static_cast<config::ProcessId>(c));
@@ -414,7 +403,7 @@ RunResult run_fleet(std::uint64_t seed, const FaultPlan& plan, const CampaignOpt
     system.add_invariant("one" + s, "one(X" + s + ", Y" + s + ")");
     system.add_action("swap" + s, {"X" + s}, {"Y" + s}, 10);
     system.add_action("back" + s, {"Y" + s}, {"X" + s}, 10);
-    processes.push_back(std::make_unique<StubProcess>());
+    processes.push_back(std::make_unique<proto::ObedientProcess>());
     system.attach_process(static_cast<config::ProcessId>(c), *processes.back(), 0);
   }
   system.finalize();

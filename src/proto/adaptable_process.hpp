@@ -51,6 +51,17 @@ class AdaptableProcess {
   virtual void cleanup(const LocalCommand& command) { (void)command; }
 };
 
+/// An AdaptableProcess with no application behind it, for runs of the protocol
+/// alone: every action succeeds and the safe state is reached at once.
+struct ObedientProcess : AdaptableProcess {
+  bool prepare(const LocalCommand&) override { return true; }
+  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
+  void abort_safe_state() override {}
+  bool apply(const LocalCommand&) override { return true; }
+  bool undo(const LocalCommand&) override { return true; }
+  void resume() override {}
+};
+
 /// Creates filter instances by component name — the agent's pre-action uses
 /// it to build the components an in-action will insert.
 using FilterFactory = std::function<components::FilterPtr(const std::string& name)>;

@@ -41,6 +41,67 @@ TEST(Explorer, TinyScenarioExhaustiveDfsIsClean) {
   EXPECT_TRUE(result.stats.outcomes.count("user-intervention-required"));
 }
 
+TEST(Explorer, StateBudgetThatStopsTheSearchIsReported) {
+  const Scenario scenario = make_tiny_scenario();
+  ExploreOptions options;
+  options.max_depth = 300;
+  options.max_states = 50;
+  const ExploreResult result = explore_dfs(scenario, options);
+  expect_clean(result);
+  EXPECT_TRUE(result.state_budget_reached);
+  EXPECT_EQ(result.stats.depth_capped, 0U);
+  EXPECT_FALSE(result.complete);
+}
+
+TEST(Explorer, DepthBoundThatCutsRunsIsNotAStateBudget) {
+  const Scenario scenario = make_tiny_scenario();
+  ExploreOptions options;
+  options.max_depth = 6;
+  options.max_states = 2'000'000;
+  const ExploreResult result = explore_dfs(scenario, options);
+  expect_clean(result);
+  EXPECT_FALSE(result.state_budget_reached);
+  EXPECT_GT(result.stats.depth_capped, 0U);
+  EXPECT_FALSE(result.complete);
+}
+
+// A scenario file converts to the same checker scenario as the C++ builder:
+// pair, written in the .scenario format, searches identically.
+TEST(Explorer, ScenarioFileChecksLikeItsBuilder) {
+  const Scenario from_file = scenario_from("pair-file", core::parse_scenario_text(R"(
+component A process=0
+component B process=0
+component C process=1
+component D process=1
+process 0 stage=0
+process 1 stage=1
+invariant "upstream exclusive" one(A, B)
+invariant "downstream exclusive" one(C, D)
+invariant "A needs C" A -> C
+invariant "C needs A" C -> A
+action swap remove=A,C add=B,D cost=1
+action unswap remove=B,D add=A,C cost=1
+source A,C
+target B,D
+)"));
+  const Scenario builder = make_pair_scenario();
+  EXPECT_EQ(from_file.stages, builder.stages);
+  ExploreOptions options;
+  options.max_depth = 18;
+  options.dpor = true;
+  const ExploreResult a = explore_dfs(from_file, options);
+  const ExploreResult b = explore_dfs(builder, options);
+  expect_clean(a);
+  EXPECT_GT(a.stats.runs_completed, 0U);
+  EXPECT_EQ(a.stats.states_explored, b.stats.states_explored);
+  EXPECT_EQ(a.stats.states_deduped, b.stats.states_deduped);
+  EXPECT_EQ(a.stats.runs_completed, b.stats.runs_completed);
+  EXPECT_EQ(a.stats.outcomes, b.stats.outcomes);
+  EXPECT_THROW(scenario_from("no-target", core::parse_scenario_text("component A process=0\n"
+                                                                     "source A\n")),
+               std::bad_optional_access);
+}
+
 TEST(Explorer, TinyScenarioWithMessageDropIsClean) {
   const Scenario scenario = make_tiny_scenario();
   ExploreOptions options;

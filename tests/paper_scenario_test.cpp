@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "actions/planner.hpp"
 #include "config/enumerate.hpp"
 #include "core/paper_scenario.hpp"
+#include "core/system.hpp"
 
 namespace sa::core {
 namespace {
@@ -69,6 +76,40 @@ TEST(PaperScenario, Figure4SagAndMap) {
   ASSERT_TRUE(plan.has_value());
   EXPECT_DOUBLE_EQ(plan->total_cost, 50.0);
   EXPECT_EQ(plan->action_names(*scenario.actions), "A2, A17, A1, A16, A4");
+}
+
+TEST(PaperScenario, EmbeddedTextIsTheExampleFile) {
+  const std::string path = std::string(SA_REPO_ROOT) + "/examples/paper.scenario";
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file.is_open()) << "cannot open " << path;
+  std::ostringstream text;
+  text << file.rdbuf();
+  EXPECT_EQ(paper_scenario_text(), text.str());
+}
+
+TEST(PaperScenario, Figure3Stages) {
+  // The server (the video sender) quiesces first; both clients in stage 1.
+  EXPECT_EQ(paper_stages(), (std::map<config::ProcessId, int>{
+                                {kServerProcess, 0}, {kHandheldProcess, 1}, {kLaptopProcess, 1}}));
+}
+
+TEST(PaperScenario, ActionSetTiersFollowActionShapes) {
+  const auto registered = [](PaperActionSet action_set) {
+    SafeAdaptationSystem system;
+    configure_paper_system(system, action_set);
+    std::vector<std::string> names;
+    for (const auto& action : system.action_table().actions()) names.push_back(action.name);
+    return names;
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(registered(PaperActionSet::All),
+            (Names{"A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11", "A12",
+                   "A13", "A14", "A15", "A16", "A17"}));
+  EXPECT_EQ(registered(PaperActionSet::SinglesOnly),
+            (Names{"A1", "A2", "A3", "A4", "A5", "A16", "A17"}));
+  EXPECT_EQ(registered(PaperActionSet::CombinedOnly),
+            (Names{"A6", "A7", "A8", "A9", "A10", "A11", "A12", "A13", "A14", "A15", "A16",
+                   "A17"}));
 }
 
 TEST(PaperScenario, FilterFactoryBuildsAllComponents) {

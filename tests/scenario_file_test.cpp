@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "actions/planner.hpp"
@@ -78,7 +79,7 @@ TEST(ScenarioFile, ParsedScenarioPlansEndToEnd) {
 }
 
 TEST(ScenarioFile, ErrorsCarryLineNumbers) {
-  const auto expect_error_at = [](const char* text, std::size_t line) {
+  const auto expect_error_at = [](const std::string& text, std::size_t line) {
     try {
       parse_scenario_text(text);
       FAIL() << text;
@@ -89,6 +90,8 @@ TEST(ScenarioFile, ErrorsCarryLineNumbers) {
   expect_error_at("bogus directive\n", 1);
   expect_error_at("component A process=0\n\ncomponent A process=0\n", 3);   // duplicate
   expect_error_at("component A\n", 1);                                      // missing process
+  expect_error_at("component A process=-1\n", 1);                          // negative process
+  expect_error_at("component A process=1x\n", 1);                          // trailing junk
   expect_error_at("component A process=0\ninvariant \"x\" B -> A\n", 2);    // unknown comp
   expect_error_at("component A process=0\naction x cost=1\n", 2);           // empty action
   expect_error_at("component A process=0\naction x add=A\n", 2);            // missing cost
@@ -96,12 +99,49 @@ TEST(ScenarioFile, ErrorsCarryLineNumbers) {
   expect_error_at("component A process=0\ninvariant \"open A\n", 2);        // bad quoting
   expect_error_at("invariant \"x\" true\ncomponent A process=0\n", 2);      // late component
   expect_error_at("component A process=0\nsource 0 1\n", 2);                // extra token
+
+  // process lines
+  const std::string components = "component A process=0\ncomponent B process=1\n";
+  expect_error_at(components + "process 0 stage=0\nprocess 0 stage=1\n", 4);  // duplicate id
+  expect_error_at(components + "process 0\n", 3);                              // missing stage
+  expect_error_at(components + "process 0 \"stage=1\"\n", 3);                  // quoted, no key
+  expect_error_at(components + "process 0 stage=-1\n", 3);                     // negative
+  expect_error_at(components + "process 0 stage=x\n", 3);                      // non-numeric
+  expect_error_at(components + "process 0 stage=\n", 3);                       // empty
+  expect_error_at(components + "process 0 stage=1x\n", 3);                     // trailing
+  expect_error_at(components + "process x stage=0\n", 3);                      // bad id
+  expect_error_at(components + "process -1 stage=0\n", 3);                     // negative id
+  expect_error_at(components + "process\n", 3);                                // no id
+  expect_error_at(components + "process 64 stage=0\n", 3);                     // id >= 64
+  expect_error_at(components + "process 0 stage=0 speed=2\n", 3);              // unknown key
+  expect_error_at(components + "process 0 stage=0 fast\n", 3);                 // stray token
+  // No component lives on process 2, or none yet: process lines follow the
+  // components.
+  expect_error_at(components + "process 1 stage=1\n\nprocess 2 stage=1\n", 5);
+  expect_error_at("process 0 stage=0\n" + components, 1);
+}
+
+TEST(ScenarioFile, ParsesProcessStages) {
+  const auto scenario = parse_scenario_text(
+      "component A process=0\ncomponent C process=1\ncomponent E process=5\n"
+      "process 1 stage=0 \"sender, stage=9 in a description\"\nprocess 0 stage=3\n");
+  EXPECT_EQ(scenario.stages, (std::map<config::ProcessId, int>{{0, 3}, {1, 0}}));
+  EXPECT_EQ(scenario.stage_of(0), 3);
+  EXPECT_EQ(scenario.stage_of(1), 0);
+  EXPECT_EQ(scenario.stage_of(5), 5);  // no process line: stage = id
+  EXPECT_TRUE(parse_scenario_text(kMini).stages.empty());
 }
 
 TEST(ScenarioFile, CommentsAndQuotesInTokens) {
   const auto scenario = parse_scenario_text(
-      "component A process=0 \"has # inside\"  # trailing comment\n");
+      "component A process=0 \"has # inside\"  # trailing comment\n"
+      "component B process=0\n"
+      "invariant \"pick # one\" one(A, B)  # not part of the expression\n");
   EXPECT_EQ(scenario.registry->info(0).description, "has # inside");
+  ASSERT_EQ(scenario.invariants->invariants().size(), 1U);
+  EXPECT_EQ(scenario.invariants->invariants()[0].name, "pick # one");
+  EXPECT_EQ(scenario.invariants->invariants()[0].predicate->to_string(),
+            expr::parse("one(A, B)")->to_string());
 }
 
 TEST(ScenarioFile, PaperScenarioFileReproducesTheMap) {

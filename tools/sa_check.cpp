@@ -9,6 +9,7 @@
 //   sa_check --scenario tiny --mode dfs --depth 200          # exhaustive
 //   sa_check --scenario pair --dpor --symmetry --depth 0     # reduced, unbounded
 //   sa_check --scenario paper --depth 24 --drops 1           # bounded
+//   sa_check --scenario examples/paper.scenario --depth 24   # any scenario file
 //   sa_check --scenario pair --fault resume-early --json-out ce.json
 //   sa_check --replay ce.json                                # reproduce
 //
@@ -29,13 +30,15 @@
 #include "check/scenario.hpp"
 #include "obs/event.hpp"
 #include "obs/export.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
-      << "  --scenario tiny|pair|paper   protocol instance to check (default tiny)\n"
+      << "  --scenario NAME|FILE         protocol instance to check: tiny (default),\n"
+      << "                               pair, paper, or a .scenario file path\n"
       << "  --mode dfs|random            search strategy (default dfs)\n"
       << "  --depth N                    max choices per run (default 80; 0 = unbounded)\n"
       << "  --max-states N               DFS state budget (default 200000)\n"
@@ -56,7 +59,24 @@ int usage(const char* argv0) {
   return 2;
 }
 
-void print_stats(const sa::check::ExploreResult& result) {
+/// The exhaustive: verdict; a DFS that is not exhaustive names what cut it.
+std::string exhaustiveness(const sa::check::ExploreResult& result,
+                           const sa::check::ExploreOptions& options, bool random) {
+  if (result.complete) return "yes";
+  if (random) return "no (random walks)";
+  std::vector<std::string> limits;
+  if (result.state_budget_reached) {
+    limits.push_back("state budget of " + std::to_string(options.max_states) + " states reached");
+  }
+  if (result.stats.depth_capped > 0) {
+    limits.push_back("depth bound " + std::to_string(options.max_depth) + " cut " +
+                     std::to_string(result.stats.depth_capped) + " runs");
+  }
+  if (limits.empty()) return "no (stopped at the violation)";
+  return "no (" + sa::util::join(limits, "; ") + ")";
+}
+
+void print_stats(const sa::check::ExploreResult& result, const std::string& exhaustive) {
   const sa::check::ExploreStats& stats = result.stats;
   std::cout << "states explored:   " << stats.states_explored << "\n";
   for (std::size_t k = 0; k < stats.edges_by_kind.size(); ++k) {
@@ -69,7 +89,7 @@ void print_stats(const sa::check::ExploreResult& result) {
             << "depth-capped runs: " << stats.depth_capped << "\n"
             << "sleep-pruned:      " << stats.sleep_pruned << "\n"
             << "max depth reached: " << stats.max_depth_reached << "\n"
-            << "exhaustive:        " << (result.complete ? "yes" : "no (bounded)") << "\n";
+            << "exhaustive:        " << exhaustive << "\n";
   for (const auto& [outcome, count] : stats.outcomes) {
     std::cout << "outcome " << outcome << ": " << count << "\n";
   }
@@ -241,7 +261,7 @@ int main(int argc, char** argv) {
 
     std::cout << "scenario: " << scenario_name << "  mode: " << mode
               << "  fault: " << sa::check::to_string(options.fault) << "\n";
-    print_stats(result);
+    print_stats(result, exhaustiveness(result, options, mode == "random"));
 
     if (!result.counterexample) {
       std::cout << "no safety violation found\n";

@@ -185,15 +185,6 @@ struct Args {
 // ---------------------------------------------------------------------------
 // agent role
 
-struct StubProcess : sa::proto::AdaptableProcess {
-  bool prepare(const sa::proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const sa::proto::LocalCommand&) override { return true; }
-  bool undo(const sa::proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
-
 std::string journal_json(const std::optional<sa::proto::StepRef>& step, Time blocked,
                          std::uint64_t recoveries) {
   std::ostringstream out;
@@ -213,7 +204,7 @@ int run_agent(const Args& args, sa::inject::FaultyRuntime& frt,
               const sa::inject::FaultPlan& plan) {
   frt.transport().connect_bidirectional(my_id, kManagerNode);
 
-  StubProcess process;
+  sa::proto::ObedientProcess process;
   sa::proto::AdaptationAgent agent(frt.clock(), frt.transport(), my_id, kManagerNode, process);
 
   // §4.4 crash recovery: a re-exec'd incarnation restores the journaled

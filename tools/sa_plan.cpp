@@ -51,21 +51,11 @@ int main(int argc, char** argv) {
   }
   if (!path) return usage(argv[0]);
 
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-
   core::ParsedScenario scenario;
   try {
-    scenario = core::parse_scenario(file);
-  } catch (const core::ScenarioParseError& e) {
-    std::fprintf(stderr, "%s: %s\n", path, e.what());
-    return 1;
-  }
-  if (!scenario.source || !scenario.target) {
-    std::fprintf(stderr, "%s: scenario must declare both source and target\n", path);
+    scenario = core::load_scenario(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
 

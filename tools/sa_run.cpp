@@ -1,7 +1,8 @@
 // sa_run — the realization phase as a command-line tool.
 //
 // Loads a scenario file, attaches a generic adaptable process per declared
-// process id, and executes the source -> target adaptation through the full
+// process id (at the reset stage of its `process` line, else at stage = id),
+// and executes the source -> target adaptation through the full
 // manager/agent protocol on the simulator, printing the per-step timeline.
 // Failure injection flags reproduce the §4.4 experiments on any scenario:
 //
@@ -57,15 +58,6 @@
 #include "video/pump.hpp"
 
 namespace {
-
-struct StubProcess : sa::proto::AdaptableProcess {
-  bool prepare(const sa::proto::LocalCommand&) override { return true; }
-  void reach_safe_state(bool, std::function<void()> reached) override { reached(); }
-  void abort_safe_state() override {}
-  bool apply(const sa::proto::LocalCommand&) override { return true; }
-  bool undo(const sa::proto::LocalCommand&) override { return true; }
-  void resume() override {}
-};
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -286,51 +278,27 @@ int main(int argc, char** argv) {
   }
   if (!path) return usage(argv[0]);
 
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
   core::ParsedScenario scenario;
   try {
-    scenario = core::parse_scenario(file);
-  } catch (const core::ScenarioParseError& e) {
-    std::fprintf(stderr, "%s: %s\n", path, e.what());
-    return 1;
-  }
-  if (!scenario.source || !scenario.target) {
-    std::fprintf(stderr, "%s: scenario must declare both source and target\n", path);
+    scenario = core::load_scenario(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
 
   // Rebuild the scenario inside a SafeAdaptationSystem (the facade owns its
-  // own registry) and attach one stub process per declared process id.
+  // own registry) and attach one stub process per declared process id, at the
+  // stage its `process` line gives (its id when it has none).
   core::SystemConfig system_config;
   system_config.control_channel.loss_probability = loss;
   system_config.control_channel.duplicate_probability = dup;
   if (loss > 0 || dup > 0) system_config.manager.message_retries = 8;
   core::SafeAdaptationSystem system(system_config);
-  for (config::ComponentId id = 0; id < scenario.registry->size(); ++id) {
-    const auto& info = scenario.registry->info(id);
-    system.registry().add(info.name, info.process, info.description);
-  }
-  for (const auto& invariant : scenario.invariants->invariants()) {
-    system.add_invariant(invariant.name, invariant.predicate->to_string());
-  }
-  const std::size_t n = scenario.registry->size();
-  for (const auto& action : scenario.actions->actions()) {
-    std::vector<std::string> removes;
-    std::vector<std::string> adds;
-    for (const auto id : action.removes.components(n)) removes.push_back(scenario.registry->name(id));
-    for (const auto id : action.adds.components(n)) adds.push_back(scenario.registry->name(id));
-    system.add_action(action.name, removes, adds, action.cost, action.description);
-  }
+  core::configure_system(system, scenario);
 
-  std::map<config::ProcessId, std::unique_ptr<StubProcess>> processes;
+  std::map<config::ProcessId, proto::ObedientProcess> processes;
   for (const config::ProcessId process : scenario.registry->processes()) {
-    auto stub = std::make_unique<StubProcess>();
-    system.attach_process(process, *stub, static_cast<int>(process));
-    processes.emplace(process, std::move(stub));
+    system.attach_process(process, processes[process], scenario.stage_of(process));
   }
   if (trace_out) system.tracer().set_enabled(true);
   system.finalize();
