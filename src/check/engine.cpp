@@ -668,6 +668,11 @@ ExploreResult explore_random(const Scenario& scenario, const ExploreOptions& opt
     std::vector<std::string> violations;  ///< valid iff violated
   };
 
+  // Every walk starts from a copy of one root, so the walks share its
+  // message table and manager memo instead of each starting cold.
+  Model root = make_model(scenario, options);
+  root.set_record_transitions(false);
+
   std::vector<RunDelta> deltas(runs);
   std::atomic<std::size_t> next{0};
   // Lowest run index with a violation: runs above it can never reach the
@@ -682,8 +687,7 @@ ExploreResult explore_random(const Scenario& scenario, const ExploreOptions& opt
       if (run > first_violation.load(std::memory_order_acquire)) continue;
       RunDelta& delta = deltas[run];
       util::Rng rng(seed + run * 0x9e3779b97f4a7c15ULL);
-      Model model = make_model(scenario, options);
-      model.set_record_transitions(false);
+      Model model = root;
       std::vector<Choice> path;
       bool violated = false;
       while (path.size() < kMaxWalkLength) {

@@ -1,8 +1,6 @@
 #include "check/message_table.hpp"
 
-#include <bit>
 #include <functional>
-#include <stdexcept>
 #include <string>
 
 #include "proto/messages.hpp"
@@ -70,48 +68,7 @@ bool same_content(const runtime::Message& a, const runtime::Message& b) {
   }
 }
 
-constexpr std::size_t kFirstIndex = 64;
-
 }  // namespace
-
-MessageTable::Index::Index(std::size_t capacity)
-    : mask(capacity - 1), slots(new std::atomic<std::uint64_t>[capacity]) {
-  for (std::size_t i = 0; i < capacity; ++i) slots[i].store(0, std::memory_order_relaxed);
-}
-
-MessageTable::MessageTable() = default;
-
-MessageTable::~MessageTable() {
-  for (std::atomic<Entry*>& chunk : chunks_) delete[] chunk.load(std::memory_order_relaxed);
-}
-
-std::size_t MessageTable::chunk_of(Handle handle) {
-  return static_cast<std::size_t>(std::bit_width(handle / kFirstChunk + 1)) - 1;
-}
-
-std::size_t MessageTable::size() const {
-  const std::lock_guard lock(mutex_);
-  return size_;
-}
-
-std::optional<MessageTable::Handle> MessageTable::find(const Index& index, std::uint64_t key,
-                                                       const runtime::Message& message) const {
-  const std::uint64_t tag = key >> 32;
-  for (std::size_t i = key & index.mask;; i = (i + 1) & index.mask) {
-    const std::uint64_t slot = index.slots[i].load(std::memory_order_acquire);
-    if (slot == 0) return std::nullopt;
-    if ((slot >> 32) != tag) continue;
-    const auto handle = static_cast<Handle>((slot & 0xffffffffULL) - 1);
-    if (same_content(*entry(handle).owner, message)) return handle;
-  }
-}
-
-void MessageTable::place(Index& index, std::uint64_t key, Handle handle) const {
-  std::size_t i = key & index.mask;
-  while (index.slots[i].load(std::memory_order_relaxed) != 0) i = (i + 1) & index.mask;
-  index.slots[i].store((key & 0xffffffff00000000ULL) | (std::uint64_t{handle} + 1),
-                       std::memory_order_release);
-}
 
 MessageTable::Handle MessageTable::intern(const runtime::MessagePtr& message) {
   std::uint64_t fingerprint = 0xcbf29ce484222325ULL;
@@ -127,46 +84,13 @@ MessageTable::Handle MessageTable::intern(const runtime::MessagePtr& message) {
     key = fingerprint;
     mix(key, reinterpret_cast<std::uintptr_t>(message.get()));
   }
-  if (const Index* index = index_.load(std::memory_order_acquire); index != nullptr) {
-    if (const std::optional<Handle> found = find(*index, key, *message)) return *found;
-  }
-
-  const std::lock_guard lock(mutex_);
-  Index* index = index_.load(std::memory_order_relaxed);
-  if (index == nullptr) {  // the first send of the search
-    indexes_.push_back(std::make_unique<Index>(kFirstIndex));
-    index = indexes_.back().get();
-    index_.store(index, std::memory_order_release);
-  } else if (const std::optional<Handle> found = find(*index, key, *message)) {
-    return *found;
-  }
-  if (size_ >= std::size_t{0xfffffffe}) throw std::length_error("MessageTable: out of handles");
-  const auto handle = static_cast<Handle>(size_);
-  const std::size_t chunk = chunk_of(handle);
-  Entry* entries = chunks_[chunk].load(std::memory_order_relaxed);
-  if (entries == nullptr) {
-    entries = new Entry[kFirstChunk << chunk];
-    chunks_[chunk].store(entries, std::memory_order_release);
-  }
-  Entry& fresh = entries[handle - chunk_base(chunk)];
-  fresh.owner = message;
-  fresh.borrowed = runtime::MessagePtr(runtime::MessagePtr(), message.get());
-  fresh.fingerprint = fingerprint;
-  fresh.key = key;
-  ++size_;
-  if (2 * size_ > index->mask + 1) {
-    // Grow: rehash into an index twice the size, then publish it. Lookups
-    // still probing the old one miss the new entry and retry under the lock.
-    indexes_.push_back(std::make_unique<Index>(2 * (index->mask + 1)));
-    index = indexes_.back().get();
-    for (std::size_t h = 0; h < size_; ++h) {
-      place(*index, entry(static_cast<Handle>(h)).key, static_cast<Handle>(h));
-    }
-    index_.store(index, std::memory_order_release);
-  } else {
-    place(*index, key, handle);
-  }
-  return handle;
+  return entries_.intern(
+      key, [&message](const Entry& entry) { return same_content(*entry.owner, *message); },
+      [&message, fingerprint](Entry& entry) {
+        entry.owner = message;
+        entry.borrowed = runtime::MessagePtr(runtime::MessagePtr(), message.get());
+        entry.fingerprint = fingerprint;
+      });
 }
 
 }  // namespace sa::check

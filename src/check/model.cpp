@@ -47,7 +47,7 @@ class OutputSink {
 };
 
 /// Seed of the cached per-core sub-fingerprints.
-constexpr std::uint64_t kCoreSeed = 0x9ae16a3b2f90404fULL;
+constexpr std::uint64_t kCoreSeed = ManagerTable::kFingerprintSeed;
 
 /// Seed of an agent's sub in the canonical fingerprint, followed by the
 /// agent's static role and fault flag.
@@ -75,17 +75,19 @@ const char* to_string(Choice::Kind kind) {
 
 Model::Model(const Scenario& scenario, Limits limits, proto::ManagerFault fault)
     : scenario_(&scenario), limits_(limits),
-      manager_(*scenario.invariants, *scenario.actions, *scenario.planner,
-               scenario.manager_config),
       drops_left_(limits.drop_budget), dups_left_(limits.dup_budget) {
-  manager_.inject_fault(fault);
-  manager_.set_current_configuration(scenario.source);
+  proto::ManagerCore manager(*scenario.invariants, *scenario.actions, *scenario.planner,
+                             scenario.manager_config);
+  manager.inject_fault(fault);
+  manager.set_current_configuration(scenario.source);
   agents_.reserve(scenario.stages.size());
-  for (const auto& [process, stage] : scenario.stages) {  // std::map: ascending
+  // Ascending process ids (a std::map), so an agent's slot here is its slot
+  // in the manager table.
+  for (const auto& [process, stage] : scenario.stages) {
     if (process >= 64) {
       throw std::invalid_argument("Model: process ids must be < 64 (bitmask bookkeeping)");
     }
-    manager_.register_agent(process, stage);
+    manager.register_agent(process, stage);
     AgentEntity entity(scenario.agent_config);
     entity.stage = stage;
     entity.role_fp = 0x100000001b3ULL;
@@ -100,6 +102,7 @@ Model::Model(const Scenario& scenario, Limits limits, proto::ManagerFault fault)
     entity.sub_seed = canonical_sub_seed(entity.role_fp, entity.fail_to_reset);
     agents_.emplace_back(process, std::move(entity));
   }
+  manager_ = table_->managers.intern(manager);
 }
 
 std::uint8_t Model::slot_of(config::ProcessId process) const {
@@ -117,13 +120,12 @@ const Model::AgentEntity& Model::agent_at(config::ProcessId process) const {
   return agents_[slot_of(process)].second;
 }
 
-void Model::send(bool to_manager, std::uint8_t slot, const runtime::MessagePtr& message) {
-  const MessageTable::Handle handle = table_->intern(message);
+void Model::send(bool to_manager, std::uint8_t slot, MessageTable::Handle message) {
   InFlight m;
   m.seq = next_seq_++;
   m.deliver_at = now_ + scenario_->latency;
-  m.msg_fp = table_->fingerprint(handle);
-  m.message = handle;
+  m.msg_fp = table_->messages.fingerprint(message);
+  m.message = message;
   m.agent = static_cast<std::uint8_t>(agents_[slot].first);
   m.slot = slot;
   m.to_manager = to_manager;
@@ -172,16 +174,34 @@ void Model::set_record_transitions(bool record) {
 }
 
 void Model::start() {
-  step_manager(proto::ManagerInput{now_, proto::ManagerInput::AdaptCommand{scenario_->target}});
+  started_ = now_;
+  step_manager(proto::ManagerInput{proto::ManagerInput::AdaptCommand{scenario_->target}},
+               std::nullopt);
 }
 
-void Model::step_manager(const proto::ManagerInput& input) {
-  manager_fp_valid_ = false;
-  manager_shared_fp_valid_ = false;
-  manager_bits_valid_ = false;
+void Model::step_manager(const proto::ManagerInput& input,
+                         std::optional<std::uint64_t> memo_input) {
+  ManagerTable& managers = table_->managers;
+  if (memo_input && !record_transitions_) {
+    if (const ManagerTable::Step* step = managers.find(manager_, *memo_input)) {
+      apply_manager_step(step->next, step->effects);
+      return;
+    }
+  }
   const OutputSink sink;
-  manager_.step(input, sink.outputs);
-  apply_manager_outputs(sink.outputs);
+  ManagerTable::Effects effects;
+  const ManagerTable::Handle next =
+      managers.run(manager_, input, table_->messages, sink.outputs, effects);
+  if (record_transitions_) {
+    for (const proto::Output& out : sink.outputs) {
+      if (out.kind == proto::OutputKind::Transition) {
+        record_transition(obs::EventKind::ManagerPhase, out, obs::kManagerTrack);
+      }
+    }
+  } else if (memo_input) {
+    managers.record(manager_, *memo_input, next, effects);
+  }
+  apply_manager_step(next, effects);
 }
 
 void Model::step_agent(config::ProcessId process, const proto::AgentInput& input) {
@@ -277,15 +297,13 @@ bool Model::apply(const Choice& choice) {
       now_ = std::max(now_, slot.deadline);
       return true;
     };
-    if (fire(mgr_protocol_)) {
-      step_manager(proto::ManagerInput{
-          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::Protocol}});
-      return true;
-    }
-    if (fire(mgr_stage_)) {
-      step_manager(proto::ManagerInput{
-          now_, proto::ManagerInput::TimerFired{proto::ManagerTimer::StageDelay}});
-      return true;
+    for (const proto::ManagerTimer timer :
+         {proto::ManagerTimer::Protocol, proto::ManagerTimer::StageDelay}) {
+      if (fire(timer == proto::ManagerTimer::Protocol ? mgr_protocol_ : mgr_stage_)) {
+        step_manager(proto::ManagerInput{proto::ManagerInput::TimerFired{timer}},
+                     ManagerTable::timer_input(timer));
+        return true;
+      }
     }
     for (auto& [process, entity] : agents_) {
       if (fire(entity.timer)) {
@@ -328,55 +346,58 @@ bool Model::apply(const Choice& choice) {
 }
 
 void Model::deliver(const InFlight& m) {
-  const runtime::MessagePtr& message = table_->borrowed(m.message);
+  const runtime::MessagePtr& message = table_->messages.borrowed(m.message);
   if (m.to_manager) {
     monitor_.on_receive(now_, kManagerNode, m.agent, *message, violations_);
-    step_manager(
-        proto::ManagerInput{now_, proto::ManagerInput::MessageDelivered{m.agent, &message}});
+    step_manager(proto::ManagerInput{proto::ManagerInput::MessageDelivered{m.agent, &message}},
+                 ManagerTable::delivery_input(m.agent, m.message));
   } else {
     step_agent(m.agent, proto::AgentInput{now_, proto::AgentInput::MessageDelivered{&message}});
   }
 }
 
-void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
-  for (const proto::Output& out : outputs) {
-    switch (out.kind) {
-      case proto::OutputKind::Send:
-        monitor_.on_send(now_, kManagerNode, out.process, *out.message, violations_);
-        send(false, slot_of(out.process), out.message);
+void Model::apply_manager_step(ManagerTable::Handle next,
+                               std::span<const ManagerTable::Effect> effects) {
+  using Effect = ManagerTable::Effect;
+  manager_ = next;
+  for (const Effect& effect : effects) {
+    switch (effect.kind) {
+      case Effect::Kind::Send:
+        monitor_.on_send(now_, kManagerNode, agents_[effect.slot].first,
+                         *table_->messages.message(effect.message), violations_);
+        send(false, effect.slot, effect.message);
         break;
-      case proto::OutputKind::ArmTimer: {
+      case Effect::Kind::ArmTimer: {
         TimerSlot& slot =
-            out.timer == proto::ManagerTimer::Protocol ? mgr_protocol_ : mgr_stage_;
+            effect.timer == proto::ManagerTimer::Protocol ? mgr_protocol_ : mgr_stage_;
         slot.armed = true;
-        slot.deadline = now_ + out.delay;
+        slot.deadline = now_ + effect.delay;
         slot.seq = next_seq_++;
         break;
       }
-      case proto::OutputKind::DisarmTimer:
-        (out.timer == proto::ManagerTimer::Protocol ? mgr_protocol_ : mgr_stage_).armed = false;
+      case Effect::Kind::DisarmTimer:
+        (effect.timer == proto::ManagerTimer::Protocol ? mgr_protocol_ : mgr_stage_).armed =
+            false;
         break;
-      case proto::OutputKind::Transition:
-        if (record_transitions_) {
-          record_transition(obs::EventKind::ManagerPhase, out, obs::kManagerTrack);
-        }
-        break;
-      case proto::OutputKind::StepCommitted:
+      case Effect::Kind::Commit:
         // safe_configs lists every safe configuration, ascending, so a
         // binary search judges the step without evaluating any invariant.
         if (!std::binary_search(scenario_->safe_configs.begin(), scenario_->safe_configs.end(),
-                                out.config)) {
+                                effect.config)) {
           std::string names;
-          for (const auto& name : scenario_->invariants->violations(out.config)) {
+          for (const auto& name : scenario_->invariants->violations(effect.config)) {
             if (!names.empty()) names += ", ";
             names += name;
           }
-          violation("step " + out.ref.describe() + " committed unsafe configuration " +
-                    out.config.describe(*scenario_->registry) + " (violates: " + names + ")");
+          violation("step " + effect.ref.describe() + " committed unsafe configuration " +
+                    effect.config.describe(*scenario_->registry) + " (violates: " + names + ")");
         }
         break;
-      case proto::OutputKind::Outcome:
-        outcome_ = out.payload().result;
+      case Effect::Kind::Outcome:
+        // The core holds no time; the model stamps the verdict with its clock.
+        outcome_ = table_->managers.core(manager_).summary();
+        outcome_->started = started_;
+        outcome_->finished = now_;
         // Judged here, not at quiescence: a depth-capped schedule never
         // reaches finalize().
         for (std::string& what : proto::outcome_violations(
@@ -385,8 +406,6 @@ void Model::apply_manager_outputs(const std::vector<proto::Output>& outputs) {
           violation(std::move(what));
         }
         break;
-      default:
-        break;  // spans, notes, and metrics hints carry no model state
     }
   }
 }
@@ -402,7 +421,7 @@ void Model::apply_agent_outputs(config::ProcessId process,
   for (const proto::Output& out : outputs) {
     switch (out.kind) {
       case proto::OutputKind::Send:
-        send(true, slot, out.message);
+        send(true, slot, table_->messages.intern(out.message));
         break;
       case proto::OutputKind::ArmTimer:
         entity.timer.armed = true;
@@ -488,22 +507,9 @@ std::uint64_t Model::agent_core_fp(const AgentEntity& entity) const {
   return entity.core_fp;
 }
 
-void Model::refresh_manager_bits() const {
-  if (manager_bits_valid_) return;
-  for (const auto& [process, entity] : agents_) {
-    entity.manager_bits = manager_.process_fingerprint(process);
-  }
-  manager_bits_valid_ = true;
-}
-
 std::uint64_t Model::fingerprint() const {
-  if (!manager_fp_valid_) {
-    manager_fp_ = kCoreSeed;
-    manager_.fingerprint(manager_fp_);
-    manager_fp_valid_ = true;
-  }
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  mix(h, manager_fp_);
+  mix(h, table_->managers.keys(manager_).fingerprint);
   mix(h, mgr_protocol_.armed);
   mix(h, mgr_stage_.armed);
   for (const auto& [process, entity] : agents_) {
@@ -528,14 +534,9 @@ std::uint64_t Model::fingerprint() const {
 }
 
 std::uint64_t Model::canonical_fingerprint() const {
-  if (!manager_shared_fp_valid_) {
-    manager_shared_fp_ = kCoreSeed;
-    manager_.fingerprint_shared(manager_shared_fp_);
-    manager_shared_fp_valid_ = true;
-  }
-  refresh_manager_bits();
+  const ManagerTable::Keys& manager = table_->managers.keys(manager_);
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  mix(h, manager_shared_fp_);
+  mix(h, manager.shared);
   mix(h, mgr_protocol_.armed);
   mix(h, mgr_stage_.armed);
   // Each agent's sub carries both of its directed channels, in FIFO order.
@@ -545,7 +546,8 @@ std::uint64_t Model::canonical_fingerprint() const {
   // unconstrained. The subs are insertion-sorted as they are made, in an
   // inline array that holds eight agents before it spills.
   util::SmallVector<std::uint64_t, 8> subs;
-  for (const auto& [process, entity] : agents_) {
+  for (std::size_t slot = 0; slot < agents_.size(); ++slot) {
+    const AgentEntity& entity = agents_[slot].second;
     std::uint64_t sub = entity.sub_seed;
     mix(sub, agent_core_fp(entity));
     mix(sub, entity.blocked);
@@ -554,7 +556,7 @@ std::uint64_t Model::canonical_fingerprint() const {
     // the agent, not with the manager: a permutation of agents permutes these
     // bits the same way it permutes core states, so the sorted representative
     // stays consistent.
-    mix(sub, entity.manager_bits);
+    mix(sub, manager.process_bits[slot]);
     mix(sub, entity.channel_fp[0]);  // to the agent
     mix(sub, entity.channel_fp[1]);  // to the manager
     subs.push_back(sub);

@@ -5,9 +5,17 @@
 // The Model is a copyable value — the explorer forks it at every branch
 // point, copy-assigning into recycled models; a copy into a model that held a
 // state of the same scenario before does not allocate, and writes nothing
-// another worker's models share. Sent messages live in the search's
-// MessageTable (check/message_table.hpp), created with the root model and
-// shared by every copy of it. An in-flight message is a trivially copyable
+// another worker's models share. Two per-search tables, created with the root
+// model and shared by every copy of it, hold what would otherwise be copied
+// at every fork. Sent messages live in the MessageTable
+// (check/message_table.hpp). The manager lives in the ManagerTable
+// (check/manager_table.hpp): the model holds a 4-byte handle to its interned
+// value, whose fingerprints are computed once per distinct value, and a
+// manager step the search has taken before is a lookup of its next value and
+// effects instead of a core step. The model still applies those effects
+// itself, so every property below is checked on every step. A model that
+// records transitions, and the request that start() issues, step the real
+// core. An in-flight message is a trivially copyable
 // 32-byte record: seq, delivery time, the content's structural hash, its
 // table handle, the agent endpoint (process id and its index in the model)
 // and the direction. So the in-flight list — 15 messages on average in the
@@ -48,11 +56,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "check/manager_table.hpp"
 #include "check/message_table.hpp"
 #include "check/scenario.hpp"
 #include "obs/event.hpp"
@@ -220,8 +230,10 @@ class Model {
   /// channel contents, armed timers, and remaining adversary budgets.
   /// Timestamps are deliberately excluded — the cores' control flow never
   /// depends on them, so states differing only in time are equivalent.
-  /// Each core's contribution is cached and recomputed only after that core
-  /// steps, so a fingerprint after a one-core edge hashes one core.
+  /// The manager's contribution is computed once per distinct value, in the
+  /// manager table; an agent's is cached and recomputed only after that
+  /// agent steps, so a fingerprint after a one-core edge hashes at most one
+  /// core.
   std::uint64_t fingerprint() const;
 
   /// Symmetry-reduced variant of fingerprint(): hashes a canonical orbit
@@ -251,11 +263,15 @@ class Model {
   ChoiceFootprint choice_footprint(const Choice& choice) const;
 
   /// The search's message table, shared by this model and all its copies.
-  const MessageTable& message_table() const { return *table_; }
+  const MessageTable& message_table() const { return table_->messages; }
   /// The `i`-th in-flight message in creation order, as the table holds it.
   const runtime::MessagePtr& in_flight_message(std::size_t i) const {
-    return table_->message(in_flight_[i].message);
+    return table_->messages.message(in_flight_[i].message);
   }
+  /// The search's manager table, shared like the message table, and the
+  /// handle of this model's manager value in it.
+  const ManagerTable& manager_table() const { return table_->managers; }
+  ManagerTable::Handle manager_state() const { return manager_; }
 
  private:
   struct InFlight {
@@ -272,25 +288,30 @@ class Model {
   static_assert(std::is_trivially_copyable_v<InFlight> && sizeof(InFlight) == 32,
                 "a fork copies the in-flight list as plain bytes");
 
-  /// Shared ownership of the search's table whose copy-assignment between
+  /// The per-search tables, made with the root model.
+  struct Tables {
+    MessageTable messages;
+    ManagerTable managers;
+  };
+
+  /// Shared ownership of the search's tables whose copy-assignment between
   /// models of one search leaves the reference count alone, whatever the
   /// standard library does: the explorer's forks assign into recycled models
   /// of the same search, so a fork writes no count that both workers write.
   class TableRef {
    public:
-    TableRef() : table_(std::make_shared<MessageTable>()) {}
+    TableRef() : tables_(std::make_shared<Tables>()) {}
     TableRef(const TableRef&) = default;
     TableRef(TableRef&&) noexcept = default;
     TableRef& operator=(const TableRef& other) {
-      if (table_ != other.table_) table_ = other.table_;
+      if (tables_ != other.tables_) tables_ = other.tables_;
       return *this;
     }
     TableRef& operator=(TableRef&&) noexcept = default;
-    MessageTable* operator->() const { return table_.get(); }
-    MessageTable& operator*() const { return *table_; }
+    Tables* operator->() const { return tables_.get(); }
 
    private:
-    std::shared_ptr<MessageTable> table_;
+    std::shared_ptr<Tables> tables_;
   };
 
   struct TimerSlot {
@@ -316,9 +337,6 @@ class Model {
     /// Cached core.fingerprint() from a fixed seed; valid iff core_fp_valid.
     mutable std::uint64_t core_fp = 0;
     mutable bool core_fp_valid = false;
-    /// Cached manager process_fingerprint() of this process; valid iff the
-    /// model's manager_bits_valid_.
-    mutable std::uint64_t manager_bits = 0;
     /// The static head of the agent's canonical sub: its role and
     /// fail_to_reset mixed into the sub's seed, redone when either changes.
     std::uint64_t sub_seed = 0;
@@ -335,8 +353,8 @@ class Model {
   const AgentEntity& agent_at(config::ProcessId process) const;
   /// Index of `process` in agents_; throws std::out_of_range if unknown.
   std::uint8_t slot_of(config::ProcessId process) const;
-  /// Interns `message` and appends it to the network.
-  void send(bool to_manager, std::uint8_t slot, const runtime::MessagePtr& message);
+  /// Appends the interned `message` to the network.
+  void send(bool to_manager, std::uint8_t slot, MessageTable::Handle message);
   /// Appends `m` to the network and mixes it into its channel's hash.
   void append_in_flight(const InFlight& m);
   /// Erases the in-flight message at `index` (a delivery or a drop) and
@@ -347,13 +365,18 @@ class Model {
   template <typename Visit>
   void for_each_deliverable(Visit&& visit) const;
   void deliver(const InFlight& m);
-  /// Step one core and apply its outputs; each invalidates that core's
-  /// cached fingerprints first.
-  void step_manager(const proto::ManagerInput& input);
+  /// Steps the manager on `input` and applies the step's effects. Unless
+  /// transitions are being recorded, a step with a `memo_input` key
+  /// (ManagerTable::timer_input / delivery_input) is taken from the memo,
+  /// or stepped and recorded there on a miss.
+  void step_manager(const proto::ManagerInput& input, std::optional<std::uint64_t> memo_input);
+  /// Steps one agent and applies its outputs, invalidating its cached
+  /// fingerprint first.
   void step_agent(config::ProcessId process, const proto::AgentInput& input);
   std::uint64_t agent_core_fp(const AgentEntity& entity) const;
-  void refresh_manager_bits() const;
-  void apply_manager_outputs(const std::vector<proto::Output>& outputs);
+  /// Moves the manager to `next` and applies a step's effects, in order.
+  void apply_manager_step(ManagerTable::Handle next,
+                          std::span<const ManagerTable::Effect> effects);
   void apply_agent_outputs(config::ProcessId process, const std::vector<proto::Output>& outputs);
   void dispatch_agent_local(config::ProcessId process, proto::AgentLocalEvent event);
   void record_transition(obs::EventKind kind, const proto::Output& out, std::int64_t track);
@@ -363,17 +386,9 @@ class Model {
   Limits limits_;
   TableRef table_;
 
-  proto::ManagerCore manager_;
+  ManagerTable::Handle manager_ = 0;  ///< the manager's value in the table
   TimerSlot mgr_protocol_;
   TimerSlot mgr_stage_;
-  /// Cached manager fingerprints (full and shared, each from a fixed seed)
-  /// and the validity of every agent's manager_bits; all cleared when the
-  /// manager steps.
-  mutable std::uint64_t manager_fp_ = 0;
-  mutable std::uint64_t manager_shared_fp_ = 0;
-  mutable bool manager_fp_valid_ = false;
-  mutable bool manager_shared_fp_valid_ = false;
-  mutable bool manager_bits_valid_ = false;
   /// Sorted by process id. Inline (not a std::map) because the explorer
   /// copies the whole model at every fork; lookups are linear over a handful
   /// of agents.
@@ -384,6 +399,7 @@ class Model {
   /// deliverable heads stops once it has seen that many.
   std::uint32_t open_channels_ = 0;
   runtime::Time now_ = 0;
+  runtime::Time started_ = 0;  ///< when start() issued the request
   std::uint64_t next_seq_ = 1;
   int drops_left_ = 0;
   int dups_left_ = 0;

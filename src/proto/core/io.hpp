@@ -39,9 +39,15 @@
 // once, in proto/effects.hpp. The interleaving explorer translates the same
 // Outputs into virtual network/timer state, records the same Transition
 // events, and checks safety properties against them. No core touches a
-// Clock, Transport, mutex, or the obs layer: time enters as plain data on
-// each Input, so the cores are copyable values that behave identically
-// under the simulator, the threaded backend, and the model checker.
+// Clock, Transport, mutex, or the obs layer, so the cores are copyable values
+// that behave identically under the simulator, the threaded backend, and the
+// model checker. Time enters the agent and coordinator cores as plain data on
+// each Input (the agent reports how long it was blocked, the coordinator
+// stamps epochs). The manager core reads no time at all: a ManagerInput
+// carries none, and the driver stamps an Outcome's `started` and `finished`
+// (the times it dispatched the request and the step that emitted the
+// Outcome), so the model checker can intern manager states and memoize their
+// steps (check/manager_table.hpp).
 #pragma once
 
 #include <cstdint>
@@ -102,7 +108,7 @@ struct ManagerInput {
     ManagerTimer timer = ManagerTimer::Protocol;
   };
 
-  runtime::Time now = 0;
+  /// No timestamp: the manager's behaviour never depends on time.
   std::variant<AdaptCommand, MessageDelivered, TimerFired> event;
 };
 
@@ -213,7 +219,9 @@ enum class OutputKind : std::uint8_t {
 /// destroys no string and no vector, and a warm model checker allocates
 /// none for the kinds that do.
 struct OutputPayload {
-  AdaptationSummary result;  ///< Outcome: the verdict
+  /// Outcome: the verdict. The manager core leaves `started` and `finished`
+  /// at 0; its driver stamps them.
+  AdaptationSummary result;
   OutcomeReason reason;      ///< Outcome: why the request finished
   config::Configuration target;  ///< AdaptationRequested: the target (config = source)
   util::SmallVector<actions::ActionId, 8> plan;  ///< PlanComputed: the path's actions, in order

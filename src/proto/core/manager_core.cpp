@@ -62,8 +62,8 @@ bool ManagerCore::has_agent(config::ProcessId process) const {
   return false;
 }
 
-Output& ManagerCore::emit(OutputKind kind) {
-  Output& out = out_->emplace_back();
+Output& ManagerCore::emit(Outputs& outputs, OutputKind kind) const {
+  Output& out = outputs.emplace_back();
   out.kind = kind;
   out.ref = current_ref();
   out.request_id = request_id_;
@@ -75,62 +75,60 @@ void ManagerCore::step(const ManagerInput& input, std::vector<Output>& out) {
   // One up-front block avoids a realloc cascade of ~300-byte Outputs in a
   // fresh buffer; a reused buffer already has it.
   out.reserve(8);
-  out_ = &out;
-  now_ = input.now;
   if (const auto* cmd = std::get_if<ManagerInput::AdaptCommand>(&input.event)) {
     if (busy()) throw std::logic_error("adaptation request while another is in flight");
     cause_span_ = cmd->cause_span;
-    handle_request(cmd->target);
+    handle_request(out, cmd->target);
   } else if (const auto* msg = std::get_if<ManagerInput::MessageDelivered>(&input.event)) {
-    handle_message(msg->from, *msg->message);
+    handle_message(out, msg->from, *msg->message);
   } else if (const auto* fired = std::get_if<ManagerInput::TimerFired>(&input.event)) {
     if (fired->timer == ManagerTimer::Protocol) {
       if (!protocol_timer_armed_) return;  // stale fire
       protocol_timer_armed_ = false;
-      on_timeout(ManagerTimer::Protocol);
+      on_timeout(out);
     } else {
       if (!stage_delay_armed_) return;
       stage_delay_armed_ = false;
-      send_stage_resets(stage_delay_stage_);
-      arm_timer(config_.reset_timeout, kResetTimeout);
+      send_stage_resets(out, stage_delay_stage_);
+      arm_timer(out, config_.reset_timeout, kResetTimeout);
     }
   }
 }
 
-void ManagerCore::set_phase(ManagerPhase next) {
+void ManagerCore::set_phase(Outputs& outputs, ManagerPhase next) {
   if (phase_ == next) return;
-  Output& out = emit(OutputKind::Transition);
+  Output& out = emit(outputs, OutputKind::Transition);
   out.phase_from = phase_;
   out.phase_to = next;
   phase_ = next;
 }
 
-void ManagerCore::send(config::ProcessId to, runtime::MessagePtr message) {
-  Output& out = emit(OutputKind::Send);
+void ManagerCore::send(Outputs& outputs, config::ProcessId to, runtime::MessagePtr message) {
+  Output& out = emit(outputs, OutputKind::Send);
   out.process = to;
   out.message = std::move(message);
 }
 
-void ManagerCore::arm_timer(runtime::Time timeout, const TimerLabel& label) {
-  disarm_timer();
+void ManagerCore::arm_timer(Outputs& outputs, runtime::Time timeout, const TimerLabel& label) {
+  disarm_timer(outputs);
   protocol_timer_label_ = label;
   protocol_timer_armed_ = true;
-  Output& out = emit(OutputKind::ArmTimer);
+  Output& out = emit(outputs, OutputKind::ArmTimer);
   out.timer = ManagerTimer::Protocol;
   out.delay = timeout;
   out.label = label.text;
 }
 
-void ManagerCore::disarm_timer() {
+void ManagerCore::disarm_timer(Outputs& outputs) {
   if (protocol_timer_armed_) {
     protocol_timer_armed_ = false;
-    Output& out = emit(OutputKind::DisarmTimer);
+    Output& out = emit(outputs, OutputKind::DisarmTimer);
     out.timer = ManagerTimer::Protocol;
     out.label = protocol_timer_label_.text;
   }
   if (stage_delay_armed_) {
     stage_delay_armed_ = false;
-    Output& out = emit(OutputKind::DisarmTimer);
+    Output& out = emit(outputs, OutputKind::DisarmTimer);
     out.timer = ManagerTimer::StageDelay;
     out.label = "inter-stage-delay";
   }
@@ -149,58 +147,59 @@ LocalCommand ManagerCore::command_for(config::ProcessId process) const {
   return command;
 }
 
-void ManagerCore::handle_request(const config::Configuration& target) {
+void ManagerCore::handle_request(Outputs& outputs, const config::Configuration& target) {
   request_id_ = next_request_id_++;
   source_ = current_;
   target_ = target;
   result_ = AdaptationSummary{};
-  result_.started = now_;
   returning_to_source_ = false;
   alternatives_tried_ = 0;
   plan_counter_ = 0;
 
-  Output& out = emit(OutputKind::AdaptationRequested);
+  Output& out = emit(outputs, OutputKind::AdaptationRequested);
   out.name = "adaptation";
   out.config = current_;
   out.payload().target = target;
   out.payload().parent_span = cause_span_;
 
   if (current_ == target_) {
-    finish(AdaptationOutcome::Success, {.text = "already at target configuration"});
+    finish(outputs, AdaptationOutcome::Success, {.text = "already at target configuration"});
     return;
   }
-  set_phase(ManagerPhase::Preparing);
+  set_phase(outputs, ManagerPhase::Preparing);
   const auto plan = planner_->minimum_path(current_, target_);
   if (!plan || plan->empty()) {
-    finish(AdaptationOutcome::NoPathFound, {.text = "no safe adaptation path from ",
-                                            .form = OutcomeReason::Form::Path,
-                                            .config = current_,
-                                            .target = target_});
+    finish(outputs, AdaptationOutcome::NoPathFound,
+           {.text = "no safe adaptation path from ",
+            .form = OutcomeReason::Form::Path,
+            .config = current_,
+            .target = target_});
     return;
   }
-  start_plan(*plan);
+  start_plan(outputs, *plan);
 }
 
-void ManagerCore::start_plan(const actions::AdaptationPlan& plan) {
-  plan_steps_.assign(plan.steps.begin(), plan.steps.end());
+void ManagerCore::start_plan(Outputs& outputs, const actions::AdaptationPlan& plan) {
+  plan_steps_.clear();
   plan_hash_ = 0;
-  for (const actions::PlanStep& s : plan_steps_) {
+  for (const actions::PlanStep& s : plan.steps) {
+    plan_steps_.push_back(PlanStep{s.action, s.to});
     mix(plan_hash_, s.action);
     mix(plan_hash_, s.to.bits());
   }
   plan_number_ = plan_counter_++;
   step_index_ = 0;
   step_attempt_ = 0;
-  Output& out = emit(OutputKind::PlanComputed);
+  Output& out = emit(outputs, OutputKind::PlanComputed);
   out.name = "map";
   out.value = plan.total_cost;
   out.has_value = true;
-  for (const actions::PlanStep& s : plan_steps_) out.payload().plan.push_back(s.action);
-  execute_current_step();
+  for (const PlanStep& s : plan_steps_) out.payload().plan.push_back(s.action);
+  execute_current_step(outputs);
 }
 
-void ManagerCore::execute_current_step() {
-  const actions::PlanStep& plan_step = plan_steps_[step_index_];
+void ManagerCore::execute_current_step(Outputs& outputs) {
+  const PlanStep& plan_step = plan_steps_[step_index_];
   const actions::AdaptiveAction& action = table_->action(plan_step.action);
   const auto& registry = table_->registry();
 
@@ -245,17 +244,17 @@ void ManagerCore::execute_current_step() {
   retries_left_ = config_.message_retries;
   current_stage_ = min_stage_;
 
-  set_phase(ManagerPhase::Adapting);
-  Output& out = emit(OutputKind::StepStarted);
+  set_phase(outputs, ManagerPhase::Adapting);
+  Output& out = emit(outputs, OutputKind::StepStarted);
   out.name = action.name;
   out.action = plan_step.action;
   out.value = static_cast<double>(involved_.size());
   out.has_value = true;
-  send_stage_resets(current_stage_);
-  arm_timer(config_.reset_timeout, kResetTimeout);
+  send_stage_resets(outputs, current_stage_);
+  arm_timer(outputs, config_.reset_timeout, kResetTimeout);
 }
 
-void ManagerCore::send_stage_resets(int stage) {
+void ManagerCore::send_stage_resets(Outputs& outputs, int stage) {
   for (const config::ProcessId process : involved_) {
     if (stage_of(process) != stage) continue;
     auto msg = util::make_pooled<ResetMsg>();
@@ -263,11 +262,11 @@ void ManagerCore::send_stage_resets(int stage) {
     msg->command = command_for(process);
     msg->drain = drain_set_.contains(process);
     msg->sole_participant = involved_.size() == 1;
-    send(process, std::move(msg));
+    send(outputs, process, std::move(msg));
   }
 }
 
-void ManagerCore::maybe_advance_stage() {
+void ManagerCore::maybe_advance_stage(Outputs& outputs) {
   // All resets of stages <= current acknowledged?
   for (const config::ProcessId process : involved_) {
     if (stage_of(process) <= current_stage_ && !reset_acked_.contains(process)) return;
@@ -284,41 +283,42 @@ void ManagerCore::maybe_advance_stage() {
   current_stage_ = next_stage;
   stage_delay_stage_ = next_stage;
   stage_delay_armed_ = true;
-  Output& out = emit(OutputKind::ArmTimer);
+  Output& out = emit(outputs, OutputKind::ArmTimer);
   out.timer = ManagerTimer::StageDelay;
   out.delay = config_.inter_stage_delay;
   out.label = "inter-stage-delay";
 }
 
-void ManagerCore::handle_message(config::ProcessId from, const runtime::MessagePtr& message) {
+void ManagerCore::handle_message(Outputs& outputs, config::ProcessId from,
+                                 const runtime::MessagePtr& message) {
   const auto* proto = as_proto(message.get());
   if (!proto) return;  // the driver warns about non-protocol traffic
   if (!(proto->step == current_ref())) return;  // stale step attempt
   switch (proto->kind()) {
     case MsgKind::ResetDone:
-      on_reset_done(from);
+      on_reset_done(outputs, from);
       break;
     case MsgKind::AdaptDone:
-      on_adapt_done(from);
+      on_adapt_done(outputs, from);
       break;
     case MsgKind::ResumeDone:
-      on_resume_done(from, static_cast<const ResumeDoneMsg&>(*proto));
+      on_resume_done(outputs, from, static_cast<const ResumeDoneMsg&>(*proto));
       break;
     case MsgKind::RollbackDone:
-      on_rollback_done(from);
+      on_rollback_done(outputs, from);
       break;
     default:
       break;  // manager-bound traffic only; the driver logs anything else
   }
 }
 
-void ManagerCore::on_reset_done(config::ProcessId process) {
+void ManagerCore::on_reset_done(Outputs& outputs, config::ProcessId process) {
   if (phase_ != ManagerPhase::Adapting) return;
   if (reset_acked_.insert(process)) {
-    Output& out = emit(OutputKind::ResetAcked);
+    Output& out = emit(outputs, OutputKind::ResetAcked);
     out.process = process;
   }
-  maybe_advance_stage();
+  maybe_advance_stage(outputs);
 }
 
 std::size_t ManagerCore::adapt_quorum() const {
@@ -330,101 +330,104 @@ std::size_t ManagerCore::adapt_quorum() const {
   return involved_.size();
 }
 
-void ManagerCore::on_adapt_done(config::ProcessId process) {
+void ManagerCore::on_adapt_done(Outputs& outputs, config::ProcessId process) {
   if (phase_ != ManagerPhase::Adapting) return;
   reset_acked_.insert(process);  // adapt done implies the reset completed
   adapt_acked_.insert(process);
   if (adapt_acked_.size() >= adapt_quorum()) {
-    set_phase(ManagerPhase::Adapted);
-    enter_resuming();
+    set_phase(outputs, ManagerPhase::Adapted);
+    enter_resuming(outputs);
   }
 }
 
-void ManagerCore::enter_resuming() {
-  set_phase(ManagerPhase::Resuming);
+void ManagerCore::enter_resuming(Outputs& outputs) {
+  set_phase(outputs, ManagerPhase::Resuming);
   resume_sent_ = true;
   retries_left_ = config_.message_retries + config_.run_to_completion_retries;
   for (const config::ProcessId process : involved_) {
     auto msg = util::make_pooled<ResumeMsg>();
     msg->step = current_ref();
-    send(process, std::move(msg));
+    send(outputs, process, std::move(msg));
   }
-  arm_timer(config_.resume_timeout, kResumeTimeout);
+  arm_timer(outputs, config_.resume_timeout, kResumeTimeout);
 }
 
-void ManagerCore::on_resume_done(config::ProcessId process, const ResumeDoneMsg& msg) {
+void ManagerCore::on_resume_done(Outputs& outputs, config::ProcessId process,
+                                 const ResumeDoneMsg& msg) {
   if (phase_ == ManagerPhase::Adapting) {
     // A sole participant resumed proactively and its adapt done was lost:
     // the resume done subsumes it.
     reset_acked_.insert(process);
     adapt_acked_.insert(process);
     resume_acked_.insert(process);
-    Output& blocked = emit(OutputKind::BlockedObserved);
+    Output& blocked = emit(outputs, OutputKind::BlockedObserved);
     blocked.process = process;
     blocked.blocked = msg.blocked_for;
     if (adapt_acked_.size() == involved_.size()) {
-      set_phase(ManagerPhase::Adapted);
-      enter_resuming();
+      set_phase(outputs, ManagerPhase::Adapted);
+      enter_resuming(outputs);
       resume_acked_.insert(process);
-      if (resume_acked_.size() == involved_.size()) commit_step();
+      if (resume_acked_.size() == involved_.size()) commit_step(outputs);
     }
     return;
   }
   if (phase_ != ManagerPhase::Resuming) return;
   if (resume_acked_.insert(process)) {
-    Output& blocked = emit(OutputKind::BlockedObserved);
+    Output& blocked = emit(outputs, OutputKind::BlockedObserved);
     blocked.process = process;
     blocked.blocked = msg.blocked_for;
   }
-  if (resume_acked_.size() == involved_.size()) commit_step();
+  if (resume_acked_.size() == involved_.size()) commit_step(outputs);
 }
 
-void ManagerCore::commit_step() {
-  disarm_timer();
-  set_phase(ManagerPhase::Resumed);
+void ManagerCore::commit_step(Outputs& outputs) {
+  disarm_timer(outputs);
+  set_phase(outputs, ManagerPhase::Resumed);
   current_ = plan_steps_[step_index_].to;
   ++result_.steps_committed;
-  Output& out = emit(OutputKind::StepCommitted);
+  Output& out = emit(outputs, OutputKind::StepCommitted);
   out.name = table_->action(plan_steps_[step_index_].action).name;
   out.config = current_;
   if (step_index_ + 1 < plan_steps_.size()) {
     ++step_index_;
     step_attempt_ = 0;
-    execute_current_step();
+    execute_current_step(outputs);
     return;
   }
   if (returning_to_source_) {
-    finish(AdaptationOutcome::RolledBackToSource, {.text = "returned to source configuration"});
+    finish(outputs, AdaptationOutcome::RolledBackToSource,
+           {.text = "returned to source configuration"});
   } else {
-    finish(AdaptationOutcome::Success, {.text = "target configuration reached"});
+    finish(outputs, AdaptationOutcome::Success, {.text = "target configuration reached"});
   }
 }
 
 template <typename Msg>
-void ManagerCore::retransmit_unacked(const char* phase_label, const util::IdSet64& acked,
-                                     runtime::Time timeout, const TimerLabel& timer_label) {
+void ManagerCore::retransmit_unacked(Outputs& outputs, const char* phase_label,
+                                     const util::IdSet64& acked, runtime::Time timeout,
+                                     const TimerLabel& timer_label) {
   --retries_left_;
   ++result_.message_retries;
-  Output& note = emit(OutputKind::Retransmission);
+  Output& note = emit(outputs, OutputKind::Retransmission);
   note.label = phase_label;
   const StepRef ref = current_ref();
   for (const config::ProcessId process : involved_) {
     if (!acked.contains(process)) {
       auto msg = util::make_pooled<Msg>();
       msg->step = ref;
-      send(process, std::move(msg));
+      send(outputs, process, std::move(msg));
     }
   }
-  arm_timer(timeout, timer_label);
+  arm_timer(outputs, timeout, timer_label);
 }
 
-void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
+void ManagerCore::on_timeout(Outputs& outputs) {
   switch (phase_) {
     case ManagerPhase::Adapting: {
       if (retries_left_ > 0) {
         --retries_left_;
         ++result_.message_retries;
-        Output& note = emit(OutputKind::Retransmission);
+        Output& note = emit(outputs, OutputKind::Retransmission);
         note.label = "adapting";
         // Retransmit resets to every triggered stage with an agent that has
         // not yet finished its in-action; agents re-acknowledge idempotently.
@@ -440,23 +443,23 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
         std::sort(stages_to_resend.begin(), stages_to_resend.end());
         const int* const last = std::unique(stages_to_resend.begin(), stages_to_resend.end());
         for (const int* stage = stages_to_resend.begin(); stage != last; ++stage) {
-          send_stage_resets(*stage);
+          send_stage_resets(outputs, *stage);
         }
-        maybe_advance_stage();
-        arm_timer(config_.reset_timeout, kResetTimeout);
+        maybe_advance_stage(outputs);
+        arm_timer(outputs, config_.reset_timeout, kResetTimeout);
         return;
       }
-      begin_rollback();
+      begin_rollback(outputs);
       return;
     }
     case ManagerPhase::Resuming: {
       if (retries_left_ > 0) {
-        retransmit_unacked<ResumeMsg>("resuming", resume_acked_, config_.resume_timeout,
+        retransmit_unacked<ResumeMsg>(outputs, "resuming", resume_acked_, config_.resume_timeout,
                                       kResumeTimeout);
         return;
       }
       if (fault_ == ManagerFault::RollbackAfterResume) {
-        begin_rollback();  // test-only §4.4 violation
+        begin_rollback(outputs);  // test-only §4.4 violation
         return;
       }
       // §4.4: after the first resume the adaptation must run to completion;
@@ -465,11 +468,11 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
       // is told the protocol stalled.
       current_ = plan_steps_[step_index_].to;
       ++result_.steps_committed;
-      Output& out = emit(OutputKind::StepCommitted);
+      Output& out = emit(outputs, OutputKind::StepCommitted);
       out.name = table_->action(plan_steps_[step_index_].action).name;
       out.config = current_;
       out.flag = true;  // stalled
-      finish(AdaptationOutcome::StalledAfterResume,
+      finish(outputs, AdaptationOutcome::StalledAfterResume,
              {.text = "resume unacknowledged by ",
               .form = OutcomeReason::Form::Count,
               .count = involved_.size() - resume_acked_.size()});
@@ -477,11 +480,11 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
     }
     case ManagerPhase::RollingBack: {
       if (retries_left_ > 0) {
-        retransmit_unacked<RollbackMsg>("rolling-back", rollback_acked_,
+        retransmit_unacked<RollbackMsg>(outputs, "rolling-back", rollback_acked_,
                                         config_.rollback_timeout, kRollbackTimeout);
         return;
       }
-      finish(AdaptationOutcome::UserInterventionRequired,
+      finish(outputs, AdaptationOutcome::UserInterventionRequired,
              {.text = "rollback unacknowledged; agent states unknown"});
       return;
     }
@@ -490,40 +493,40 @@ void ManagerCore::on_timeout(ManagerTimer /*timer*/) {
   }
 }
 
-void ManagerCore::begin_rollback() {
-  set_phase(ManagerPhase::RollingBack);
-  disarm_timer();
+void ManagerCore::begin_rollback(Outputs& outputs) {
+  set_phase(outputs, ManagerPhase::RollingBack);
+  disarm_timer(outputs);
   rollback_acked_.clear();
   retries_left_ = config_.message_retries;
   const StepRef ref = current_ref();
   for (const config::ProcessId process : involved_) {
     auto msg = util::make_pooled<RollbackMsg>();
     msg->step = ref;
-    send(process, std::move(msg));
+    send(outputs, process, std::move(msg));
   }
-  arm_timer(config_.rollback_timeout, kRollbackTimeout);
+  arm_timer(outputs, config_.rollback_timeout, kRollbackTimeout);
 }
 
-void ManagerCore::on_rollback_done(config::ProcessId process) {
+void ManagerCore::on_rollback_done(Outputs& outputs, config::ProcessId process) {
   if (phase_ != ManagerPhase::RollingBack) return;
   rollback_acked_.insert(process);
-  if (rollback_acked_.size() == involved_.size()) step_failed_after_rollback();
+  if (rollback_acked_.size() == involved_.size()) step_failed_after_rollback(outputs);
 }
 
-void ManagerCore::step_failed_after_rollback() {
-  disarm_timer();
+void ManagerCore::step_failed_after_rollback(Outputs& outputs) {
+  disarm_timer(outputs);
   ++result_.step_failures;
-  Output& out = emit(OutputKind::StepRolledBack);
+  Output& out = emit(outputs, OutputKind::StepRolledBack);
   out.name = table_->action(plan_steps_[step_index_].action).name;
-  try_next_strategy();
+  try_next_strategy(outputs);
 }
 
-void ManagerCore::try_next_strategy() {
+void ManagerCore::try_next_strategy(Outputs& outputs) {
   // §4.4 strategy chain: (1) retry the step, (2) next-minimum path,
   // (3) return to source, (4) wait for user intervention.
   if (static_cast<int>(step_attempt_) < config_.step_retries) {
     ++step_attempt_;
-    execute_current_step();
+    execute_current_step(outputs);
     return;
   }
   const config::Configuration active_target = returning_to_source_ ? source_ : target_;
@@ -532,7 +535,7 @@ void ManagerCore::try_next_strategy() {
     const auto plans = planner_->ranked_paths(current_, active_target, alternatives_tried_ + 1);
     if (plans.size() > alternatives_tried_) {
       ++result_.plans_tried;
-      start_plan(plans[alternatives_tried_]);
+      start_plan(outputs, plans[alternatives_tried_]);
       return;
     }
   }
@@ -540,30 +543,29 @@ void ManagerCore::try_next_strategy() {
     returning_to_source_ = true;
     alternatives_tried_ = 0;
     if (current_ == source_) {
-      finish(AdaptationOutcome::RolledBackToSource,
+      finish(outputs, AdaptationOutcome::RolledBackToSource,
              {.text = "failed before leaving source configuration"});
       return;
     }
     const auto plan = planner_->minimum_path(current_, source_);
     if (plan && !plan->empty()) {
       ++result_.plans_tried;
-      start_plan(*plan);
+      start_plan(outputs, *plan);
       return;
     }
   }
-  finish(AdaptationOutcome::UserInterventionRequired,
+  finish(outputs, AdaptationOutcome::UserInterventionRequired,
          {.text = "all adaptation paths failed; system parked at ",
           .form = OutcomeReason::Form::Config,
           .config = current_});
 }
 
-void ManagerCore::finish(AdaptationOutcome outcome, const OutcomeReason& reason) {
-  disarm_timer();
-  set_phase(ManagerPhase::Running);
+void ManagerCore::finish(Outputs& outputs, AdaptationOutcome outcome, const OutcomeReason& reason) {
+  disarm_timer(outputs);
+  set_phase(outputs, ManagerPhase::Running);
   result_.outcome = outcome;
   result_.final_config = current_;
-  result_.finished = now_;
-  Output& out = emit(OutputKind::Outcome);
+  Output& out = emit(outputs, OutputKind::Outcome);
   out.name = to_string(outcome);
   out.config = result_.final_config;
   OutputPayload& more = out.payload();

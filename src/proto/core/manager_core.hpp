@@ -9,8 +9,11 @@
 // a virtual network and model-checks the safety argument over all schedules.
 //
 // Determinism contract: step() depends only on the core's value state and the
-// Input (including its `now` timestamp). The core never reads a clock, never
-// sends, never locks, and never records observability events.
+// Input. The core reads no time at all: it never sees a clock or a timestamp,
+// so the request's start and finish times in an Outcome are left for the
+// driver to stamp, and two cores that took the same inputs at different
+// times are equal values. The core never sends, never locks, and never
+// records observability events.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +44,8 @@ struct ManagerConfig {
   int step_retries = 1;             ///< §4.4: "retries the same step once more"
   std::size_t max_alternative_paths = 3;
   bool allow_return_to_source = true;
+
+  bool operator==(const ManagerConfig&) const = default;
 };
 
 /// Test-only protocol mutations. The explorer's mutation check enables one of
@@ -61,13 +66,17 @@ enum class ManagerFault : std::uint8_t {
 struct TimerLabel {
   const char* text;
   std::uint64_t hash;
+
+  bool operator==(const TimerLabel&) const = default;
 };
 
 class ManagerCore {
  public:
   /// `invariants`, `table`, and `planner` are shared immutable analysis data
   /// and must outlive the core; everything else is owned value state, so
-  /// copies of a core evolve independently (the explorer forks them freely).
+  /// copies of a core evolve independently, and two cores compare equal
+  /// exactly when every field does (the model checker interns cores by that
+  /// equality, check/manager_table.hpp).
   ManagerCore(const config::InvariantSet& invariants, const actions::ActionTable& table,
               const actions::PathPlanner& planner, ManagerConfig config);
 
@@ -83,6 +92,9 @@ class ManagerCore {
                    step_attempt_};
   }
   std::uint64_t request_id() const { return request_id_; }
+  /// The open or last request's verdict so far: once a step emits an
+  /// Outcome, exactly what that Outcome carries (the core stamps no time).
+  const AdaptationSummary& summary() const { return result_; }
 
   /// Consumes one input: clears `out` and fills it with the ordered side
   /// effects the input caused. The caller owns the buffer, so a caller that
@@ -90,6 +102,13 @@ class ManagerCore {
   /// Calling step(AdaptCommand) while busy() is a logic error (the driver
   /// guards and throws; the explorer never does it).
   void step(const ManagerInput& input, std::vector<Output>& out);
+
+  bool operator==(const ManagerCore&) const = default;
+
+  /// The registered agents with their reset stages, in ascending process id.
+  const util::SmallVector<std::pair<config::ProcessId, int>, 8>& agents() const {
+    return stages_;
+  }
 
   // --- introspection for the explorer and tests -----------------------------
   const util::SmallVector<config::ProcessId, 8>& involved() const { return involved_; }
@@ -115,45 +134,48 @@ class ManagerCore {
   void inject_fault(ManagerFault fault) { fault_ = fault; }
 
  private:
-  // Ported 1:1 from the pre-refactor driver; each method appends Outputs in
-  // exactly the order the old code performed the matching side effects, which
-  // is what keeps same-seed simulator traces byte-identical.
-  void handle_request(const config::Configuration& target);
-  void handle_message(config::ProcessId from, const runtime::MessagePtr& message);
-  void on_reset_done(config::ProcessId process);
-  void on_adapt_done(config::ProcessId process);
-  void on_resume_done(config::ProcessId process, const ResumeDoneMsg& msg);
-  void on_rollback_done(config::ProcessId process);
-  void start_plan(const actions::AdaptationPlan& plan);
-  void execute_current_step();
-  void send_stage_resets(int stage);
-  void maybe_advance_stage();
-  void enter_resuming();
-  void commit_step();
-  void on_timeout(ManagerTimer timer);
+  using Outputs = std::vector<Output>;
+
+  // Ported 1:1 from the pre-refactor driver; each method appends Outputs to
+  // `out`, the buffer of the step in progress, in exactly the order the old
+  // code performed the matching side effects, which is what keeps same-seed
+  // simulator traces byte-identical.
+  void handle_request(Outputs& out, const config::Configuration& target);
+  void handle_message(Outputs& out, config::ProcessId from, const runtime::MessagePtr& message);
+  void on_reset_done(Outputs& out, config::ProcessId process);
+  void on_adapt_done(Outputs& out, config::ProcessId process);
+  void on_resume_done(Outputs& out, config::ProcessId process, const ResumeDoneMsg& msg);
+  void on_rollback_done(Outputs& out, config::ProcessId process);
+  void start_plan(Outputs& out, const actions::AdaptationPlan& plan);
+  void execute_current_step(Outputs& out);
+  void send_stage_resets(Outputs& out, int stage);
+  void maybe_advance_stage(Outputs& out);
+  void enter_resuming(Outputs& out);
+  void commit_step(Outputs& out);
+  void on_timeout(Outputs& out);
   /// Shared timeout arm for the resuming/rolling-back phases: re-send
   /// `make_message()` to every process not yet in `acked`, re-arm `timeout`.
   template <typename Msg>
-  void retransmit_unacked(const char* phase_label, const util::IdSet64& acked,
+  void retransmit_unacked(Outputs& out, const char* phase_label, const util::IdSet64& acked,
                           runtime::Time timeout, const TimerLabel& timer_label);
   /// The fingerprints' shared fields, spread over four hash lanes.
   void mix_request_lanes(std::uint64_t (&lane)[4]) const;
   void mix_timer_lanes(std::uint64_t (&lane)[4]) const;
-  void begin_rollback();
-  void step_failed_after_rollback();
-  void try_next_strategy();
+  void begin_rollback(Outputs& out);
+  void step_failed_after_rollback(Outputs& out);
+  void try_next_strategy(Outputs& out);
   /// Ends the request. `reason` is data, not text: the drivers format it.
-  void finish(AdaptationOutcome outcome, const OutcomeReason& reason);
+  void finish(Outputs& out, AdaptationOutcome outcome, const OutcomeReason& reason);
   std::size_t adapt_quorum() const;  ///< acks needed before resume (fault hook)
 
   LocalCommand command_for(config::ProcessId process) const;
   int stage_of(config::ProcessId process) const;  ///< throws if unregistered
   bool has_agent(config::ProcessId process) const;
-  void send(config::ProcessId to, runtime::MessagePtr message);
-  void set_phase(ManagerPhase next);
-  void arm_timer(runtime::Time timeout, const TimerLabel& label);
-  void disarm_timer();
-  Output& emit(OutputKind kind);
+  void send(Outputs& out, config::ProcessId to, runtime::MessagePtr message);
+  void set_phase(Outputs& out, ManagerPhase next);
+  void arm_timer(Outputs& out, runtime::Time timeout, const TimerLabel& label);
+  void disarm_timer(Outputs& out);
+  Output& emit(Outputs& out, OutputKind kind) const;
 
   const config::InvariantSet* invariants_;
   const actions::ActionTable* table_;
@@ -179,10 +201,19 @@ class ManagerCore {
   bool returning_to_source_ = false;
   std::size_t alternatives_tried_ = 0;
 
+  /// What the core reads of a plan step: its action and the configuration
+  /// it reaches.
+  struct PlanStep {
+    actions::ActionId action = 0;
+    config::Configuration to;
+
+    bool operator==(const PlanStep&) const = default;
+  };
+
   /// Steps of the plan being executed, inline for the same reason as
   /// stages_, and their hash, computed once in start_plan() so fingerprint()
   /// mixes one word instead of walking the steps.
-  util::SmallVector<actions::PlanStep, 8> plan_steps_;
+  util::SmallVector<PlanStep, 8> plan_steps_;
   std::uint64_t plan_hash_ = 0;
   std::uint32_t plan_number_ = 0;   ///< disambiguates re-planned paths
   std::uint32_t plan_counter_ = 0;  ///< next plan number within the request
@@ -207,11 +238,6 @@ class ManagerCore {
   TimerLabel protocol_timer_label_{"", 0};  ///< set by arm_timer()
   bool stage_delay_armed_ = false;
   int stage_delay_stage_ = 0;  ///< stage whose resets go out when it fires
-
-  runtime::Time now_ = 0;  ///< timestamp of the input being processed
-  /// The caller's buffer for the input being processed; set by step() and
-  /// only dereferenced inside it.
-  std::vector<Output>* out_ = nullptr;
 };
 
 }  // namespace sa::proto

@@ -110,12 +110,13 @@ void AdaptationManager::on_message(runtime::NodeId from, runtime::MessagePtr mes
 }
 
 void AdaptationManager::dispatch(decltype(ManagerInput::event) event) {
+  const runtime::Time now = clock_->now();
   std::vector<Output> outputs;
-  core_.step(ManagerInput{clock_->now(), std::move(event)}, outputs);
-  apply(outputs);
+  core_.step(ManagerInput{std::move(event)}, outputs);
+  apply(outputs, now);
 }
 
-void AdaptationManager::apply(const std::vector<Output>& outputs) {
+void AdaptationManager::apply(const std::vector<Output>& outputs, runtime::Time now) {
   for (const Output& out : outputs) {
     switch (out.kind) {
       case OutputKind::Send:
@@ -203,9 +204,10 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
         }
         break;
       case OutputKind::Outcome:
-        apply_outcome(out);
+        apply_outcome(out, now);
         break;
       case OutputKind::AdaptationRequested:
+        request_started_ = now;
         if (trace_.wants(obs::EventKind::AdaptationRequested)) {
           obs::Event e;
           e.kind = obs::EventKind::AdaptationRequested;
@@ -291,11 +293,14 @@ void AdaptationManager::apply(const std::vector<Output>& outputs) {
   }
 }
 
-void AdaptationManager::apply_outcome(const Output& out) {
-  // The core reports why the request finished as data; its text is made
-  // here, where it is recorded, logged and handed to the caller.
+void AdaptationManager::apply_outcome(const Output& out, runtime::Time now) {
+  // The core reports why the request finished as data, and no time; its
+  // text and times are made here, where it is recorded, logged and handed
+  // to the caller.
   const OutputPayload& outcome = out.payload();
-  const AdaptationResult result{outcome.result, describe(outcome.reason, table_->registry())};
+  AdaptationResult result{outcome.result, describe(outcome.reason, table_->registry())};
+  result.started = request_started_;
+  result.finished = now;
   if (trace_.wants(obs::EventKind::AdaptationFinished)) {
     obs::Event e;
     e.kind = obs::EventKind::AdaptationFinished;

@@ -135,11 +135,14 @@ class AdaptationManager {
   };
 
   void on_message(runtime::NodeId from, runtime::MessagePtr message);
-  /// Feeds one input, stamped with the current time, to the core and executes
-  /// its outputs. Call under mutex_.
+  /// Feeds one input to the core and executes its outputs at the current
+  /// time. Call under mutex_.
   void dispatch(decltype(ManagerInput::event) event);
-  void apply(const std::vector<Output>& outputs);
-  void apply_outcome(const Output& out);
+  /// Executes the outputs of a step dispatched at `now`.
+  void apply(const std::vector<Output>& outputs, runtime::Time now);
+  /// Stamps the core's verdict with the request's start and `now`, the time
+  /// of the step that finished it, then reports it.
+  void apply_outcome(const Output& out, runtime::Time now);
   TimerSlot& timer(const Output& out) {
     return out.timer == ManagerTimer::Protocol ? protocol_timer_ : stage_timer_;
   }
@@ -170,6 +173,7 @@ class AdaptationManager {
 
   std::vector<StepRecord> step_log_;
   runtime::Time total_blocked_reported_ = 0;
+  runtime::Time request_started_ = 0;  ///< dispatch time of the open request
 
   struct PendingRequest {
     config::Configuration target;

@@ -30,6 +30,8 @@ struct AdaptationSummary {
   std::size_t message_retries = 0;  ///< retransmission rounds
   runtime::Time started = 0;
   runtime::Time finished = 0;
+
+  bool operator==(const AdaptationSummary&) const = default;
 };
 
 /// Everything the manager can learn about one finished adaptation request.

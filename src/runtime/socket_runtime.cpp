@@ -339,6 +339,7 @@ void SocketTransport::handle_datagram(const std::uint8_t* data, std::size_t size
     in_handler_[frame.to] = false;
   }
   handler_cv_.notify_all();
+  if (ProgressSignal* delivered = delivered_.load()) delivered->notify();
 }
 
 bool SocketTransport::drain_tcp_buffer(TcpConn& conn) {
@@ -457,7 +458,10 @@ void SocketTransport::stop() {
 SocketRuntime::SocketRuntime(SocketRuntimeOptions options)
     : options_(options),
       executor_(options.workers),
-      transport_(std::move(options.transport)) {}
+      transport_(std::move(options.transport)) {
+  clock_.notify_fires(&executor_.progress());
+  transport_.notify_deliveries(&executor_.progress());
+}
 
 SocketRuntime::~SocketRuntime() { shutdown(); }
 
@@ -466,13 +470,8 @@ void SocketRuntime::advance(Time duration) {
 }
 
 bool SocketRuntime::wait_until(const std::function<bool()>& done, std::size_t /*max_events*/) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(options_.wait_cap);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(options_.wait_poll_interval));
-  }
-  return true;
+  return wait_for_progress(executor_.progress(), done, options_.wait_cap,
+                           options_.wait_poll_interval);
 }
 
 void SocketRuntime::shutdown() {

@@ -122,6 +122,10 @@ class SocketTransport final : public Transport {
   /// sends drop (return false).
   void stop();
 
+  /// Notifies `signal` after every delivery's handler returns (nullptr:
+  /// none). `signal` must outlive the receiver thread.
+  void notify_deliveries(ProgressSignal* signal) { delivered_.store(signal); }
+
  private:
   struct ChannelState {
     ChannelConfig config;
@@ -170,6 +174,7 @@ class SocketTransport final : public Transport {
 
   std::atomic<std::uint64_t> malformed_frames_{0};
   std::atomic<std::uint64_t> stale_frames_{0};
+  std::atomic<ProgressSignal*> delivered_{nullptr};
 };
 
 struct SocketRuntimeOptions {
@@ -192,7 +197,9 @@ class SocketRuntime final : public Runtime {
 
   /// Sleeps; the receiver and timer threads make progress meanwhile.
   void advance(Time duration) override;
-  /// Polls `done` until true or the real-time cap expires; `max_events` is
+  /// Checks `done` after every delivery, executor task and timer callback
+  /// until it holds or the real-time cap expires, and at least every
+  /// wait_poll_interval, for what other threads change; `max_events` is
   /// meaningless on this backend and ignored.
   bool wait_until(const std::function<bool()>& done,
                   std::size_t max_events = SIZE_MAX) override;

@@ -90,6 +90,7 @@ void ThreadedClock::run() {
     timers_.erase(next);
     lock.unlock();
     fn();  // entities serialize themselves; see header
+    if (ProgressSignal* fired = fired_.load()) fired->notify();
     lock.lock();
   }
 }
@@ -136,7 +137,22 @@ void ThreadedExecutor::run() {
     queue_.pop_front();
     lock.unlock();
     fn();
+    progress_.notify();
     lock.lock();
+  }
+}
+
+bool wait_for_progress(const ProgressSignal& progress, const std::function<bool()>& done,
+                       Time cap, Time poll_interval) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(cap);
+  for (;;) {
+    // Read the count before checking, so progress made after the check wakes
+    // the wait below at once.
+    const std::uint64_t seen = progress.count();
+    if (done()) return true;
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) return false;
+    progress.wait(seen, std::min(deadline, now + std::chrono::microseconds(poll_interval)));
   }
 }
 
@@ -275,7 +291,9 @@ void ThreadedTransport::set_observer(obs::TraceRecorder* recorder, obs::MetricsR
 ThreadedRuntime::ThreadedRuntime(Options options)
     : options_(options),
       executor_(options.workers),
-      transport_(clock_, executor_, options.seed) {}
+      transport_(clock_, executor_, options.seed) {
+  clock_.notify_fires(&executor_.progress());
+}
 
 ThreadedRuntime::~ThreadedRuntime() { shutdown(); }
 
@@ -289,12 +307,8 @@ void ThreadedRuntime::advance(Time duration) {
 }
 
 bool ThreadedRuntime::wait_until(const std::function<bool()>& done, std::size_t /*max_events*/) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(options_.wait_cap);
-  while (!done() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(options_.wait_poll_interval));
-  }
-  return done();
+  return wait_for_progress(executor_.progress(), done, options_.wait_cap,
+                           options_.wait_poll_interval);
 }
 
 }  // namespace sa::runtime

@@ -21,9 +21,12 @@
 // mutex.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -36,6 +39,40 @@
 #include "util/rng.hpp"
 
 namespace sa::runtime {
+
+/// Counts units of progress (a finished task, a handled delivery) and wakes
+/// the threads waiting for the count to move: what a real-time wait_until()
+/// blocks on between checks of its condition, instead of sleeping blind.
+class ProgressSignal {
+ public:
+  std::uint64_t count() const {
+    const std::lock_guard lock(mutex_);
+    return count_;
+  }
+  void notify() {
+    {
+      const std::lock_guard lock(mutex_);
+      ++count_;
+    }
+    cv_.notify_all();
+  }
+  /// Blocks until count() differs from `seen` or `until` passes.
+  void wait(std::uint64_t seen, std::chrono::steady_clock::time_point until) const {
+    std::unique_lock lock(mutex_);
+    cv_.wait_until(lock, until, [this, seen] { return count_ != seen; });
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  std::uint64_t count_ = 0;
+};
+
+/// Runs `done` until it holds or `cap` of real time passes, checking it again
+/// whenever `progress` moves and at least every `poll_interval`. Returns the
+/// last check's result.
+bool wait_for_progress(const ProgressSignal& progress, const std::function<bool()>& done,
+                       Time cap, Time poll_interval);
 
 class ThreadedClock final : public Clock {
  public:
@@ -51,6 +88,10 @@ class ThreadedClock final : public Clock {
   /// schedule calls drop their callback and return 0. Idempotent.
   void stop();
 
+  /// Notifies `signal` after every timer callback returns (nullptr: none).
+  /// `signal` must outlive the timer thread.
+  void notify_fires(ProgressSignal* signal) { fired_.store(signal); }
+
  private:
   void run();
 
@@ -62,6 +103,7 @@ class ThreadedClock final : public Clock {
   std::map<TimerId, Time> deadline_of_;  ///< id -> deadline, for cancel()
   TimerId next_id_ = 1;
   bool stopping_ = false;
+  std::atomic<ProgressSignal*> fired_{nullptr};
   std::thread thread_;
 };
 
@@ -75,9 +117,14 @@ class ThreadedExecutor final : public Executor {
   /// Finishes queued tasks, then joins the workers. Idempotent.
   void stop();
 
+  /// Notified after every task, since a task is what changes what a waiter
+  /// waits for.
+  ProgressSignal& progress() { return progress_; }
+
  private:
   void run();
 
+  ProgressSignal progress_;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
@@ -154,8 +201,10 @@ class ThreadedRuntime final : public Runtime {
   /// Sleeps; the timer thread and workers make progress meanwhile.
   void advance(Time duration) override;
 
-  /// Polls `done` until true or the real-time cap expires. `max_events` is
-  /// meaningless on this backend and ignored.
+  /// Checks `done` after every executor task (every delivery drains on the
+  /// pool) and timer callback until it holds or the real-time cap expires,
+  /// and at least every wait_poll_interval, for what other threads change.
+  /// `max_events` is meaningless on this backend and ignored.
   bool wait_until(const std::function<bool()>& done,
                   std::size_t max_events = SIZE_MAX) override;
 

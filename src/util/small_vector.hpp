@@ -129,6 +129,10 @@ class SmallVector {
     size_ = 0;
   }
 
+  friend bool operator==(const SmallVector& a, const SmallVector& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
  private:
   T* inline_data() { return reinterpret_cast<T*>(inline_storage_); }
   const T* inline_data() const { return reinterpret_cast<const T*>(inline_storage_); }

@@ -292,13 +292,12 @@ TEST(MessageFamily, CoresIgnoreNonProtocolDeliveries) {
                              scenario.manager_config);
   manager.set_current_configuration(scenario.source);
   for (const auto& [process, stage] : scenario.stages) manager.register_agent(process, stage);
-  manager.step(proto::ManagerInput{0, proto::ManagerInput::AdaptCommand{scenario.target}}, out);
+  manager.step(proto::ManagerInput{proto::ManagerInput::AdaptCommand{scenario.target}}, out);
   ASSERT_FALSE(out.empty());
   ASSERT_TRUE(manager.busy());
   const config::ProcessId agent = scenario.stages.begin()->first;
   for (const runtime::MessagePtr& message : others) {
-    manager.step(proto::ManagerInput{1, proto::ManagerInput::MessageDelivered{agent, &message}},
-                 out);
+    manager.step(proto::ManagerInput{proto::ManagerInput::MessageDelivered{agent, &message}}, out);
     EXPECT_TRUE(out.empty()) << message->type_name();
   }
 

@@ -99,6 +99,31 @@ TEST(ThreadedExecutor, SingleWorkerRunsTasksInPostingOrder) {
   EXPECT_EQ(order, expected);
 }
 
+TEST(ThreadedRuntimeWait, WakesWhenAPostedTaskSetsDone) {
+  ThreadedRuntimeOptions options;
+  options.wait_poll_interval = seconds(1);
+  ThreadedRuntime rt(options);
+  std::atomic<bool> done{false};
+  rt.executor().post([&done] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    done.store(true);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(rt.wait_until([&done] { return done.load(); }));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
+}
+
+TEST(ThreadedRuntimeWait, WakesWhenATimerCallbackSetsDone) {
+  ThreadedRuntimeOptions options;
+  options.wait_poll_interval = seconds(1);
+  ThreadedRuntime rt(options);
+  std::atomic<bool> done{false};
+  rt.clock().schedule_after(ms(20), [&done] { done.store(true); });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(rt.wait_until([&done] { return done.load(); }));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
+}
+
 // --- Transport --------------------------------------------------------------
 
 struct PingMsg final : Message {
