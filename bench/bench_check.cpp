@@ -1,16 +1,9 @@
 // Throughput benchmarks for the model-checking engine (src/check/engine.hpp).
 //
-// Five groups:
+// Four groups:
 //
-//   * CheckSeedStyleDfs — a faithful re-implementation of the original
-//     recursive explorer (per-node std::vector<Choice> allocation, full Model
-//     copy per child plus a second full copy per leaf, std::unordered_set
-//     dedup, transition recording left on). This is the live baseline the
-//     engine's speedup is computed against.
-//   * CheckEngineDfs/<t> — the frontier engine on the same exhaustive tiny
-//     search at t worker threads. Counters: states_per_sec and
-//     speedup_vs_seed_style (baseline wall-clock / engine wall-clock, both
-//     measured in-process in the same build).
+//   * CheckEngineDfs/<t> — the frontier engine on the exhaustive tiny search
+//     at t worker threads. Counter: states_per_sec.
 //   * CheckModelFork — microbenchmark of the hot-path fork (copy + apply) at
 //     a mid-search state, with transition recording on (seed default) and
 //     off (engine setting), isolating the per-edge cost the engine pays.
@@ -27,9 +20,7 @@
 //     edges) plus allocations per edge.
 //
 // The exhaustive tiny search visits ~286k distinct states / ~723k edges, so
-// one iteration is meaningful; Google Benchmark picks the repetition count. EXPERIMENTS.md additionally records the end-to-end
-// speedup against the pre-optimization seed binary, which this bench cannot
-// reproduce (the Model itself was reworked in the same change).
+// one iteration is meaningful; Google Benchmark picks the repetition count.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -37,9 +28,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <stdexcept>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -62,124 +51,22 @@ check::ExploreOptions tiny_exhaustive_options() {
 }
 
 // ---------------------------------------------------------------------------
-// Seed-style reference explorer: the exact algorithm shipped before the
-// engine existed. Kept here (not in src/) so the production tree has one
-// search implementation; the bench needs it live to measure speedup on the
-// machine it runs on.
-
-struct SeedDfsContext {
-  const check::ExploreOptions* options = nullptr;
-  std::unordered_set<std::uint64_t> visited;
-  std::size_t states_explored = 0;
-  std::size_t states_deduped = 0;
-  std::size_t runs_completed = 0;
-  bool stop = false;
-};
-
-void seed_style_record_leaf(const check::Model& model, SeedDfsContext& ctx) {
-  check::Model leaf = model;  // the seed finalized a second full copy
-  leaf.finalize();
-  if (!leaf.violations().empty()) {
-    ctx.stop = true;
-    return;
-  }
-  ++ctx.runs_completed;
-}
-
-void seed_style_dfs(const check::Model& model, int depth, SeedDfsContext& ctx) {
-  const std::vector<check::Choice> choices = model.choices();
-  if (choices.empty()) {
-    seed_style_record_leaf(model, ctx);
-    return;
-  }
-  if (depth >= ctx.options->max_depth) return;
-  for (const check::Choice& choice : choices) {
-    check::Model next = model;
-    next.apply(choice);
-    ++ctx.states_explored;
-    if (!next.violations().empty()) {
-      ctx.stop = true;
-      return;
-    }
-    if (!ctx.visited.insert(next.fingerprint()).second) {
-      ++ctx.states_deduped;
-      continue;
-    }
-    if (ctx.visited.size() >= ctx.options->max_states) {
-      ctx.stop = true;
-      return;
-    }
-    seed_style_dfs(next, depth + 1, ctx);
-    if (ctx.stop) return;
-  }
-}
-
-SeedDfsContext run_seed_style(const check::Scenario& scenario,
-                              const check::ExploreOptions& options) {
-  SeedDfsContext ctx;
-  ctx.options = &options;
-  const check::Model root = check::make_model(scenario, options);
-  ctx.visited.insert(root.fingerprint());
-  seed_style_dfs(root, 0, ctx);
-  return ctx;
-}
-
-/// Baseline wall-clock, measured once and reused for every engine speedup
-/// counter so all entries in one report divide by the same number.
-double seed_style_baseline_seconds() {
-  static const double seconds = [] {
-    const check::Scenario scenario = check::make_scenario("tiny");
-    const check::ExploreOptions options = tiny_exhaustive_options();
-    const auto start = std::chrono::steady_clock::now();
-    const SeedDfsContext ctx = run_seed_style(scenario, options);
-    const auto stop = std::chrono::steady_clock::now();
-    if (ctx.stop) throw std::runtime_error("seed-style baseline hit a budget");
-    return std::chrono::duration<double>(stop - start).count();
-  }();
-  return seconds;
-}
-
-void BM_CheckSeedStyleDfs(benchmark::State& state) {
-  const check::Scenario scenario = check::make_scenario("tiny");
-  const check::ExploreOptions options = tiny_exhaustive_options();
-  std::size_t explored = 0;
-  for (auto _ : state) {
-    const SeedDfsContext ctx = run_seed_style(scenario, options);
-    explored = ctx.states_explored;
-    benchmark::DoNotOptimize(ctx.runs_completed);
-  }
-  state.counters["states_explored"] = static_cast<double>(explored);
-  state.counters["states_per_sec"] = benchmark::Counter(
-      static_cast<double>(explored * state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CheckSeedStyleDfs)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
 // Engine thread sweep.
 
 void BM_CheckEngineDfs(benchmark::State& state) {
   const check::Scenario scenario = check::make_scenario("tiny");
   check::ExploreOptions options = tiny_exhaustive_options();
   options.threads = static_cast<int>(state.range(0));
-  const double baseline = seed_style_baseline_seconds();
   std::size_t explored = 0;
-  double total_seconds = 0.0;
   for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
     const check::ExploreResult result = check::explore_dfs(scenario, options);
-    const auto stop = std::chrono::steady_clock::now();
-    total_seconds += std::chrono::duration<double>(stop - start).count();
     if (!result.complete) state.SkipWithError("engine search hit a budget");
     explored = result.stats.states_explored;
     benchmark::DoNotOptimize(result.stats.runs_completed);
   }
-  const double mean_seconds =
-      total_seconds / static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   state.counters["states_explored"] = static_cast<double>(explored);
   state.counters["states_per_sec"] = benchmark::Counter(
       static_cast<double>(explored * state.iterations()), benchmark::Counter::kIsRate);
-  state.counters["speedup_vs_seed_style"] =
-      mean_seconds > 0.0 ? baseline / mean_seconds : 0.0;
 }
 BENCHMARK(BM_CheckEngineDfs)
     ->Arg(1)

@@ -20,6 +20,7 @@
 #include "check/sleep_set.hpp"
 #include "util/block_pool.hpp"
 #include "util/fingerprint_set.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/small_vector.hpp"
 
@@ -205,10 +206,14 @@ class FrontierEngine {
            depth_cut_.load(std::memory_order_relaxed) && !counterexample_;
   }
 
-  /// Seeds the deques from `root` and runs the pool to completion.
+  /// Seeds the deques from `root` and runs the pool to completion. One
+  /// thread runs worker 0 here, from the root alone: with no one to steal,
+  /// its stack expands the tree in depth-first preorder.
   void run(Frame&& root, int threads) {
     if (threads == 1) {
-      run_sequential(std::move(root));
+      pending_.store(1, std::memory_order_relaxed);
+      queues_[0].frames.push_back(std::move(root));
+      worker_loop(0);
       return;
     }
     seed_breadth_first(std::move(root), threads);
@@ -437,23 +442,8 @@ class FrontierEngine {
   std::uint64_t dedup_key(const Model& model, std::uint64_t sleep_hash) const {
     std::uint64_t key =
         options_->symmetry ? model.canonical_fingerprint() : model.fingerprint();
-    if (options_->dpor) key ^= sleep_hash + 0x9e3779b97f4a7c15ULL + (key << 6) + (key >> 2);
+    if (options_->dpor) util::hash_mix(key, sleep_hash);
     return key;
-  }
-
-  /// Single-threaded fast path: a plain vector as the DFS stack, no locks, no
-  /// atomics on the hot path, frames expanded in depth-first preorder.
-  void run_sequential(Frame&& root) {
-    WorkerStats& ws = stats_[0];
-    Scratch scratch;
-    std::vector<Frame> stack;
-    stack.reserve(256);
-    stack.push_back(std::move(root));
-    while (!stack.empty() && !stop_.load(std::memory_order_relaxed)) {
-      Frame frame = std::move(stack.back());
-      stack.pop_back();
-      expand_children(std::move(frame), ws, scratch, stack);
-    }
   }
 
   /// Expands a breadth-first prefix of the tree until there are a few frames

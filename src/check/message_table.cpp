@@ -1,20 +1,15 @@
 #include "check/message_table.hpp"
 
-#include <functional>
 #include <string>
 
 #include "proto/messages.hpp"
+#include "util/hash.hpp"
 
 namespace sa::check {
 
 namespace {
 
-/// boost::hash_combine-style mixer, same spirit as the cores' fingerprints.
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-
-void mix_string(std::uint64_t& h, const std::string& s) { mix(h, std::hash<std::string>{}(s)); }
+using util::hash_mix;
 
 /// Structural hash of a protocol message: type, step coordinates, and the
 /// payload fields that influence receiver behaviour. Timing payloads
@@ -22,26 +17,26 @@ void mix_string(std::uint64_t& h, const std::string& s) { mix(h, std::hash<std::
 /// control flow, and including them would make every state unique.
 std::uint64_t structural_fingerprint(const proto::ProtoMessage& message) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  mix(h, message.step.request_id);
-  mix(h, message.step.plan);
-  mix(h, message.step.step_index);
-  mix(h, message.step.attempt);
+  hash_mix(h, message.step.request_id);
+  hash_mix(h, message.step.plan);
+  hash_mix(h, message.step.step_index);
+  hash_mix(h, message.step.attempt);
   switch (message.kind()) {
     case proto::MsgKind::Reset: {
       const auto& reset = static_cast<const proto::ResetMsg&>(message);
-      mix(h, 1);
-      mix(h, static_cast<std::uint64_t>(reset.drain));
-      mix(h, static_cast<std::uint64_t>(reset.sole_participant));
-      for (const auto& name : reset.command.remove) mix_string(h, name);
-      for (const auto& name : reset.command.add) mix_string(h, name);
+      hash_mix(h, 1);
+      hash_mix(h, static_cast<std::uint64_t>(reset.drain));
+      hash_mix(h, static_cast<std::uint64_t>(reset.sole_participant));
+      for (const auto& name : reset.command.remove) hash_mix(h, name);
+      for (const auto& name : reset.command.add) hash_mix(h, name);
       break;
     }
-    case proto::MsgKind::ResetDone: mix(h, 2); break;
-    case proto::MsgKind::AdaptDone: mix(h, 3); break;
-    case proto::MsgKind::Resume: mix(h, 4); break;
-    case proto::MsgKind::ResumeDone: mix(h, 5); break;
-    case proto::MsgKind::Rollback: mix(h, 6); break;
-    case proto::MsgKind::RollbackDone: mix(h, 7); break;
+    case proto::MsgKind::ResetDone: hash_mix(h, 2); break;
+    case proto::MsgKind::AdaptDone: hash_mix(h, 3); break;
+    case proto::MsgKind::Resume: hash_mix(h, 4); break;
+    case proto::MsgKind::ResumeDone: hash_mix(h, 5); break;
+    case proto::MsgKind::Rollback: hash_mix(h, 6); break;
+    case proto::MsgKind::RollbackDone: hash_mix(h, 7); break;
   }
   return h;
 }
@@ -77,12 +72,12 @@ MessageTable::Handle MessageTable::intern(const runtime::MessagePtr& message) {
     fingerprint = structural_fingerprint(*proto);
     key = fingerprint;
     if (proto->kind() == proto::MsgKind::ResumeDone) {
-      mix(key, static_cast<std::uint64_t>(
+      hash_mix(key, static_cast<std::uint64_t>(
                    static_cast<const proto::ResumeDoneMsg&>(*proto).blocked_for));
     }
   } else {
     key = fingerprint;
-    mix(key, reinterpret_cast<std::uintptr_t>(message.get()));
+    hash_mix(key, reinterpret_cast<std::uintptr_t>(message.get()));
   }
   return entries_.intern(
       key, [&message](const Entry& entry) { return same_content(*entry.owner, *message); },

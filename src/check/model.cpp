@@ -2,22 +2,17 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
 #include "proto/effects.hpp"
+#include "util/hash.hpp"
 
 namespace sa::check {
 
 namespace {
 
-/// boost::hash_combine-style mixer, same spirit as the cores' fingerprints.
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-
-void mix_string(std::uint64_t& h, const std::string& s) { mix(h, std::hash<std::string>{}(s)); }
+using util::hash_mix;
 
 /// A core step's output buffer, owned per thread: one per nesting depth,
 /// because applying an agent's outputs can step the same agent again (a
@@ -53,8 +48,8 @@ constexpr std::uint64_t kCoreSeed = ManagerTable::kFingerprintSeed;
 /// agent's static role and fault flag.
 std::uint64_t canonical_sub_seed(std::uint64_t role_fp, bool fail_to_reset) {
   std::uint64_t sub = 0x9ae16a3b2f90404fULL;
-  mix(sub, role_fp);
-  mix(sub, fail_to_reset);
+  hash_mix(sub, role_fp);
+  hash_mix(sub, fail_to_reset);
   return sub;
 }
 
@@ -91,13 +86,13 @@ Model::Model(const Scenario& scenario, Limits limits, proto::ManagerFault fault)
     AgentEntity entity(scenario.agent_config);
     entity.stage = stage;
     entity.role_fp = 0x100000001b3ULL;
-    mix(entity.role_fp, static_cast<std::uint64_t>(stage));
+    hash_mix(entity.role_fp, static_cast<std::uint64_t>(stage));
     // Hosted components are part of the role: agents are interchangeable only
     // if the manager would send them identical reset commands, and commands
     // are derived from the component names on each process.
     for (config::ComponentId id = 0; id < scenario.registry->size(); ++id) {
       const config::ComponentInfo& info = scenario.registry->info(id);
-      if (info.process == process) mix_string(entity.role_fp, info.name);
+      if (info.process == process) hash_mix(entity.role_fp, info.name);
     }
     entity.sub_seed = canonical_sub_seed(entity.role_fp, entity.fail_to_reset);
     agents_.emplace_back(process, std::move(entity));
@@ -135,7 +130,7 @@ void Model::send(bool to_manager, std::uint8_t slot, MessageTable::Handle messag
 void Model::append_in_flight(const InFlight& m) {
   in_flight_.push_back(m);
   AgentEntity& entity = agents_[m.slot].second;
-  mix(entity.channel_fp[m.to_manager], m.msg_fp);
+  hash_mix(entity.channel_fp[m.to_manager], m.msg_fp);
   if (entity.channel_len[m.to_manager]++ == 0) ++open_channels_;
 }
 
@@ -154,7 +149,7 @@ void Model::remove_in_flight(std::size_t index) {
   for (std::size_t i = limits_.reorder ? 0 : index; left > 0 && i < in_flight_.size(); ++i) {
     const InFlight& m = in_flight_[i];
     if (m.slot == slot && m.to_manager == to_manager) {
-      mix(h, m.msg_fp);
+      hash_mix(h, m.msg_fp);
       --left;
     }
   }
@@ -509,23 +504,23 @@ std::uint64_t Model::agent_core_fp(const AgentEntity& entity) const {
 
 std::uint64_t Model::fingerprint() const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  mix(h, table_->managers.keys(manager_).fingerprint);
-  mix(h, mgr_protocol_.armed);
-  mix(h, mgr_stage_.armed);
+  hash_mix(h, table_->managers.keys(manager_).fingerprint);
+  hash_mix(h, mgr_protocol_.armed);
+  hash_mix(h, mgr_stage_.armed);
   for (const auto& [process, entity] : agents_) {
-    mix(h, process);
-    mix(h, agent_core_fp(entity));
-    mix(h, entity.blocked);
-    mix(h, entity.timer.armed);
+    hash_mix(h, process);
+    hash_mix(h, agent_core_fp(entity));
+    hash_mix(h, entity.blocked);
+    hash_mix(h, entity.timer.armed);
   }
   for (const InFlight& m : in_flight_) {
-    mix(h, m.to_manager);
-    mix(h, m.agent);
-    mix(h, m.msg_fp);
+    hash_mix(h, m.to_manager);
+    hash_mix(h, m.agent);
+    hash_mix(h, m.msg_fp);
   }
-  mix(h, static_cast<std::uint64_t>(drops_left_));
-  mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_.has_value());
+  hash_mix(h, static_cast<std::uint64_t>(drops_left_));
+  hash_mix(h, static_cast<std::uint64_t>(dups_left_));
+  hash_mix(h, outcome_.has_value());
   // The safety monitor is intentionally not mixed in: it only records the
   // manager's own sends and receives, so for the current step it is a
   // function of the manager core's per-step state (involved set, acks, resume
@@ -536,9 +531,9 @@ std::uint64_t Model::fingerprint() const {
 std::uint64_t Model::canonical_fingerprint() const {
   const ManagerTable::Keys& manager = table_->managers.keys(manager_);
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  mix(h, manager.shared);
-  mix(h, mgr_protocol_.armed);
-  mix(h, mgr_stage_.armed);
+  hash_mix(h, manager.shared);
+  hash_mix(h, mgr_protocol_.armed);
+  hash_mix(h, mgr_stage_.armed);
   // Each agent's sub carries both of its directed channels, in FIFO order.
   // Hashing per channel (instead of the global creation-order walk
   // fingerprint() does) also erases the interleaving of sends on *distinct*
@@ -549,26 +544,26 @@ std::uint64_t Model::canonical_fingerprint() const {
   for (std::size_t slot = 0; slot < agents_.size(); ++slot) {
     const AgentEntity& entity = agents_[slot].second;
     std::uint64_t sub = entity.sub_seed;
-    mix(sub, agent_core_fp(entity));
-    mix(sub, entity.blocked);
-    mix(sub, entity.timer.armed);
+    hash_mix(sub, agent_core_fp(entity));
+    hash_mix(sub, entity.blocked);
+    hash_mix(sub, entity.timer.armed);
     // The agent's slice of the manager's per-process bookkeeping travels with
     // the agent, not with the manager: a permutation of agents permutes these
     // bits the same way it permutes core states, so the sorted representative
     // stays consistent.
-    mix(sub, manager.process_bits[slot]);
-    mix(sub, entity.channel_fp[0]);  // to the agent
-    mix(sub, entity.channel_fp[1]);  // to the manager
+    hash_mix(sub, manager.process_bits[slot]);
+    hash_mix(sub, entity.channel_fp[0]);  // to the agent
+    hash_mix(sub, entity.channel_fp[1]);  // to the manager
     subs.push_back(sub);
     for (std::size_t j = subs.size() - 1; j > 0 && subs[j - 1] > sub; --j) {
       subs[j] = subs[j - 1];
       subs[j - 1] = sub;
     }
   }
-  for (const std::uint64_t sub : subs) mix(h, sub);
-  mix(h, static_cast<std::uint64_t>(drops_left_));
-  mix(h, static_cast<std::uint64_t>(dups_left_));
-  mix(h, outcome_.has_value());
+  for (const std::uint64_t sub : subs) hash_mix(h, sub);
+  hash_mix(h, static_cast<std::uint64_t>(drops_left_));
+  hash_mix(h, static_cast<std::uint64_t>(dups_left_));
+  hash_mix(h, outcome_.has_value());
   return h;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "check/model.hpp"
+#include "util/hash.hpp"
 #include "util/small_vector.hpp"
 
 namespace sa::check {
@@ -40,13 +41,10 @@ using SleepSet = util::SmallVector<SleepEntry, 4>;
 /// hashes to the sum of its entries' hashes (order-independent).
 inline std::uint64_t sleep_entry_hash(const ChoiceFootprint& fp) {
   std::uint64_t h = 0x2545f4914f6cdd1dULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<std::uint64_t>(fp.kind));
-  mix(fp.channel_to_manager ? 1 : 0);
-  mix(fp.content);
-  mix(fp.role);
+  util::hash_mix(h, static_cast<std::uint64_t>(fp.kind));
+  util::hash_mix(h, fp.channel_to_manager ? 1 : 0);
+  util::hash_mix(h, fp.content);
+  util::hash_mix(h, fp.role);
   return h;
 }
 

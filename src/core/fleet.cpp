@@ -12,6 +12,7 @@
 #include "obs/export.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "runtime/threaded_runtime.hpp"
+#include "util/hash.hpp"
 
 namespace sa::core {
 
@@ -19,7 +20,7 @@ namespace {
 
 /// splitmix64 finalizer — the campaign's digest mixer.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  util::hash_mix(h, v);
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27;
   return h;

@@ -4,8 +4,11 @@
 #include <cctype>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <limits>
-#include <sstream>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/system.hpp"
@@ -15,13 +18,16 @@ namespace sa::core {
 
 namespace {
 
-/// Splits a scenario line into whitespace-separated tokens, keeping quoted
-/// strings ("...") as single tokens with the quotes stripped; `quoted` marks
-/// which tokens those were.
-std::vector<std::string> tokenize(const std::string& line, std::size_t line_number,
-                                  std::vector<bool>& quoted) {
-  std::vector<std::string> tokens;
-  quoted.clear();
+/// One whitespace-separated word of a scenario line, or a quoted string
+/// ("...") with the quotes stripped; `text` points into the line.
+struct Token {
+  std::string_view text;
+  bool quoted = false;
+};
+
+/// Splits `line` into `tokens` (cleared first), up to a comment.
+void tokenize(std::string_view line, std::size_t line_number, std::vector<Token>& tokens) {
+  tokens.clear();
   std::size_t i = 0;
   while (i < line.size()) {
     if (std::isspace(static_cast<unsigned char>(line[i]))) {
@@ -31,11 +37,10 @@ std::vector<std::string> tokenize(const std::string& line, std::size_t line_numb
     if (line[i] == '#') break;  // comment to end of line
     if (line[i] == '"') {
       const std::size_t close = line.find('"', i + 1);
-      if (close == std::string::npos) {
+      if (close == std::string_view::npos) {
         throw ScenarioParseError("unterminated quoted string", line_number);
       }
-      tokens.push_back(line.substr(i + 1, close - i - 1));
-      quoted.push_back(true);
+      tokens.push_back({line.substr(i + 1, close - i - 1), true});
       i = close + 1;
       continue;
     }
@@ -44,36 +49,38 @@ std::vector<std::string> tokenize(const std::string& line, std::size_t line_numb
            line[end] != '#') {
       ++end;
     }
-    tokens.push_back(line.substr(i, end - i));
-    quoted.push_back(false);
+    tokens.push_back({line.substr(i, end - i), false});
     i = end;
   }
-  return tokens;
 }
 
-/// Parses "key=value" into value if the token has the given key.
-std::optional<std::string> keyed(const std::string& token, std::string_view key) {
-  const std::string prefix = std::string(key) + "=";
-  if (token.rfind(prefix, 0) != 0) return std::nullopt;
-  return token.substr(prefix.size());
-}
-
-std::vector<std::string> split_names(const std::string& list) {
-  std::vector<std::string> names;
-  for (const std::string& part : util::split(list, ',')) {
-    const auto trimmed = util::trim(part);
-    if (!trimmed.empty()) names.emplace_back(trimmed);
+/// The value of a "key=value" token, if the token has the given key.
+std::optional<std::string_view> keyed(std::string_view token, std::string_view key) {
+  if (!token.starts_with(key) || token.size() == key.size() || token[key.size()] != '=') {
+    return std::nullopt;
   }
-  return names;
+  return token.substr(key.size() + 1);
 }
 
-config::Configuration parse_configuration(const std::string& text,
+/// The non-empty, trimmed names of a comma-separated list.
+std::vector<std::string> split_names(std::string_view list) {
+  std::vector<std::string> names;
+  while (true) {
+    const std::size_t comma = list.find(',');
+    const std::string_view name = util::trim(list.substr(0, comma));
+    if (!name.empty()) names.emplace_back(name);
+    if (comma == std::string_view::npos) return names;
+    list.remove_prefix(comma + 1);
+  }
+}
+
+config::Configuration parse_configuration(std::string_view text,
                                           const config::ComponentRegistry& registry,
                                           std::size_t line_number) {
-  const bool is_bits = text.find_first_not_of("01") == std::string::npos &&
+  const bool is_bits = text.find_first_not_of("01") == std::string_view::npos &&
                        text.size() == registry.size() && !text.empty();
   try {
-    if (is_bits) return config::Configuration::from_bit_string(text, registry.size());
+    if (is_bits) return config::Configuration::from_bit_string(std::string(text), registry.size());
     config::Configuration config;
     for (const std::string& name : split_names(text)) {
       config = config.with(registry.require(name));
@@ -86,22 +93,24 @@ config::Configuration parse_configuration(const std::string& text,
 
 }  // namespace
 
-ParsedScenario parse_scenario(std::istream& input) {
+ParsedScenario parse_scenario_text(std::string_view text) {
   ParsedScenario scenario;
   scenario.registry = std::make_unique<config::ComponentRegistry>();
   scenario.invariants = std::make_unique<config::InvariantSet>(*scenario.registry);
   scenario.actions = std::make_unique<actions::ActionTable>(*scenario.registry);
 
-  std::string line;
   std::size_t line_number = 0;
   bool components_frozen = false;
-  std::vector<bool> quoted;
+  std::vector<Token> tokens;
 
-  while (std::getline(input, line)) {
+  while (!text.empty()) {
     ++line_number;
-    const auto tokens = tokenize(line, line_number, quoted);
+    const std::size_t newline = text.find('\n');
+    const std::string_view line = text.substr(0, newline);
+    text.remove_prefix(newline == std::string_view::npos ? text.size() : newline + 1);
+    tokenize(line, line_number, tokens);
     if (tokens.empty()) continue;
-    const std::string& directive = tokens[0];
+    const std::string_view directive = tokens[0].text;
 
     try {
       if (directive == "component") {
@@ -112,30 +121,33 @@ ParsedScenario parse_scenario(std::istream& input) {
         if (tokens.size() < 3) {
           throw ScenarioParseError("component needs a name and process=<id>", line_number);
         }
-        const auto text = keyed(tokens[2], "process");
-        const auto process = text ? util::parse_u64(*text) : std::nullopt;
+        const auto id = keyed(tokens[2].text, "process");
+        const auto process = id ? util::parse_u64(*id) : std::nullopt;
         if (!process || *process > std::numeric_limits<config::ProcessId>::max()) {
           throw ScenarioParseError("expected process=<id>", line_number);
         }
-        const std::string description = tokens.size() > 3 ? tokens[3] : "";
-        scenario.registry->add(tokens[1], static_cast<config::ProcessId>(*process), description);
+        const std::string_view description = tokens.size() > 3 ? tokens[3].text : "";
+        scenario.registry->add(std::string(tokens[1].text),
+                               static_cast<config::ProcessId>(*process), std::string(description));
       } else if (directive == "process") {
-        const auto id = tokens.size() > 1 ? util::parse_u64(tokens[1]) : std::nullopt;
+        const auto id = tokens.size() > 1 ? util::parse_u64(tokens[1].text) : std::nullopt;
         if (!id || *id >= 64) throw ScenarioParseError("process needs an id below 64", line_number);
         const auto process = static_cast<config::ProcessId>(*id);
         if (std::ranges::count(scenario.registry->processes(), process) == 0) {
-          throw ScenarioParseError("process " + tokens[1] + " hosts no component", line_number);
+          throw ScenarioParseError("process " + std::string(tokens[1].text) + " hosts no component",
+                                   line_number);
         }
-        const auto value = tokens.size() > 2 && !quoted[2] ? keyed(tokens[2], "stage")
-                                                          : std::nullopt;
+        const auto value = tokens.size() > 2 && !tokens[2].quoted ? keyed(tokens[2].text, "stage")
+                                                                   : std::nullopt;
         const auto stage = value ? util::parse_u64(*value) : std::nullopt;
         if (!stage || *stage > std::numeric_limits<int>::max() || tokens.size() > 4 ||
-            (tokens.size() == 4 && !quoted[3])) {
+            (tokens.size() == 4 && !tokens[3].quoted)) {
           throw ScenarioParseError("expected process <id> stage=<n> [\"description\"]",
                                    line_number);
         }
         if (!scenario.stages.emplace(process, static_cast<int>(*stage)).second) {
-          throw ScenarioParseError("duplicate process " + tokens[1], line_number);
+          throw ScenarioParseError("duplicate process " + std::string(tokens[1].text),
+                                   line_number);
         }
       } else if (directive == "invariant") {
         components_frozen = true;
@@ -146,12 +158,12 @@ ParsedScenario parse_scenario(std::istream& input) {
         // up to a comment.
         const std::size_t name_pos = line.find('"');
         const std::size_t name_end = line.find('"', name_pos + 1);
-        if (name_pos == std::string::npos || name_end == std::string::npos) {
+        if (name_pos == std::string_view::npos || name_end == std::string_view::npos) {
           throw ScenarioParseError("invariant name must be quoted", line_number);
         }
-        const std::string expression(
-            util::trim(line.substr(name_end + 1, line.find('#', name_end) - name_end - 1)));
-        scenario.invariants->add(tokens[1], expression);
+        const std::string_view expression =
+            util::trim(line.substr(name_end + 1, line.find('#', name_end) - name_end - 1));
+        scenario.invariants->add(std::string(tokens[1].text), expression);
       } else if (directive == "action") {
         components_frozen = true;
         if (tokens.size() < 3) {
@@ -160,28 +172,32 @@ ParsedScenario parse_scenario(std::istream& input) {
         std::vector<std::string> removes;
         std::vector<std::string> adds;
         std::optional<double> cost;
-        std::string description;
+        std::string_view description;
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          if (const auto value = keyed(tokens[t], "remove")) {
+          const std::string_view token = tokens[t].text;
+          if (const auto value = keyed(token, "remove")) {
             removes = split_names(*value);
-          } else if (const auto added = keyed(tokens[t], "add")) {
+          } else if (const auto added = keyed(token, "add")) {
             adds = split_names(*added);
-          } else if (const auto c = keyed(tokens[t], "cost")) {
-            cost = std::stod(*c);
+          } else if (const auto c = keyed(token, "cost")) {
+            cost = std::stod(std::string(*c));
           } else {
-            description = tokens[t];
+            description = token;
           }
         }
         if (!cost) throw ScenarioParseError("action needs cost=<ms>", line_number);
-        scenario.actions->add(tokens[1], removes, adds, *cost, description);
+        scenario.actions->add(std::string(tokens[1].text), std::move(removes), std::move(adds),
+                              *cost, std::string(description));
       } else if (directive == "source" || directive == "target") {
         if (tokens.size() != 2) {
-          throw ScenarioParseError(directive + " needs one configuration", line_number);
+          throw ScenarioParseError(std::string(directive) + " needs one configuration",
+                                   line_number);
         }
-        const auto config = parse_configuration(tokens[1], *scenario.registry, line_number);
+        const auto config = parse_configuration(tokens[1].text, *scenario.registry, line_number);
         (directive == "source" ? scenario.source : scenario.target) = config;
       } else {
-        throw ScenarioParseError("unknown directive '" + directive + "'", line_number);
+        throw ScenarioParseError("unknown directive '" + std::string(directive) + "'",
+                                 line_number);
       }
     } catch (const ScenarioParseError&) {
       throw;
@@ -192,9 +208,9 @@ ParsedScenario parse_scenario(std::istream& input) {
   return scenario;
 }
 
-ParsedScenario parse_scenario_text(std::string_view text) {
-  std::istringstream stream{std::string(text)};
-  return parse_scenario(stream);
+ParsedScenario parse_scenario(std::istream& input) {
+  const std::string text{std::istreambuf_iterator<char>(input), std::istreambuf_iterator<char>()};
+  return parse_scenario_text(text);
 }
 
 ParsedScenario load_scenario(const std::string& path) {

@@ -67,7 +67,7 @@ bool FaultyTransport::send(runtime::NodeId from, runtime::NodeId to,
     }
     if (dropped != nullptr) {
       ++*dropped;
-      record(clock_->now(), from, to, message, /*delivered=*/false, /*keep_payload=*/false);
+      report(MessageEvent::Dropped, clock_->now(), from, to, message);
       return false;
     }
     may_duplicate = extra_duplication_ > 0.0;
@@ -134,7 +134,8 @@ void FaultyTransport::deliver(runtime::NodeId to, runtime::NodeId from,
   {
     std::lock_guard lock(mutex_);
     const bool dead = crashed_.contains(to);
-    record(clock_->now(), from, to, message, /*delivered=*/!dead, /*keep_payload=*/!dead);
+    report(dead ? MessageEvent::Dropped : MessageEvent::Delivered, clock_->now(), from, to,
+           message);
     if (dead) {
       ++stats_.dropped_crash_delivery;
       return;

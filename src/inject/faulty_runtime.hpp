@@ -106,6 +106,8 @@ class FaultyTransport final : public runtime::Transport {
     return inner_->channel_stats(from, to);
   }
 
+  /// The inner backend reports the message events; the decorator's own drops
+  /// and deliveries reach only its log.
   void set_observer(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics) override {
     inner_->set_observer(recorder, metrics);
   }

@@ -1,30 +1,29 @@
 #include "proto/core/agent_core.hpp"
 
 #include "util/block_pool.hpp"
+#include "util/hash.hpp"
 
 namespace sa::proto {
 
 namespace {
 
-inline void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
+using util::hash_mix;
 
 inline void mix_ref(std::uint64_t& h, const StepRef& ref) {
-  mix(h, ref.request_id);
-  mix(h, ref.plan);
-  mix(h, ref.step_index);
-  mix(h, ref.attempt);
+  hash_mix(h, ref.request_id);
+  hash_mix(h, ref.plan);
+  hash_mix(h, ref.step_index);
+  hash_mix(h, ref.attempt);
 }
 
 std::uint64_t hash_command(const LocalCommand& command) {
   std::uint64_t h = 0;
   for (const std::string& name : command.remove) {
-    for (const char c : name) mix(h, static_cast<std::uint64_t>(c));
+    for (const char c : name) hash_mix(h, static_cast<std::uint64_t>(c));
   }
-  mix(h, 0xabULL);
+  hash_mix(h, 0xabULL);
   for (const std::string& name : command.add) {
-    for (const char c : name) mix(h, static_cast<std::uint64_t>(c));
+    for (const char c : name) hash_mix(h, static_cast<std::uint64_t>(c));
   }
   return h;
 }
@@ -344,20 +343,20 @@ void AgentCore::on_rollback(const RollbackMsg& msg) {
 }
 
 void AgentCore::fingerprint(std::uint64_t& h) const {
-  mix(h, static_cast<std::uint64_t>(state_));
-  mix(h, current_step_.has_value() ? 1 : 0);
+  hash_mix(h, static_cast<std::uint64_t>(state_));
+  hash_mix(h, current_step_.has_value() ? 1 : 0);
   if (current_step_) mix_ref(h, *current_step_);
-  mix(h, command_hash_);
-  mix(h, sole_participant_ ? 1 : 0);
-  mix(h, prepared_ ? 1 : 0);
-  mix(h, drain_ ? 1 : 0);
-  mix(h, pending_armed_ ? 1 : 0);
-  if (pending_armed_) mix(h, static_cast<std::uint64_t>(pending_kind_));
-  mix(h, static_cast<std::uint64_t>(safe_wait_));
+  hash_mix(h, command_hash_);
+  hash_mix(h, sole_participant_ ? 1 : 0);
+  hash_mix(h, prepared_ ? 1 : 0);
+  hash_mix(h, drain_ ? 1 : 0);
+  hash_mix(h, pending_armed_ ? 1 : 0);
+  if (pending_armed_) hash_mix(h, static_cast<std::uint64_t>(pending_kind_));
+  hash_mix(h, static_cast<std::uint64_t>(safe_wait_));
   if (safe_wait_ == SafeWait::Compensate) mix_ref(h, compensate_step_);
-  mix(h, last_completed_.has_value() ? 1 : 0);
+  hash_mix(h, last_completed_.has_value() ? 1 : 0);
   if (last_completed_) mix_ref(h, *last_completed_);
-  mix(h, last_rolled_back_.has_value() ? 1 : 0);
+  hash_mix(h, last_rolled_back_.has_value() ? 1 : 0);
   if (last_rolled_back_) mix_ref(h, *last_rolled_back_);
 }
 

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <memory>
 
+#include "util/hash.hpp"
+
 namespace sa::proto {
 
 namespace {
 
 /// splitmix64 finalizer — the same mixing the explorer fingerprints use.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  util::hash_mix(h, v);
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27;
   return h;

@@ -6,14 +6,13 @@
 #include <stdexcept>
 
 #include "util/block_pool.hpp"
+#include "util/hash.hpp"
 
 namespace sa::proto {
 
 namespace {
 
-constexpr void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
+using util::hash_mix;
 
 /// Distinct starting values of the fingerprint lanes (digits of pi).
 constexpr std::uint64_t kLaneSeeds[4] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
@@ -21,7 +20,7 @@ constexpr std::uint64_t kLaneSeeds[4] = {0x243f6a8885a308d3ULL, 0x13198a2e037073
 
 constexpr std::uint64_t hash_str(const char* s) {
   std::uint64_t h = 0;
-  for (; *s != '\0'; ++s) mix(h, static_cast<std::uint64_t>(*s));
+  for (; *s != '\0'; ++s) hash_mix(h, static_cast<std::uint64_t>(*s));
   return h;
 }
 
@@ -184,8 +183,8 @@ void ManagerCore::start_plan(Outputs& outputs, const actions::AdaptationPlan& pl
   plan_hash_ = 0;
   for (const actions::PlanStep& s : plan.steps) {
     plan_steps_.push_back(PlanStep{s.action, s.to});
-    mix(plan_hash_, s.action);
-    mix(plan_hash_, s.to.bits());
+    hash_mix(plan_hash_, s.action);
+    hash_mix(plan_hash_, s.to.bits());
   }
   plan_number_ = plan_counter_++;
   step_index_ = 0;
@@ -597,43 +596,43 @@ std::string describe(const OutcomeReason& reason, const config::ComponentRegistr
 // chains at once instead of waiting on one serial chain of ~25 mixes.
 
 void ManagerCore::mix_request_lanes(std::uint64_t (&lane)[4]) const {
-  mix(lane[0], static_cast<std::uint64_t>(phase_));
-  mix(lane[1], request_id_);
-  mix(lane[2], current_.bits());
-  mix(lane[3], source_.bits());
-  mix(lane[0], target_.bits());
-  mix(lane[1], returning_to_source_ ? 1 : 0);
-  mix(lane[2], alternatives_tried_);
-  mix(lane[3], plan_number_);
-  mix(lane[0], plan_counter_);
-  mix(lane[1], step_index_);
-  mix(lane[2], step_attempt_);
-  mix(lane[3], plan_hash_);
+  hash_mix(lane[0], static_cast<std::uint64_t>(phase_));
+  hash_mix(lane[1], request_id_);
+  hash_mix(lane[2], current_.bits());
+  hash_mix(lane[3], source_.bits());
+  hash_mix(lane[0], target_.bits());
+  hash_mix(lane[1], returning_to_source_ ? 1 : 0);
+  hash_mix(lane[2], alternatives_tried_);
+  hash_mix(lane[3], plan_number_);
+  hash_mix(lane[0], plan_counter_);
+  hash_mix(lane[1], step_index_);
+  hash_mix(lane[2], step_attempt_);
+  hash_mix(lane[3], plan_hash_);
 }
 
 void ManagerCore::mix_timer_lanes(std::uint64_t (&lane)[4]) const {
-  mix(lane[0], resume_sent_ ? 1 : 0);
-  mix(lane[1], static_cast<std::uint64_t>(retries_left_));
-  mix(lane[2], protocol_timer_armed_ ? 1 : 0);
-  if (protocol_timer_armed_) mix(lane[2], protocol_timer_label_.hash);
-  mix(lane[3], stage_delay_armed_ ? 1 : 0);
-  mix(lane[3], static_cast<std::uint64_t>(stage_delay_stage_));
+  hash_mix(lane[0], resume_sent_ ? 1 : 0);
+  hash_mix(lane[1], static_cast<std::uint64_t>(retries_left_));
+  hash_mix(lane[2], protocol_timer_armed_ ? 1 : 0);
+  if (protocol_timer_armed_) hash_mix(lane[2], protocol_timer_label_.hash);
+  hash_mix(lane[3], stage_delay_armed_ ? 1 : 0);
+  hash_mix(lane[3], static_cast<std::uint64_t>(stage_delay_stage_));
 }
 
 void ManagerCore::fingerprint(std::uint64_t& h) const {
   std::uint64_t lane[4] = {kLaneSeeds[0], kLaneSeeds[1], kLaneSeeds[2], kLaneSeeds[3]};
   mix_request_lanes(lane);
-  for (const config::ProcessId p : involved_) mix(lane[0], p);
-  mix(lane[1], drain_set_.mask());
-  mix(lane[2], static_cast<std::uint64_t>(current_stage_));
-  mix(lane[3], static_cast<std::uint64_t>(min_stage_));
+  for (const config::ProcessId p : involved_) hash_mix(lane[0], p);
+  hash_mix(lane[1], drain_set_.mask());
+  hash_mix(lane[2], static_cast<std::uint64_t>(current_stage_));
+  hash_mix(lane[3], static_cast<std::uint64_t>(min_stage_));
   // Bitmask sets hash in O(1): the mask is the canonical set value.
-  mix(lane[0], reset_acked_.mask());
-  mix(lane[1], adapt_acked_.mask());
-  mix(lane[2], resume_acked_.mask());
-  mix(lane[3], rollback_acked_.mask());
+  hash_mix(lane[0], reset_acked_.mask());
+  hash_mix(lane[1], adapt_acked_.mask());
+  hash_mix(lane[2], resume_acked_.mask());
+  hash_mix(lane[3], rollback_acked_.mask());
   mix_timer_lanes(lane);
-  for (const std::uint64_t v : lane) mix(h, v);
+  for (const std::uint64_t v : lane) hash_mix(h, v);
 }
 
 void ManagerCore::fingerprint_shared(std::uint64_t& h) const {
@@ -644,16 +643,16 @@ void ManagerCore::fingerprint_shared(std::uint64_t& h) const {
   // process_fingerprint(), so states that differ only by a permutation of
   // interchangeable agents hash identically. Cardinalities stay here: they
   // are permutation-invariant and cheap insurance against orbit collisions.
-  mix(lane[0], involved_.size());
-  mix(lane[1], drain_set_.size());
-  mix(lane[2], static_cast<std::uint64_t>(current_stage_));
-  mix(lane[3], static_cast<std::uint64_t>(min_stage_));
-  mix(lane[0], reset_acked_.size());
-  mix(lane[1], adapt_acked_.size());
-  mix(lane[2], resume_acked_.size());
-  mix(lane[3], rollback_acked_.size());
+  hash_mix(lane[0], involved_.size());
+  hash_mix(lane[1], drain_set_.size());
+  hash_mix(lane[2], static_cast<std::uint64_t>(current_stage_));
+  hash_mix(lane[3], static_cast<std::uint64_t>(min_stage_));
+  hash_mix(lane[0], reset_acked_.size());
+  hash_mix(lane[1], adapt_acked_.size());
+  hash_mix(lane[2], resume_acked_.size());
+  hash_mix(lane[3], rollback_acked_.size());
   mix_timer_lanes(lane);
-  for (const std::uint64_t v : lane) mix(h, v);
+  for (const std::uint64_t v : lane) hash_mix(h, v);
 }
 
 std::uint64_t ManagerCore::process_fingerprint(config::ProcessId process) const {

@@ -15,6 +15,7 @@
 #include "proto/core/states.hpp"
 #include "runtime/message.hpp"
 #include "runtime/time.hpp"
+#include "util/hash.hpp"
 
 namespace sa::proto {
 
@@ -158,7 +159,7 @@ enum class SpanKind : std::uint8_t { Ticket = 1, Epoch = 2, Request = 3 };
 /// manager's node id and the request id), so no id ever rides a hot message.
 constexpr std::uint64_t span_of(std::uint64_t seed, SpanKind kind, std::uint64_t n) {
   std::uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(kind) + 1);
-  x ^= n + 0x9e3779b97f4a7c15ULL + (x << 6) + (x >> 2);
+  util::hash_mix(x, n);
   x *= 0xbf58476d1ce4e5b9ULL;
   x ^= x >> 27;
   x *= 0x94d049bb133111ebULL;

@@ -51,7 +51,8 @@ Time wall_clock_us() {
 }
 
 SocketTransport::SocketTransport(SocketTransportOptions options)
-    : options_(std::move(options)),
+    : Transport(/*keep_dropped_payloads=*/true),
+      options_(std::move(options)),
       // Wall-clock microseconds strictly order the lifetimes of successive
       // incarnations of one endpoint on one machine, which is all the FIFO
       // watermark needs across a kill -9 + re-exec.
@@ -195,22 +196,19 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
   ChannelState& channel = it->second;
   ++channel.stats.sent;
   if (stopping_.load()) return false;
+  const auto drop = [&] {
+    ++channel.stats.dropped_loss;
+    report(MessageEvent::Dropped, wall_clock_us(), from, to, message);
+    return false;
+  };
 
   const double loss = channel.config.loss_probability;
-  if (loss > 0.0 && rng_.next_bool(loss)) {
-    ++channel.stats.dropped_loss;
-    record(wall_clock_us(), from, to, message, /*delivered=*/false, /*keep_payload=*/true);
-    return false;
-  }
+  if (loss > 0.0 && rng_.next_bool(loss)) return drop();
 
+  // A port still 0 is a destination not learned yet (endpoint exchange still
+  // running); indistinguishable from wire loss, and retransmission recovers.
   const std::uint16_t port = options_.topology[to].port;
-  if (port == 0) {
-    // Destination address not learned yet (endpoint exchange still running);
-    // indistinguishable from wire loss, and retransmission recovers.
-    ++channel.stats.dropped_loss;
-    record(wall_clock_us(), from, to, message, /*delivered=*/false, /*keep_payload=*/true);
-    return false;
-  }
+  if (port == 0) return drop();
 
   const double dup = channel.config.duplicate_probability;
   int copies = 1;
@@ -258,8 +256,13 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
       sent = sent || ok;
     }
   }
-  if (!sent) ++channel.stats.dropped_loss;
-  return sent;
+  // A frame that never reached the kernel (sendto failed, or the TCP fallback
+  // could not connect or write) is a drop like any other.
+  if (!sent) return drop();
+  const Time now = wall_clock_us();
+  report(MessageEvent::Sent, now, from, to, message);
+  if (copies > 1) report(MessageEvent::Duplicated, now, from, to, message);
+  return true;
 }
 
 ChannelStats SocketTransport::channel_stats(NodeId from, NodeId to) const {
@@ -329,8 +332,7 @@ void SocketTransport::handle_datagram(const std::uint8_t* data, std::size_t size
       return;
     }
     ++channel.stats.delivered;
-    record(wall_clock_us(), frame.from, frame.to, frame.message, /*delivered=*/true,
-           /*keep_payload=*/true);
+    report(MessageEvent::Delivered, wall_clock_us(), frame.from, frame.to, frame.message);
     in_handler_[frame.to] = true;
   }
   handler(frame.from, frame.message);

@@ -38,10 +38,12 @@
 //   * Clock — a plain ThreadedClock; TimerSkew windows come from the
 //     decorator's FaultyClock.
 //
-//   * Entries in the Transport message log are stamped with CLOCK_REALTIME
+//   * Entries in the Transport message log, and the message events an
+//     attached observer records, are stamped with CLOCK_REALTIME
 //     microseconds, not steady-clock-since-start: the supervisor merges
 //     per-process trace files by wall-clock epoch into one cross-process
-//     conformance trace. Dropped frames keep their payload in the log.
+//     conformance trace. Dropped frames keep their payload in the log; a
+//     frame that never reached the kernel counts as a drop.
 #pragma once
 
 #include <atomic>

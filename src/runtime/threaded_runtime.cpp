@@ -212,12 +212,11 @@ bool ThreadedTransport::send(NodeId from, NodeId to, MessagePtr message) {
   const Time now = clock_->now();
   const LinkOutcome out = it->second.send(now, message->size_bytes(), rng_);
   if (!out.accepted) {
-    record(now, from, to, message, /*delivered=*/false, /*keep_payload=*/false);
-    observer_.on_dropped(now, from, to, message->type_name());
+    report(MessageEvent::Dropped, now, from, to, message);
     return false;
   }
-  observer_.on_sent(now, from, to, message->type_name());
-  if (out.copy_arrival >= 0) observer_.on_duplicated(now, from, to, message->type_name());
+  report(MessageEvent::Sent, now, from, to, message);
+  if (out.copy_arrival >= 0) report(MessageEvent::Duplicated, now, from, to, message);
 
   // Schedule while still holding mutex_: two racing sends on a FIFO channel
   // can be clamped to the same arrival time, and only the (deadline, id)
@@ -256,9 +255,7 @@ void ThreadedTransport::drain_mailbox(NodeId node) {
     Delivery delivery = std::move(endpoint.mailbox.front());
     endpoint.mailbox.pop_front();
     ReceiveHandler handler = endpoint.handler;
-    const Time now = clock_->now();
-    record(now, delivery.from, node, delivery.message, /*delivered=*/true, /*keep_payload=*/true);
-    observer_.on_delivered(now, delivery.from, node, delivery.message->type_name());
+    report(MessageEvent::Delivered, clock_->now(), delivery.from, node, delivery.message);
     if (handler) {
       // Run the handler unlocked (it re-enters the transport to send), but
       // flag the window so a concurrent detach waits instead of letting its
@@ -279,11 +276,6 @@ ChannelStats ThreadedTransport::channel_stats(NodeId from, NodeId to) const {
   const auto it = channels_.find({from, to});
   if (it == channels_.end()) throw_no_channel(endpoints_.at(from)->name, endpoints_.at(to)->name);
   return it->second.stats();
-}
-
-void ThreadedTransport::set_observer(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics) {
-  std::lock_guard lock(mutex_);
-  observer_.attach(recorder, metrics);
 }
 
 // --- ThreadedRuntime ---------------------------------------------------------

@@ -33,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/message_observer.hpp"
 #include "runtime/link.hpp"
 #include "runtime/runtime.hpp"
 #include "util/rng.hpp"
@@ -148,8 +147,6 @@ class ThreadedTransport final : public Transport {
 
   ChannelStats channel_stats(NodeId from, NodeId to) const override;
 
-  void set_observer(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics) override;
-
  private:
   struct Delivery {
     NodeId from;
@@ -175,7 +172,6 @@ class ThreadedTransport final : public Transport {
   util::Rng rng_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::map<std::pair<NodeId, NodeId>, Link> channels_;  ///< guarded by mutex_
-  obs::MessageObserver observer_;  ///< guarded by mutex_
 };
 
 struct ThreadedRuntimeOptions {

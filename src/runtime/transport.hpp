@@ -9,8 +9,10 @@
 // SocketTransport (real processes over loopback sockets). The two backends
 // that simulate the link share one model of it, runtime::Link (link.hpp).
 //
-// The delivered-message log (set_tracing / trace / clear_trace) is
-// implemented once, here; backends append to it through record().
+// How a message is reported is decided once, here: backends announce each
+// lifecycle event (sent, duplicated, dropped, delivered) through report(),
+// which feeds both the delivered-message log (set_tracing / trace /
+// clear_trace) and the observer set_observer() attaches.
 //
 // Run-time faults — partitions, crashes, loss and duplication windows — are
 // not part of this interface: inject::FaultyTransport decorates any backend
@@ -21,6 +23,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -31,6 +34,7 @@
 #include "runtime/time.hpp"
 
 namespace sa::obs {
+class Counter;
 class TraceRecorder;
 class MetricsRegistry;
 }  // namespace sa::obs
@@ -149,28 +153,40 @@ class Transport {
   void set_tracing(bool enabled) { tracing_.store(enabled); }
   const std::vector<TraceEntry>& trace() const { return trace_; }
   void clear_trace() {
-    std::lock_guard lock(trace_mutex_);
+    std::lock_guard lock(mutex_);
     trace_.clear();
   }
 
-  /// Wires the observability layer into this transport: every send / deliver
-  /// / drop / duplicate becomes a typed event (when the recorder is enabled)
-  /// and a labeled sa_messages_total increment. Null pointers detach. The
-  /// default does nothing so transports without instrumentation keep working.
-  virtual void set_observer(obs::TraceRecorder* /*recorder*/, obs::MetricsRegistry* /*metrics*/) {}
+  /// Wires the observability layer into this transport: every event the
+  /// backend reports becomes a typed event (when the recorder is enabled) and
+  /// a labeled sa_messages_total increment. Null pointers detach. Decorators
+  /// forward this to the transport they wrap.
+  virtual void set_observer(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics) {
+    std::lock_guard lock(mutex_);
+    recorder_ = recorder;
+    metrics_ = metrics;
+    for (auto& counters : counters_) counters.clear();
+    observed_.store(recorder != nullptr || metrics != nullptr, std::memory_order_relaxed);
+  }
 
  protected:
-  /// Appends an entry for `message` to the log while tracing is on; a no-op
-  /// otherwise. The entry keeps the payload only when `keep_payload` is set.
-  /// Safe from any thread: the log's mutex is a leaf, never held across a
-  /// call out of this function.
-  void record(Time time, NodeId from, NodeId to, const MessagePtr& message, bool delivered,
-              bool keep_payload) {
-    if (!tracing_.load()) return;
-    TraceEntry entry{time, from, to, message->type_name(), delivered,
-                     keep_payload ? message : nullptr};
-    std::lock_guard lock(trace_mutex_);
-    trace_.push_back(std::move(entry));
+  /// A backend whose log keeps the payload of a dropped message passes true;
+  /// a delivered message's payload is always kept.
+  explicit Transport(bool keep_dropped_payloads = false)
+      : keep_dropped_payloads_(keep_dropped_payloads) {}
+
+  enum class MessageEvent : std::uint8_t { Sent, Duplicated, Dropped, Delivered };
+
+  /// Reports one lifecycle event of `message` on the from->to channel. While
+  /// tracing is on, drops and deliveries are appended to the log; with an
+  /// observer attached, every event is also recorded and counted. With
+  /// neither, it returns after two relaxed loads. Safe from any thread: its
+  /// mutex is a leaf, never held across a call out of the transport.
+  void report(MessageEvent event, Time time, NodeId from, NodeId to, const MessagePtr& message) {
+    const bool logged = (event == MessageEvent::Dropped || event == MessageEvent::Delivered) &&
+                        tracing_.load(std::memory_order_relaxed);
+    if (!logged && !observed_.load(std::memory_order_relaxed)) return;
+    report_slow(event, time, from, to, message);
   }
 
   /// The error send() and channel_stats() raise for a missing channel.
@@ -179,9 +195,19 @@ class Transport {
   }
 
  private:
+  /// Defined in transport.cpp, which links the observability layer.
+  void report_slow(MessageEvent event, Time time, NodeId from, NodeId to,
+                   const MessagePtr& message);
+
+  const bool keep_dropped_payloads_;
   std::atomic<bool> tracing_{false};
-  std::mutex trace_mutex_;
+  std::atomic<bool> observed_{false};
+  std::mutex mutex_;  ///< guards the log and the observer state below
   std::vector<TraceEntry> trace_;
+  obs::TraceRecorder* recorder_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  /// sa_messages_total counters by MessageEvent, then message type.
+  std::map<std::string, obs::Counter*> counters_[4];
 };
 
 }  // namespace sa::runtime

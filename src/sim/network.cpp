@@ -37,12 +37,11 @@ bool Network::has_channel(NodeId from, NodeId to) const {
 bool Network::send(NodeId from, NodeId to, MessagePtr message) {
   const auto it = channels_.find({from, to});
   if (it == channels_.end()) throw_no_channel(names_.at(from), names_.at(to));
-  const std::string type = message->type_name();
   const runtime::LinkOutcome out = it->second.send(sim_->now(), message->size_bytes(), rng_);
   if (!out.accepted) {
-    SA_DEBUG("network") << names_[from] << " -> " << names_[to] << " dropped " << type;
-    record(sim_->now(), from, to, message, /*delivered=*/false, /*keep_payload=*/false);
-    observer_.on_dropped(sim_->now(), from, to, type);
+    SA_DEBUG("network") << names_[from] << " -> " << names_[to] << " dropped "
+                        << message->type_name();
+    report(MessageEvent::Dropped, sim_->now(), from, to, message);
     return false;
   }
   sim_->schedule_at(out.arrival, [this, from, to, message] { deliver(from, to, message); });
@@ -50,14 +49,13 @@ bool Network::send(NodeId from, NodeId to, MessagePtr message) {
     sim_->schedule_at(out.copy_arrival,
                       [this, from, to, message] { deliver(from, to, message); });
   }
-  observer_.on_sent(sim_->now(), from, to, type);
-  if (out.copy_arrival >= 0) observer_.on_duplicated(sim_->now(), from, to, type);
+  report(MessageEvent::Sent, sim_->now(), from, to, message);
+  if (out.copy_arrival >= 0) report(MessageEvent::Duplicated, sim_->now(), from, to, message);
   return true;
 }
 
 void Network::deliver(NodeId from, NodeId to, const MessagePtr& message) {
-  record(sim_->now(), from, to, message, /*delivered=*/true, /*keep_payload=*/true);
-  observer_.on_delivered(sim_->now(), from, to, message->type_name());
+  report(MessageEvent::Delivered, sim_->now(), from, to, message);
   if (handlers_.at(to)) handlers_[to](from, message);
 }
 

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/message_observer.hpp"
 #include "runtime/link.hpp"
 #include "runtime/transport.hpp"
 #include "sim/simulator.hpp"
@@ -58,10 +57,6 @@ class Network final : public runtime::Transport {
 
   ChannelStats channel_stats(NodeId from, NodeId to) const override;
 
-  void set_observer(obs::TraceRecorder* recorder, obs::MetricsRegistry* metrics) override {
-    observer_.attach(recorder, metrics);
-  }
-
   Simulator& simulator() { return *sim_; }
 
  private:
@@ -72,7 +67,6 @@ class Network final : public runtime::Transport {
   std::vector<std::string> names_;
   std::vector<ReceiveHandler> handlers_;
   std::map<std::pair<NodeId, NodeId>, runtime::Link> channels_;
-  obs::MessageObserver observer_;
 };
 
 }  // namespace sa::sim

@@ -5,20 +5,6 @@
 
 namespace sa::util {
 
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::string_view trim(std::string_view text) {
   while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
     text.remove_prefix(1);

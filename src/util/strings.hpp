@@ -10,9 +10,6 @@
 
 namespace sa::util {
 
-/// Splits on `delim`, keeping empty fields.
-std::vector<std::string> split(std::string_view text, char delim);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view text);
 

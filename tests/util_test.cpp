@@ -94,18 +94,6 @@ TEST(Rng, WorksWithStdShuffle) {
 
 // --- strings -------------------------------------------------------------------
 
-TEST(Strings, SplitBasic) {
-  EXPECT_EQ(split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(Strings, SplitKeepsEmptyFields) {
-  EXPECT_EQ(split(",a,,b,", ','), (std::vector<std::string>{"", "a", "", "b", ""}));
-}
-
-TEST(Strings, SplitNoDelimiter) {
-  EXPECT_EQ(split("abc", ','), (std::vector<std::string>{"abc"}));
-}
-
 TEST(Strings, TrimBothEnds) {
   EXPECT_EQ(trim("  hello \t\n"), "hello");
   EXPECT_EQ(trim(""), "");
