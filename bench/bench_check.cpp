@@ -1,6 +1,6 @@
 // Throughput benchmarks for the model-checking engine (src/check/engine.hpp).
 //
-// Four groups:
+// Three groups:
 //
 //   * CheckEngineDfs/<t> — the frontier engine on the exhaustive tiny search
 //     at t worker threads. Counter: states_per_sec.
@@ -13,11 +13,6 @@
 //     Counters: edges (choice applications), states_explored (distinct
 //     states retained after dedup), reduction_ratio (unreduced edges at the
 //     same bound / this row's edges), wall_seconds.
-//   * CheckEdgePhases/<t> — the cost of one explored edge of the exhaustive
-//     pair search (DPOR + symmetry) at t workers, split by layer: model copy,
-//     Model::apply, canonical fingerprint, visited-set insert, and the rest
-//     of the engine. Counters in ns per edge (thread time: wall time x t /
-//     edges) plus allocations per edge.
 //
 // The exhaustive tiny search visits ~286k distinct states / ~723k edges, so
 // one iteration is meaningful; Google Benchmark picks the repetition count.
@@ -28,16 +23,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
-#include "alloc_counter.hpp"
 #include "check/engine.hpp"
 #include "check/explorer.hpp"
 #include "check/model.hpp"
 #include "check/scenario.hpp"
-#include "util/fingerprint_set.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -212,170 +203,6 @@ BENCHMARK(BM_CheckReductionSweep)
     ->Iterations(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Per-phase cost of one edge of the exhaustive pair search.
-//
-// The search gives the total: thread time per edge (wall time x workers /
-// edges) of explore_dfs at t workers, and, from a second untimed run with
-// the counting allocator on, allocations per edge. The phases are timed on
-// edges of seeded random walks over the same scenario, every worker timing
-// its own share concurrently. A worker draws a batch of edges (untimed),
-// then times each phase as one loop over the batch; batches are small, so
-// parent and fork stay in cache as they do in the engine, and each parent's
-// fingerprint caches are warm, as after the engine's dedup insert:
-//
-//   copy       copy-assign the parent into a recycled model (the engine's fork)
-//   apply      Model::apply of the edge's choice
-//   canonical  Model::canonical_fingerprint of the child, and the prefetch
-//              of its home slot, as the engine keys a frame's children
-//   insert     ShardedFingerprintSet::insert of that fingerprint into a set
-//              shaped like the engine's and pre-filled to the search's
-//              distinct-state count
-//
-// engine_rest is the total minus those four, so the parts sum to the total:
-// choice enumeration, DPOR footprints and sleep sets, frames, schedule
-// nodes, the work-stealing deques, and whatever the random-walk edges cost
-// differently from the search's own.
-
-check::ExploreOptions pair_exhaustive_options(int threads) {
-  check::ExploreOptions options;
-  options.max_depth = 0;
-  options.max_states = 20'000'000;
-  options.dpor = true;
-  options.symmetry = true;
-  options.threads = threads;
-  return options;
-}
-
-struct PhaseNs {
-  double copy = 0;
-  double apply = 0;
-  double canonical = 0;
-  double insert = 0;
-};
-
-/// One worker's share: kRounds batches of kBatch random-walk edges.
-PhaseNs time_phases(const check::Scenario& scenario, std::uint64_t seed,
-                    util::ShardedFingerprintSet& visited) {
-  constexpr int kRounds = 2048;
-  constexpr std::size_t kBatch = 16;
-  const check::ExploreOptions options = pair_exhaustive_options(1);
-  const check::Model initial = [&] {
-    check::Model model = check::make_model(scenario, options);
-    model.set_record_transitions(false);
-    return model;
-  }();
-  check::Model walker = initial;
-  std::vector<check::Model> parents(kBatch, initial);
-  std::vector<check::Model> children(kBatch, initial);  // the recycled fork targets
-  std::vector<check::Choice> taken(kBatch);
-  std::vector<std::uint64_t> keys(kBatch);
-  std::vector<check::Choice> choices;
-  util::Rng rng(seed);
-  using Clock = std::chrono::steady_clock;
-  const auto ns = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::nano>(b - a).count();
-  };
-  PhaseNs total;
-  for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      for (walker.choices(choices); choices.empty(); walker.choices(choices)) walker = initial;
-      taken[i] = choices[rng.next_below(choices.size())];
-      benchmark::DoNotOptimize(walker.canonical_fingerprint());
-      parents[i] = walker;
-      walker.apply(taken[i]);
-    }
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < kBatch; ++i) children[i] = parents[i];
-    const auto t1 = Clock::now();
-    for (std::size_t i = 0; i < kBatch; ++i) children[i].apply(taken[i]);
-    const auto t2 = Clock::now();
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      keys[i] = children[i].canonical_fingerprint();
-      visited.prefetch(keys[i]);
-    }
-    const auto t3 = Clock::now();
-    std::size_t fresh = 0;
-    for (std::size_t i = 0; i < kBatch; ++i) fresh += visited.insert(keys[i]) ? 1 : 0;
-    const auto t4 = Clock::now();
-    benchmark::DoNotOptimize(fresh);
-    benchmark::DoNotOptimize(children.data());
-    total.copy += ns(t0, t1);
-    total.apply += ns(t1, t2);
-    total.canonical += ns(t2, t3);
-    total.insert += ns(t3, t4);
-  }
-  const double ops = static_cast<double>(kBatch) * kRounds;
-  return {total.copy / ops, total.apply / ops, total.canonical / ops, total.insert / ops};
-}
-
-void BM_CheckEdgePhases(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const check::Scenario scenario = check::make_pair_scenario();
-  const check::ExploreOptions options = pair_exhaustive_options(threads);
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    const check::ExploreResult result = check::explore_dfs(scenario, options);
-    const double wall_ns =
-        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (!result.complete || result.counterexample) {
-      state.SkipWithError("pair search not exhaustive and clean");
-      return;
-    }
-    const std::size_t edges = result.stats.states_explored;
-    const std::size_t distinct = edges - result.stats.states_deduped + 1;
-
-    std::size_t allocations = 0;
-    {
-      const testing::AllocationScope scope;
-      benchmark::DoNotOptimize(check::explore_dfs(scenario, options).stats.states_explored);
-      allocations = scope.count();
-    }
-
-    util::ShardedFingerprintSet visited(options.max_states, check::kVisitedShards);
-    util::Rng fill(3);
-    for (std::size_t i = 1; i < distinct; ++i) visited.insert(fill.next_u64());
-    std::vector<PhaseNs> shares(static_cast<std::size_t>(threads));
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        shares[static_cast<std::size_t>(t)] =
-            time_phases(scenario, 101 + static_cast<std::uint64_t>(t), visited);
-      });
-    }
-    for (std::thread& th : pool) th.join();
-    PhaseNs phases;
-    for (const PhaseNs& share : shares) {
-      phases.copy += share.copy / threads;
-      phases.apply += share.apply / threads;
-      phases.canonical += share.canonical / threads;
-      phases.insert += share.insert / threads;
-    }
-
-    const double total = wall_ns * threads / static_cast<double>(edges);
-    state.counters["edges"] = static_cast<double>(edges);
-    state.counters["total_ns_per_edge"] = total;
-    state.counters["copy_ns_per_edge"] = phases.copy;
-    state.counters["apply_ns_per_edge"] = phases.apply;
-    state.counters["canonical_fp_ns_per_edge"] = phases.canonical;
-    state.counters["insert_ns_per_edge"] = phases.insert;
-    state.counters["engine_rest_ns_per_edge"] =
-        total - phases.copy - phases.apply - phases.canonical - phases.insert;
-    state.counters["visited_peak_mib"] =
-        static_cast<double>(result.stats.visited_peak_bytes) / (1024.0 * 1024.0);
-    state.counters["allocations_per_edge"] =
-        static_cast<double>(allocations) / static_cast<double>(edges);
-  }
-}
-BENCHMARK(BM_CheckEdgePhases)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Iterations(1)
-    ->UseRealTime()
-    ->Unit(benchmark::kSecond);
 
 }  // namespace
 

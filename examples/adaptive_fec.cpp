@@ -50,11 +50,13 @@ int main() {
 
   video::StreamConfig stream;
   stream.packets_per_frame = 8;  // 200 packets/s
-  video::VideoServer server(system.simulator(), net, server_data, stream, factory);
+  const config::ComponentRegistry& registry = system.registry();
+  video::VideoServer server(system.simulator(), net, server_data, registry, 0, stream, factory);
   server.subscribe(handheld_data);
   server.subscribe(laptop_data);
-  video::VideoClient handheld(system.simulator(), net, handheld_data, "handheld", factory);
-  video::VideoClient laptop(system.simulator(), net, laptop_data, "laptop", factory);
+  video::VideoClient handheld(system.simulator(), net, handheld_data, "handheld", registry, 1,
+                              factory);
+  video::VideoClient laptop(system.simulator(), net, laptop_data, "laptop", registry, 2, factory);
 
   system.attach_process(0, server.process(), /*stage=*/0);
   system.attach_process(1, handheld.process(), /*stage=*/1);

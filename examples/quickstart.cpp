@@ -12,13 +12,16 @@
 
 namespace {
 
-/// A toy adaptable process: it just logs what the agent asks it to do.
+/// A toy adaptable process: it just logs what the agent asks it to do, naming
+/// the command's components through the system's registry.
 /// Real applications adapt a FilterChain (see the video_multicast example);
 /// anything implementing AdaptableProcess can participate in the protocol.
 class LoggingProcess : public sa::proto::AdaptableProcess {
  public:
+  explicit LoggingProcess(const sa::config::ComponentRegistry& registry) : registry_(&registry) {}
+
   bool prepare(const sa::proto::LocalCommand& command) override {
-    std::printf("  [process] pre-action: preparing %s\n", command.describe().c_str());
+    std::printf("  [process] pre-action: preparing %s\n", command.describe(*registry_).c_str());
     return true;
   }
   void reach_safe_state(bool drain, std::function<void()> reached) override {
@@ -28,17 +31,20 @@ class LoggingProcess : public sa::proto::AdaptableProcess {
   }
   void abort_safe_state() override { std::printf("  [process] reset aborted\n"); }
   bool apply(const sa::proto::LocalCommand& command) override {
-    std::printf("  [process] in-action: %s\n", command.describe().c_str());
+    std::printf("  [process] in-action: %s\n", command.describe(*registry_).c_str());
     return true;
   }
   bool undo(const sa::proto::LocalCommand& command) override {
-    std::printf("  [process] rollback: undoing %s\n", command.describe().c_str());
+    std::printf("  [process] rollback: undoing %s\n", command.describe(*registry_).c_str());
     return true;
   }
   void resume() override { std::printf("  [process] resumed full operation\n"); }
   void cleanup(const sa::proto::LocalCommand&) override {
     std::printf("  [process] post-action: old component destroyed\n");
   }
+
+ private:
+  const sa::config::ComponentRegistry* registry_;
 };
 
 }  // namespace
@@ -58,7 +64,7 @@ int main() {
   system.add_action("upgrade", {"CodecV1"}, {"CodecV2"}, 10, "swap in the hardened codec");
   system.add_action("downgrade", {"CodecV2"}, {"CodecV1"}, 10, "fall back to the legacy codec");
 
-  LoggingProcess process;
+  LoggingProcess process(system.registry());
   system.attach_process(0, process);
   system.finalize();
 

@@ -28,14 +28,9 @@ bool NaiveHotSwapAdapter::adapt(const config::Configuration& from,
 
   runtime::Time lag = 0;
   for (auto& [process, binding] : bindings_) {
-    std::vector<std::string> to_remove;
-    std::vector<std::string> to_add;
-    for (const config::ComponentId id : removed.components(n)) {
-      if (registry_->process(id) == process) to_remove.push_back(registry_->name(id));
-    }
-    for (const config::ComponentId id : added.components(n)) {
-      if (registry_->process(id) == process) to_add.push_back(registry_->name(id));
-    }
+    const config::Configuration hosted = config::Configuration::hosted_by(*registry_, process);
+    const std::vector<std::string> to_remove = removed.intersect(hosted).names(*registry_);
+    const std::vector<std::string> to_add = added.intersect(hosted).names(*registry_);
     if (to_remove.empty() && to_add.empty()) continue;
 
     // Each process swaps when its command arrives — staggered, uncoordinated,

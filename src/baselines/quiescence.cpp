@@ -66,19 +66,16 @@ void GlobalQuiescenceAdapter::quiesce_receivers() {
 }
 
 void GlobalQuiescenceAdapter::apply_and_resume() {
-  const std::size_t n = registry_->size();
   const config::Configuration removed = from_.minus(to_);
   const config::Configuration added = to_.minus(from_);
   bool ok = true;
   for (auto& [process, binding] : bindings_) {
-    for (const config::ComponentId id : removed.components(n)) {
-      if (registry_->process(id) != process) continue;
-      if (!binding.chain->remove_filter(registry_->name(id))) ok = false;
+    const config::Configuration hosted = config::Configuration::hosted_by(*registry_, process);
+    for (const std::string& name : removed.intersect(hosted).names(*registry_)) {
+      if (!binding.chain->remove_filter(name)) ok = false;
     }
-    for (const config::ComponentId id : added.components(n)) {
-      if (registry_->process(id) != process) continue;
-      components::FilterPtr filter =
-          binding.factory ? binding.factory(registry_->name(id)) : nullptr;
+    for (const std::string& name : added.intersect(hosted).names(*registry_)) {
+      components::FilterPtr filter = binding.factory ? binding.factory(name) : nullptr;
       if (!filter) {
         ok = false;
         continue;

@@ -1,5 +1,7 @@
 #include "check/message_table.hpp"
 
+#include <array>
+#include <bit>
 #include <string>
 
 #include "proto/messages.hpp"
@@ -15,8 +17,14 @@ using util::hash_mix;
 /// payload fields that influence receiver behaviour. Timing payloads
 /// (ResumeDone::blocked_for) are excluded on purpose — they never steer
 /// control flow, and including them would make every state unique.
-std::uint64_t structural_fingerprint(const proto::ProtoMessage& message) {
+std::uint64_t structural_fingerprint(const proto::ProtoMessage& message,
+                                     const std::array<std::uint64_t, 64>& names) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix_names = [&](config::Configuration mask) {
+    for (std::uint64_t bits = mask.bits(); bits != 0; bits &= bits - 1) {
+      hash_mix(h, names[std::countr_zero(bits)]);
+    }
+  };
   hash_mix(h, message.step.request_id);
   hash_mix(h, message.step.plan);
   hash_mix(h, message.step.step_index);
@@ -27,8 +35,8 @@ std::uint64_t structural_fingerprint(const proto::ProtoMessage& message) {
       hash_mix(h, 1);
       hash_mix(h, static_cast<std::uint64_t>(reset.drain));
       hash_mix(h, static_cast<std::uint64_t>(reset.sole_participant));
-      for (const auto& name : reset.command.remove) hash_mix(h, name);
-      for (const auto& name : reset.command.add) hash_mix(h, name);
+      mix_names(reset.command.remove);
+      mix_names(reset.command.add);
       break;
     }
     case proto::MsgKind::ResetDone: hash_mix(h, 2); break;
@@ -65,11 +73,17 @@ bool same_content(const runtime::Message& a, const runtime::Message& b) {
 
 }  // namespace
 
+MessageTable::MessageTable(const config::ComponentRegistry& registry) {
+  for (config::ComponentId id = 0; id < registry.size(); ++id) {
+    name_hashes_[id] = std::hash<std::string>{}(registry.name(id));
+  }
+}
+
 MessageTable::Handle MessageTable::intern(const runtime::MessagePtr& message) {
   std::uint64_t fingerprint = 0xcbf29ce484222325ULL;
   std::uint64_t key = 0;
   if (const proto::ProtoMessage* proto = proto::as_proto(message.get())) {
-    fingerprint = structural_fingerprint(*proto);
+    fingerprint = structural_fingerprint(*proto, name_hashes_);
     key = fingerprint;
     if (proto->kind() == proto::MsgKind::ResumeDone) {
       hash_mix(key, static_cast<std::uint64_t>(
@@ -83,7 +97,6 @@ MessageTable::Handle MessageTable::intern(const runtime::MessagePtr& message) {
       key, [&message](const Entry& entry) { return same_content(*entry.owner, *message); },
       [&message, fingerprint](Entry& entry) {
         entry.owner = message;
-        entry.borrowed = runtime::MessagePtr(runtime::MessagePtr(), message.get());
         entry.fingerprint = fingerprint;
       });
 }

@@ -11,6 +11,9 @@
 // field a receiver reads. Two sends with equal keys share one entry; messages
 // are immutable, so either copy would have been delivered unchanged. Traffic
 // that is not a protocol message is interned by identity.
+// A reset's structural hash covers its command masks through the names of
+// their components (hashed once per table), as when resets carried name
+// lists, so footprint_order_less keeps DPOR's sibling order under `reorder`.
 //
 // Concurrency and lifetime are check::InternStore's: a lookup of content
 // already in the table takes no lock and writes nothing shared, only a miss
@@ -19,10 +22,12 @@
 // lives.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
 #include "check/intern_store.hpp"
+#include "config/configuration.hpp"
 #include "runtime/message.hpp"
 
 namespace sa::check {
@@ -31,7 +36,8 @@ class MessageTable {
  public:
   using Handle = std::uint32_t;
 
-  MessageTable() = default;  ///< allocates nothing until the first intern()
+  /// Hashes `registry`'s component names; allocates nothing until intern().
+  explicit MessageTable(const config::ComponentRegistry& registry);
   MessageTable(const MessageTable&) = delete;
   MessageTable& operator=(const MessageTable&) = delete;
 
@@ -41,10 +47,6 @@ class MessageTable {
   /// The first message interned with the entry's content; its use_count is
   /// the table's own reference plus whatever the sender still holds.
   const runtime::MessagePtr& message(Handle handle) const { return entries_[handle].owner; }
-  /// The same message behind a pointer that owns nothing: what the model
-  /// delivers, so a core that keeps part of it (the agent's reset command)
-  /// copies no reference count when its model is forked.
-  const runtime::MessagePtr& borrowed(Handle handle) const { return entries_[handle].borrowed; }
   /// Structural hash of the entry's content, blocked_for excluded (timing
   /// payloads never steer a receiver): what the model's fingerprints mix.
   std::uint64_t fingerprint(Handle handle) const { return entries_[handle].fingerprint; }
@@ -55,9 +57,10 @@ class MessageTable {
  private:
   struct Entry {
     runtime::MessagePtr owner;
-    runtime::MessagePtr borrowed;
     std::uint64_t fingerprint = 0;
   };
+
+  std::array<std::uint64_t, 64> name_hashes_{};  ///< std::hash of each component's name
 
   /// Keyed by the fingerprint mixed with blocked_for.
   InternStore<Entry> entries_;

@@ -69,7 +69,7 @@ const char* to_string(Choice::Kind kind) {
 }
 
 Model::Model(const Scenario& scenario, Limits limits, proto::ManagerFault fault)
-    : scenario_(&scenario), limits_(limits),
+    : scenario_(&scenario), limits_(limits), table_(*scenario.registry),
       drops_left_(limits.drop_budget), dups_left_(limits.dup_budget) {
   proto::ManagerCore manager(*scenario.invariants, *scenario.actions, *scenario.planner,
                              scenario.manager_config);
@@ -89,7 +89,7 @@ Model::Model(const Scenario& scenario, Limits limits, proto::ManagerFault fault)
     hash_mix(entity.role_fp, static_cast<std::uint64_t>(stage));
     // Hosted components are part of the role: agents are interchangeable only
     // if the manager would send them identical reset commands, and commands
-    // are derived from the component names on each process.
+    // are derived from the components each process hosts.
     for (config::ComponentId id = 0; id < scenario.registry->size(); ++id) {
       const config::ComponentInfo& info = scenario.registry->info(id);
       if (info.process == process) hash_mix(entity.role_fp, info.name);
@@ -341,7 +341,7 @@ bool Model::apply(const Choice& choice) {
 }
 
 void Model::deliver(const InFlight& m) {
-  const runtime::MessagePtr& message = table_->messages.borrowed(m.message);
+  const runtime::MessagePtr& message = table_->messages.message(m.message);
   if (m.to_manager) {
     monitor_.on_receive(now_, kManagerNode, m.agent, *message, violations_);
     step_manager(proto::ManagerInput{proto::ManagerInput::MessageDelivered{m.agent, &message}},

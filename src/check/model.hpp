@@ -290,6 +290,7 @@ class Model {
 
   /// The per-search tables, made with the root model.
   struct Tables {
+    explicit Tables(const config::ComponentRegistry& registry) : messages(registry) {}
     MessageTable messages;
     ManagerTable managers;
   };
@@ -300,7 +301,7 @@ class Model {
   /// of the same search, so a fork writes no count that both workers write.
   class TableRef {
    public:
-    TableRef() : tables_(std::make_shared<Tables>()) {}
+    explicit TableRef(const config::ComponentRegistry& r) : tables_(std::make_shared<Tables>(r)) {}
     TableRef(const TableRef&) = default;
     TableRef(TableRef&&) noexcept = default;
     TableRef& operator=(const TableRef& other) {

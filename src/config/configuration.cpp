@@ -14,6 +14,14 @@ Configuration Configuration::of(const ComponentRegistry& registry,
   return config;
 }
 
+Configuration Configuration::hosted_by(const ComponentRegistry& registry, ProcessId process) {
+  Configuration config;
+  for (ComponentId id = 0; id < registry.size(); ++id) {
+    if (registry.process(id) == process) config = config.with(id);
+  }
+  return config;
+}
+
 Configuration Configuration::from_bit_string(const std::string& bits,
                                              std::size_t component_count) {
   if (bits.size() != component_count) {
@@ -57,6 +65,12 @@ std::vector<ComponentId> Configuration::components(std::size_t component_count) 
   for (std::size_t i = 0; i < component_count; ++i) {
     if (contains(static_cast<ComponentId>(i))) out.push_back(static_cast<ComponentId>(i));
   }
+  return out;
+}
+
+std::vector<std::string> Configuration::names(const ComponentRegistry& registry) const {
+  std::vector<std::string> out;
+  for (const ComponentId id : components(registry.size())) out.push_back(registry.name(id));
   return out;
 }
 

@@ -22,6 +22,9 @@ class Configuration {
   static Configuration of(const ComponentRegistry& registry,
                           std::initializer_list<const char*> names);
 
+  /// The registered components hosted on `process`.
+  static Configuration hosted_by(const ComponentRegistry& registry, ProcessId process);
+
   /// Parses a paper-style bit string, MSB = highest ComponentId.  E.g. with 7
   /// components registered E1..D5, "0100101" is the paper's source
   /// configuration {D4, D1, E1}. Throws on length mismatch or non-binary
@@ -58,6 +61,8 @@ class Configuration {
 
   /// Ids of all present components, ascending.
   std::vector<ComponentId> components(std::size_t component_count) const;
+  /// Names of the present components `registry` holds, in ascending id.
+  std::vector<std::string> names(const ComponentRegistry& registry) const;
 
   auto operator<=>(const Configuration&) const = default;
 

@@ -242,15 +242,10 @@ void configure_system(SafeAdaptationSystem& system, const ParsedScenario& scenar
   for (const auto& invariant : scenario.invariants->invariants()) {
     system.add_invariant(invariant.name, invariant.predicate->to_string());
   }
-  const auto names = [&registry](const config::Configuration& components) {
-    std::vector<std::string> out;
-    for (const auto id : components.components(registry.size())) out.push_back(registry.name(id));
-    return out;
-  };
   for (const auto& action : scenario.actions->actions()) {
     if (keep && !keep(action)) continue;
-    system.add_action(action.name, names(action.removes), names(action.adds), action.cost,
-                      action.description);
+    system.add_action(action.name, action.removes.names(registry), action.adds.names(registry),
+                      action.cost, action.description);
   }
 }
 

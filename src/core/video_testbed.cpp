@@ -20,15 +20,17 @@ VideoTestbed::VideoTestbed(TestbedConfig config) : config_(config) {
   net.connect(server_data_, laptop_data_, config_.data_channel);
 
   const auto factory = paper_filter_factory(config_.keys);
-  server_ =
-      std::make_unique<video::VideoServer>(clock, net, server_data_, config_.stream, factory);
+  const config::ComponentRegistry& registry = system_->registry();
+  server_ = std::make_unique<video::VideoServer>(clock, net, server_data_, registry,
+                                                 kServerProcess, config_.stream, factory);
   server_->subscribe(handheld_data_);
   server_->subscribe(laptop_data_);
-  handheld_ = std::make_unique<video::VideoClient>(clock, net, handheld_data_, "handheld", factory);
-  laptop_ = std::make_unique<video::VideoClient>(clock, net, laptop_data_, "laptop", factory);
+  handheld_ = std::make_unique<video::VideoClient>(clock, net, handheld_data_, "handheld",
+                                                   registry, kHandheldProcess, factory);
+  laptop_ = std::make_unique<video::VideoClient>(clock, net, laptop_data_, "laptop", registry,
+                                                 kLaptopProcess, factory);
 
   // Initial composition = the paper's source configuration.
-  const config::ComponentRegistry& registry = system_->registry();
   const std::map<config::ProcessId, components::FilterChain*> chains{
       {kServerProcess, &server_->chain()},
       {kHandheldProcess, &handheld_->chain()},

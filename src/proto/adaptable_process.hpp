@@ -22,7 +22,7 @@ class AdaptableProcess {
   virtual ~AdaptableProcess() = default;
 
   /// Pre-action: prepare (e.g. instantiate and initialize) the components
-  /// named in command.add. Runs while the process is still fully operational
+  /// in command.add. Runs while the process is still fully operational
   /// — pre-actions must not interfere with functional behaviour. Returns
   /// false when preparation fails (unknown component, resource exhaustion).
   virtual bool prepare(const LocalCommand& command) = 0;
@@ -67,10 +67,13 @@ struct ObedientProcess : AdaptableProcess {
 using FilterFactory = std::function<components::FilterPtr(const std::string& name)>;
 
 /// AdaptableProcess over one FilterChain: removals/additions are filter
-/// removals/insertions on the chain; safe state is chain quiescence.
+/// removals/insertions on the chain; safe state is chain quiescence. Masks name
+/// filters through `registry` (which must outlive the process); prepare()
+/// refuses a command naming a component that `process` does not host.
 class FilterChainProcess : public AdaptableProcess {
  public:
-  FilterChainProcess(components::FilterChain& chain, FilterFactory factory);
+  FilterChainProcess(components::FilterChain& chain, const config::ComponentRegistry& registry,
+                     config::ProcessId process, FilterFactory factory);
 
   bool prepare(const LocalCommand& command) override;
   void reach_safe_state(bool drain, std::function<void()> reached) override;
@@ -84,6 +87,8 @@ class FilterChainProcess : public AdaptableProcess {
 
  private:
   components::FilterChain* chain_;
+  const config::ComponentRegistry* registry_;
+  config::ProcessId process_;
   FilterFactory factory_;
   /// Components instantiated by prepare(), keyed by name, awaiting apply().
   std::map<std::string, components::FilterPtr> staged_;

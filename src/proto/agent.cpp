@@ -77,7 +77,7 @@ void AdaptationAgent::apply(const std::vector<Output>& outputs) {
         }
         break;
       case OutputKind::ProcessPrepare:
-        if (process_->prepare(*out.command)) {
+        if (process_->prepare(out.command)) {
           dispatch(AgentLocalEvent::PrepareSucceeded);
         } else {
           SA_WARN("agent") << "node " << node_
@@ -95,7 +95,7 @@ void AdaptationAgent::apply(const std::vector<Output>& outputs) {
         process_->abort_safe_state();
         break;
       case OutputKind::ProcessApply:
-        if (process_->apply(*out.command)) {
+        if (process_->apply(out.command)) {
           dispatch(AgentLocalEvent::ApplySucceeded);
         } else {
           SA_WARN("agent") << "node " << node_ << ": in-action failed; holding in safe state";
@@ -103,13 +103,13 @@ void AdaptationAgent::apply(const std::vector<Output>& outputs) {
         }
         break;
       case OutputKind::ProcessUndo:
-        process_->undo(*out.command);
+        process_->undo(out.command);
         break;
       case OutputKind::ProcessResume:
         process_->resume();
         break;
       case OutputKind::ProcessCleanup:
-        process_->cleanup(*out.command);
+        process_->cleanup(out.command);
         break;
       default:
         break;  // manager-only kinds never appear in agent output

@@ -16,33 +16,7 @@ inline void mix_ref(std::uint64_t& h, const StepRef& ref) {
   hash_mix(h, ref.attempt);
 }
 
-std::uint64_t hash_command(const LocalCommand& command) {
-  std::uint64_t h = 0;
-  for (const std::string& name : command.remove) {
-    for (const char c : name) hash_mix(h, static_cast<std::uint64_t>(c));
-  }
-  hash_mix(h, 0xabULL);
-  for (const std::string& name : command.add) {
-    for (const char c : name) hash_mix(h, static_cast<std::uint64_t>(c));
-  }
-  return h;
-}
-
-/// The command of a core that has not been reset yet: a static object behind
-/// a pointer that owns nothing, so copying an unreset core writes no
-/// reference count that every other copy shares.
-const std::shared_ptr<const LocalCommand>& empty_command() {
-  static const LocalCommand empty;
-  static const std::shared_ptr<const LocalCommand> unowned(std::shared_ptr<const LocalCommand>(),
-                                                           &empty);
-  return unowned;
-}
-
 }  // namespace
-
-AgentCore::AgentCore(AgentConfig config)
-    : config_(config), current_command_(empty_command()),
-      command_hash_(hash_command(*current_command_)) {}
 
 Output& AgentCore::emit(OutputKind kind) {
   Output& out = out_->emplace_back();
@@ -97,7 +71,7 @@ void AgentCore::step(const AgentInput& input, std::vector<Output>& out) {
   out_ = &out;
   now_ = input.now;
   if (const auto* msg = std::get_if<AgentInput::MessageDelivered>(&input.event)) {
-    on_message(*msg->message);
+    on_message(msg->message->get());
   } else if (std::get_if<AgentInput::TimerFired>(&input.event) != nullptr) {
     on_timer_fired();
   } else if (const auto* local = std::get_if<AgentLocalEvent>(&input.event)) {
@@ -105,12 +79,12 @@ void AgentCore::step(const AgentInput& input, std::vector<Output>& out) {
   }
 }
 
-void AgentCore::on_message(const runtime::MessagePtr& message) {
-  const auto* proto = as_proto(message.get());
+void AgentCore::on_message(const runtime::Message* message) {
+  const auto* proto = as_proto(message);
   if (proto == nullptr) return;  // non-protocol traffic is the driver's business
   switch (proto->kind()) {
     case MsgKind::Reset:
-      on_reset(message, static_cast<const ResetMsg&>(*proto));
+      on_reset(static_cast<const ResetMsg&>(*proto));
       break;
     case MsgKind::Resume:
       on_resume(static_cast<const ResumeMsg&>(*proto));
@@ -123,7 +97,7 @@ void AgentCore::on_message(const runtime::MessagePtr& message) {
   }
 }
 
-void AgentCore::on_reset(const runtime::MessagePtr& message, const ResetMsg& msg) {
+void AgentCore::on_reset(const ResetMsg& msg) {
   if (current_step_ && *current_step_ == msg.step && state_ != AgentState::Running) {
     // Retransmission of the step we are working on: re-acknowledge progress.
     note_duplicate("reset");
@@ -152,8 +126,7 @@ void AgentCore::on_reset(const runtime::MessagePtr& message, const ResetMsg& msg
   // Fresh step: running -> resetting.
   ++stats_.resets_handled;
   current_step_ = msg.step;
-  current_command_ = std::shared_ptr<const LocalCommand>(message, &msg.command);
-  command_hash_ = hash_command(msg.command);
+  current_command_ = msg.command;
   sole_participant_ = msg.sole_participant;
   prepared_ = false;
   drain_ = msg.drain;
@@ -346,7 +319,8 @@ void AgentCore::fingerprint(std::uint64_t& h) const {
   hash_mix(h, static_cast<std::uint64_t>(state_));
   hash_mix(h, current_step_.has_value() ? 1 : 0);
   if (current_step_) mix_ref(h, *current_step_);
-  hash_mix(h, command_hash_);
+  hash_mix(h, current_command_.remove.bits());
+  hash_mix(h, current_command_.add.bits());
   hash_mix(h, sole_participant_ ? 1 : 0);
   hash_mix(h, prepared_ ? 1 : 0);
   hash_mix(h, drain_ ? 1 : 0);

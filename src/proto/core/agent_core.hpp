@@ -2,7 +2,8 @@
 //
 // The complete Fig. 1 automaton — reset/quiesce, in-action, proactive or
 // commanded resume, rollback/compensation, and idempotent re-acknowledgement
-// of retransmitted manager messages — as a pure, copyable state machine.
+// of retransmitted manager messages — as a pure, trivially copyable state
+// machine: a step's command is two component masks, so a fork copies bytes.
 // Interaction with the local AdaptableProcess is expressed as Process*
 // Outputs; the driver performs the real call and reports the completion back
 // as an AgentLocalEvent (reset complete / in-action complete / ...), so the
@@ -11,8 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "proto/core/io.hpp"
@@ -40,7 +41,7 @@ struct AgentStats {
 
 class AgentCore {
  public:
-  explicit AgentCore(AgentConfig config = {});
+  explicit AgentCore(AgentConfig config = {}) : config_(config) {}
 
   AgentState state() const { return state_; }
   const AgentStats& stats() const { return stats_; }
@@ -77,8 +78,8 @@ class AgentCore {
   /// Why the core asked the process to reach its safe state.
   enum class SafeWait : std::uint8_t { None, Reset, Compensate };
 
-  void on_message(const runtime::MessagePtr& message);
-  void on_reset(const runtime::MessagePtr& message, const ResetMsg& msg);
+  void on_message(const runtime::Message* message);
+  void on_reset(const ResetMsg& msg);
   void on_resume(const ResumeMsg& msg);
   void on_rollback(const RollbackMsg& msg);
   void on_timer_fired();
@@ -98,14 +99,9 @@ class AgentCore {
 
   AgentState state_ = AgentState::Running;
   std::optional<StepRef> current_step_;
-  /// The command of the current step, aliasing the ResetMsg that carried it:
-  /// set once per fresh reset, so forking the core copies a pointer rather
-  /// than two vectors of names. It shares the delivered pointer's ownership;
-  /// the model checker delivers pointers that own nothing (its message table
-  /// keeps the messages), so there a fork writes no reference count.
-  /// command_hash_ is its fingerprint contribution, computed in the same place.
-  std::shared_ptr<const LocalCommand> current_command_;
-  std::uint64_t command_hash_;
+  /// The current step's command, copied from its ResetMsg: the core keeps
+  /// nothing of a delivered message.
+  LocalCommand current_command_;
   bool sole_participant_ = false;
   bool prepared_ = false;
   bool drain_ = false;  ///< drain flag of the step being reset
@@ -129,5 +125,7 @@ class AgentCore {
   /// only dereferenced inside it.
   std::vector<Output>* out_ = nullptr;
 };
+
+static_assert(std::is_trivially_copyable_v<AgentCore>, "a fork copies the agent as bytes");
 
 }  // namespace sa::proto

@@ -17,7 +17,7 @@
 // the fields most kinds use, with the rest (outcome, request notes,
 // coordinator bookkeeping) in an out-of-line OutputPayload, so a manager or
 // agent effect on an explored edge builds no string or vector.
-// Output::command shares the step's LocalCommand instead of copying it,
+// Output::command holds the step's two component masks by value,
 // Output::name points at a literal or the action table, and the cores emit
 // data, never text: an Outcome carries its reason as an OutcomeReason, a
 // step its action id, a plan its action ids and a request its two
@@ -26,12 +26,11 @@
 //
 // Delivery contract: a MessageDelivered input does not own its message. It
 // points at a MessagePtr the caller holds, which must stay valid for the one
-// step() the input is passed to; a core that keeps part of the message past
-// that step (the agent keeps its reset's LocalCommand) copies the pointer.
-// The runtime drivers pass the address of the MessagePtr their transport
-// handed them. The model checker passes the address of the pointer in its
-// per-search message table (check/message_table.hpp), which outlives every
-// model of the search, so delivering a message costs no reference count.
+// step() the input is passed to; no core keeps any part of it past that step
+// (the agent copies its reset's two command masks). The runtime drivers pass
+// the address of the MessagePtr their transport handed them. The model
+// checker passes the address of the pointer in its per-search message table
+// (check/message_table.hpp), so delivering a message costs no reference count.
 //
 // The runtime drivers translate Outputs into runtime::Transport sends,
 // runtime::Clock timers, process calls, and observability events; the timer
@@ -269,7 +268,7 @@ struct Output {
   std::string_view name;
   double value = 0;               ///< plan cost, involved count, ...
   config::Configuration config;   ///< StepCommitted/Outcome: new config; request: source
-  std::shared_ptr<const LocalCommand> command;  ///< Process* operand (never null)
+  LocalCommand command;           ///< Process* operand
 
   /// The out-of-line fields, made on first use.
   OutputPayload& payload() {

@@ -135,15 +135,9 @@ void ManagerCore::disarm_timer(Outputs& outputs) {
 
 LocalCommand ManagerCore::command_for(config::ProcessId process) const {
   const actions::AdaptiveAction& action = table_->action(plan_steps_[step_index_].action);
-  const auto& registry = table_->registry();
-  LocalCommand command;
-  for (const config::ComponentId id : action.removes.components(registry.size())) {
-    if (registry.process(id) == process) command.remove.push_back(registry.name(id));
-  }
-  for (const config::ComponentId id : action.adds.components(registry.size())) {
-    if (registry.process(id) == process) command.add.push_back(registry.name(id));
-  }
-  return command;
+  const config::Configuration hosted =
+      config::Configuration::hosted_by(table_->registry(), process);
+  return {action.removes.intersect(hosted), action.adds.intersect(hosted)};
 }
 
 void ManagerCore::handle_request(Outputs& outputs, const config::Configuration& target) {

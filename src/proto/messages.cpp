@@ -2,16 +2,16 @@
 
 namespace sa::proto {
 
-std::string LocalCommand::describe() const {
+std::string LocalCommand::describe(const config::ComponentRegistry& registry) const {
   std::string out;
-  for (const std::string& name : remove) {
-    if (!out.empty()) out += ' ';
-    out += '-' + name;
-  }
-  for (const std::string& name : add) {
-    if (!out.empty()) out += ' ';
-    out += '+' + name;
-  }
+  const auto list = [&out](char sign, const std::vector<std::string>& names) {
+    for (const std::string& name : names) {
+      if (!out.empty()) out += ' ';
+      out += sign + name;
+    }
+  };
+  list('-', remove.names(registry));
+  list('+', add.names(registry));
   return out.empty() ? "(no-op)" : out;
 }
 

@@ -42,15 +42,16 @@ struct AdaptationResult : AdaptationSummary {
   std::string detail;
 };
 
-/// The local in-action one agent must execute: which components (filters) to
-/// remove from and add to its process's chain. Derived by the manager from
-/// the adaptive action's removes/adds restricted to that agent's process.
+/// The local in-action one agent must execute: the components (filters) to
+/// remove from and add to its process's chain, as masks over the sending
+/// manager's ComponentRegistry, restricted to the components that process hosts.
 struct LocalCommand {
-  std::vector<std::string> remove;
-  std::vector<std::string> add;
+  config::Configuration remove;
+  config::Configuration add;
 
   bool empty() const { return remove.empty() && add.empty(); }
-  std::string describe() const;
+  /// "-D1 +D2", each side in ascending component id.
+  std::string describe(const config::ComponentRegistry& registry) const;
   bool operator==(const LocalCommand&) const = default;
 };
 

@@ -42,19 +42,6 @@ StepRef get_step(WireReader& r) {
   return step;
 }
 
-void put_strings(const std::vector<std::string>& v, WireWriter& w) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const std::string& s : v) w.str(s);
-}
-
-std::vector<std::string> get_strings(WireReader& r, const char* what) {
-  const std::size_t count = r.vec_len(/*min_element_bytes=*/4, what);
-  std::vector<std::string> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(r.str());
-  return out;
-}
-
 void put_result(const AdaptationResult& res, WireWriter& w) {
   w.u8(static_cast<std::uint8_t>(res.outcome));
   w.u64(res.final_config.bits());
@@ -122,16 +109,16 @@ void register_wire_codecs() {
       [](const runtime::Message& m, WireWriter& w) {
         const auto& msg = static_cast<const ResetMsg&>(m);
         put_step(msg.step, w);
-        put_strings(msg.command.remove, w);
-        put_strings(msg.command.add, w);
+        w.u64(msg.command.remove.bits());
+        w.u64(msg.command.add.bits());
         w.u8(msg.drain ? 1 : 0);
         w.u8(msg.sole_participant ? 1 : 0);
       },
       [](WireReader& r) -> runtime::MessagePtr {
         auto msg = std::make_shared<ResetMsg>();
         msg->step = get_step(r);
-        msg->command.remove = get_strings(r, "reset removes");
-        msg->command.add = get_strings(r, "reset adds");
+        msg->command.remove = config::Configuration(r.u64());
+        msg->command.add = config::Configuration(r.u64());
         msg->drain = r.u8() != 0;
         msg->sole_participant = r.u8() != 0;
         return msg;

@@ -195,12 +195,12 @@ bool SocketTransport::send(NodeId from, NodeId to, MessagePtr message) {
   if (it == channels_.end()) throw_no_channel(node_name(from), node_name(to));
   ChannelState& channel = it->second;
   ++channel.stats.sent;
-  if (stopping_.load()) return false;
   const auto drop = [&] {
     ++channel.stats.dropped_loss;
     report(MessageEvent::Dropped, wall_clock_us(), from, to, message);
     return false;
   };
+  if (stopping_.load()) return drop();
 
   const double loss = channel.config.loss_probability;
   if (loss > 0.0 && rng_.next_bool(loss)) return drop();
@@ -329,6 +329,7 @@ void SocketTransport::handle_datagram(const std::uint8_t* data, std::size_t size
     handler = handlers_[frame.to];
     if (!handler) {
       ++channel.stats.dropped_loss;
+      report(MessageEvent::Dropped, wall_clock_us(), frame.from, frame.to, frame.message);
       return;
     }
     ++channel.stats.delivered;

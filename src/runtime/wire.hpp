@@ -108,7 +108,7 @@ struct WireFrame {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x50444153;  // "SADP" little-endian
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;  ///< 2: a reset's command is two u64 masks
 /// Fixed frame header size in bytes (everything before the payload).
 inline constexpr std::size_t kWireHeaderBytes = 4 + 1 + 2 + 4 + 4 + 8 + 8 + 4;
 

@@ -6,9 +6,10 @@ namespace sa::video {
 
 VideoClient::VideoClient(runtime::Clock& clock, runtime::Transport& transport,
                          runtime::NodeId data_node, std::string name,
+                         const config::ComponentRegistry& registry, config::ProcessId process,
                          proto::FilterFactory factory)
     : chain_(clock, name + "-metasocket"),
-      process_(chain_, std::move(factory)),
+      process_(chain_, registry, process, std::move(factory)),
       sink_(clock) {
   chain_.set_output([this](components::Packet packet) {
     if (observer_) observer_(packet);

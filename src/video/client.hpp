@@ -12,9 +12,10 @@ namespace sa::video {
 
 class VideoClient {
  public:
-  /// Takes over `data_node`'s receive handler.
+  /// Takes over `data_node`'s receive handler. See FilterChainProcess.
   VideoClient(runtime::Clock& clock, runtime::Transport& transport, runtime::NodeId data_node,
-              std::string name, proto::FilterFactory factory = nullptr);
+              std::string name, const config::ComponentRegistry& registry,
+              config::ProcessId process, proto::FilterFactory factory = nullptr);
 
   components::FilterChain& chain() { return chain_; }
   proto::AdaptableProcess& process() { return process_; }

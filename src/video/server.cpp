@@ -3,12 +3,13 @@
 namespace sa::video {
 
 VideoServer::VideoServer(runtime::Clock& clock, runtime::Transport& transport,
-                         runtime::NodeId data_node, StreamConfig config,
+                         runtime::NodeId data_node, const config::ComponentRegistry& registry,
+                         config::ProcessId process, StreamConfig config,
                          proto::FilterFactory factory)
     : transport_(&transport),
       data_node_(data_node),
       chain_(clock, "server-metasocket"),
-      process_(chain_, std::move(factory)),
+      process_(chain_, registry, process, std::move(factory)),
       source_(clock, config) {
   chain_.set_output([this](components::Packet packet) {
     auto msg = std::make_shared<PacketMsg>();

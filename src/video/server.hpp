@@ -28,8 +28,9 @@ struct PacketMsg final : runtime::Message {
 class VideoServer {
  public:
   /// `data_node` must already exist in `transport`; data channels to client
-  /// nodes are created by the caller before subscribe().
+  /// nodes are created by the caller before subscribe(). See FilterChainProcess.
   VideoServer(runtime::Clock& clock, runtime::Transport& transport, runtime::NodeId data_node,
+              const config::ComponentRegistry& registry, config::ProcessId process,
               StreamConfig config = {}, proto::FilterFactory factory = nullptr);
 
   /// Adds a client data node to the multicast set.

@@ -13,16 +13,32 @@ components::FilterPtr make_filter(const std::string& name) {
   return std::make_shared<components::PassThroughFilter>(name);
 }
 
+constexpr config::ProcessId kProcess = 0;
+
+/// Every component the tests name, hosted on kProcess, and one hosted on
+/// another process.
+config::ComponentRegistry make_registry() {
+  config::ComponentRegistry registry;
+  for (const char* name : {"old", "new", "ghost", "anything", "first", "middle", "middle2", "last",
+                           "a", "a2", "b", "keep", "extra", "victim", "fec-old", "fec-new"}) {
+    registry.add(name, kProcess);
+  }
+  registry.add("elsewhere", kProcess + 1);
+  return registry;
+}
+
 struct Fixture : ::testing::Test {
   sim::Simulator sim;
   components::FilterChain chain{sim, "chain"};
-  FilterChainProcess process{chain, make_filter};
+  const config::ComponentRegistry registry = make_registry();
+  FilterChainProcess process{chain, registry, kProcess, make_filter};
 
-  LocalCommand replace_cmd(const std::string& from, const std::string& to) {
-    LocalCommand cmd;
-    cmd.remove = {from};
-    cmd.add = {to};
-    return cmd;
+  config::Configuration mask(const std::string& name) const {
+    return config::Configuration().with(registry.require(name));
+  }
+
+  LocalCommand replace_cmd(const std::string& from, const std::string& to) const {
+    return {mask(from), mask(to)};
   }
 };
 
@@ -41,15 +57,40 @@ TEST_F(Fixture, PrepareFailsForMissingRemoval) {
 TEST_F(Fixture, PrepareFailsWhenComponentAlreadyInstalled) {
   chain.append_filter(make_filter("new"));
   LocalCommand cmd;
-  cmd.add = {"new"};
+  cmd.add = mask("new");
   EXPECT_FALSE(process.prepare(cmd));
 }
 
 TEST_F(Fixture, PrepareFailsWhenFactoryCannotBuild) {
-  FilterChainProcess broken(chain, [](const std::string&) { return components::FilterPtr{}; });
+  FilterChainProcess broken(chain, registry, kProcess,
+                            [](const std::string&) { return components::FilterPtr{}; });
   LocalCommand cmd;
-  cmd.add = {"anything"};
+  cmd.add = mask("anything");
   EXPECT_FALSE(broken.prepare(cmd));
+}
+
+// Commands arrive off the wire: a mask naming a component the registry does
+// not hold, or one another process hosts, is refused before anything is
+// staged, so a later apply of the valid part finds nothing to install.
+TEST_F(Fixture, PrepareRefusesComponentsOutsideTheRegistry) {
+  chain.append_filter(make_filter("old"));
+  LocalCommand cmd = replace_cmd("old", "new");
+  cmd.add = cmd.add.with(40);
+  EXPECT_FALSE(process.prepare(cmd));
+  EXPECT_FALSE(process.apply(replace_cmd("old", "new")));
+  EXPECT_EQ(chain.filter_names(), (std::vector<std::string>{"old"}));
+}
+
+TEST_F(Fixture, PrepareRefusesComponentsHostedElsewhere) {
+  chain.append_filter(make_filter("old"));
+  LocalCommand cmd = replace_cmd("old", "new");
+  cmd.add = cmd.add.unite(mask("elsewhere"));
+  EXPECT_FALSE(process.prepare(cmd));
+  cmd = replace_cmd("old", "new");
+  cmd.remove = cmd.remove.unite(mask("elsewhere"));
+  EXPECT_FALSE(process.prepare(cmd));
+  EXPECT_FALSE(process.apply(replace_cmd("old", "new")));
+  EXPECT_EQ(chain.filter_names(), (std::vector<std::string>{"old"}));
 }
 
 TEST_F(Fixture, ReplaceInPlacePreservesPosition) {
@@ -74,13 +115,13 @@ TEST_F(Fixture, UndoRestoresReplacedFilterInPlace) {
 TEST_F(Fixture, InsertionAndRemovalCommands) {
   chain.append_filter(make_filter("keep"));
   LocalCommand insert;
-  insert.add = {"extra"};
+  insert.add = mask("extra");
   ASSERT_TRUE(process.prepare(insert));
   ASSERT_TRUE(process.apply(insert));
   EXPECT_EQ(chain.filter_names(), (std::vector<std::string>{"keep", "extra"}));
 
   LocalCommand remove;
-  remove.remove = {"extra"};
+  remove.remove = mask("extra");
   ASSERT_TRUE(process.prepare(remove));
   ASSERT_TRUE(process.apply(remove));
   EXPECT_EQ(chain.filter_names(), (std::vector<std::string>{"keep"}));
@@ -88,7 +129,7 @@ TEST_F(Fixture, InsertionAndRemovalCommands) {
 
 TEST_F(Fixture, UndoOfInsertionRemovesIt) {
   LocalCommand insert;
-  insert.add = {"extra"};
+  insert.add = mask("extra");
   ASSERT_TRUE(process.prepare(insert));
   ASSERT_TRUE(process.apply(insert));
   ASSERT_TRUE(process.undo(insert));
@@ -98,7 +139,7 @@ TEST_F(Fixture, UndoOfInsertionRemovesIt) {
 TEST_F(Fixture, UndoOfRemovalPutsFilterBack) {
   chain.append_filter(make_filter("victim"));
   LocalCommand remove;
-  remove.remove = {"victim"};
+  remove.remove = mask("victim");
   ASSERT_TRUE(process.prepare(remove));
   ASSERT_TRUE(process.apply(remove));
   EXPECT_FALSE(chain.has_filter("victim"));
@@ -158,9 +199,10 @@ TEST_F(Fixture, ReplacementTransfersComponentState) {
   }
   for (auto& wire : wires) components::run_filter(*old_decoder, std::move(wire));
 
-  FilterChainProcess fec_process(chain, [](const std::string& name) -> components::FilterPtr {
-    return std::make_shared<components::XorFecDecoderFilter>(name);
-  });
+  FilterChainProcess fec_process(chain, registry, kProcess,
+                                 [](const std::string& name) -> components::FilterPtr {
+                                   return std::make_shared<components::XorFecDecoderFilter>(name);
+                                 });
   const auto cmd = replace_cmd("fec-old", "fec-new");
   ASSERT_TRUE(fec_process.prepare(cmd));
   ASSERT_TRUE(fec_process.apply(cmd));

@@ -125,16 +125,18 @@ struct Case {
 };
 
 TEST(KeyGolden, KeysAlongSeededWalksAreUnchanged) {
+  // An agent mixes its reset command's two mask words; with the components'
+  // names hashed there instead, each digest is the one pinned before masks.
   const Case cases[] = {
-      {"tiny", "fifo", mode_options(0, false), 0x4ebdce4257fce605},
-      {"tiny", "budgets", mode_options(1, false), 0xfcd69a57000d635b},
-      {"tiny", "reorder", mode_options(1, true), 0xa7fffb5852363a46},
-      {"pair", "fifo", mode_options(0, false), 0x8bd4f043d822089e},
-      {"pair", "budgets", mode_options(1, false), 0xcd3801a94453e6de},
-      {"pair", "reorder", mode_options(1, true), 0x0c9ccefadf7a2477},
-      {"paper", "fifo", mode_options(0, false), 0x9f381d9fe9bd123a},
-      {"paper", "budgets", mode_options(1, false), 0x3b871d7ffd06ed14},
-      {"paper", "reorder", mode_options(1, true), 0x4ba891606c99dae4},
+      {"tiny", "fifo", mode_options(0, false), 0x0db80e4919b36ca0},
+      {"tiny", "budgets", mode_options(1, false), 0x5c110a6fbc404606},
+      {"tiny", "reorder", mode_options(1, true), 0x352e58cb5dae3446},
+      {"pair", "fifo", mode_options(0, false), 0x5af49b69b81d0fe9},
+      {"pair", "budgets", mode_options(1, false), 0x850303651db3430d},
+      {"pair", "reorder", mode_options(1, true), 0xed65dc2d011af89a},
+      {"paper", "fifo", mode_options(0, false), 0x27e57604f1f5f2f8},
+      {"paper", "budgets", mode_options(1, false), 0x245ebc7ae5e182a6},
+      {"paper", "reorder", mode_options(1, true), 0x3147cf9d68d977e0},
   };
   for (const Case& c : cases) {
     Coverage coverage;

@@ -53,8 +53,11 @@ struct AgentFixture : ::testing::Test {
   std::unique_ptr<AdaptationAgent> agent;
 
   std::vector<std::pair<std::string, StepRef>> inbox;  // messages at the manager
+  config::ComponentRegistry registry;
 
   void SetUp() override {
+    registry.add("D1", 0);
+    registry.add("D2", 0);
     net.connect_bidirectional(manager, agent_node, sim::ChannelConfig{sim::ms(1), 0, 0.0, true});
     net.set_handler(manager, [this](sim::NodeId, sim::MessagePtr msg) {
       const auto& proto = dynamic_cast<const ProtoMessage&>(*msg);
@@ -74,8 +77,8 @@ struct AgentFixture : ::testing::Test {
   void send_reset(bool sole = false, bool drain = false, std::uint32_t attempt = 0) {
     auto msg = std::make_shared<ResetMsg>();
     msg->step = step(attempt);
-    msg->command.remove = {"D1"};
-    msg->command.add = {"D2"};
+    msg->command.remove = config::Configuration::of(registry, {"D1"});
+    msg->command.add = config::Configuration::of(registry, {"D2"});
     msg->drain = drain;
     msg->sole_participant = sole;
     net.send(manager, agent_node, std::move(msg));
@@ -104,7 +107,7 @@ TEST_F(AgentFixture, NormalAdaptationSequence) {
   EXPECT_EQ(agent->state(), AgentState::Adapted);
   EXPECT_EQ(process.prepares, 1);
   EXPECT_EQ(process.applies, 1);
-  EXPECT_EQ(process.last_command.describe(), "-D1 +D2");
+  EXPECT_EQ(process.last_command.describe(registry), "-D1 +D2");
 
   send<ResumeMsg>();
   sim.run();

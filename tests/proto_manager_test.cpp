@@ -23,6 +23,7 @@ struct ScriptedProcess : AdaptableProcess {
   int prepares = 0, applies = 0, undos = 0, resumes = 0, aborts = 0;
   int fail_next_applies = 0;  ///< injection: next N apply() calls report failure
   std::vector<std::string> applied_commands;
+  const config::ComponentRegistry* registry = nullptr;  ///< names applied_commands
 
   bool prepare(const LocalCommand&) override {
     ++prepares;
@@ -36,7 +37,7 @@ struct ScriptedProcess : AdaptableProcess {
       return false;
     }
     ++applies;
-    applied_commands.push_back(command.describe());
+    applied_commands.push_back(command.describe(*registry));
     return true;
   }
   bool undo(const LocalCommand&) override {
@@ -60,6 +61,9 @@ struct ManagerFixture : ::testing::Test {
     faulty = std::make_unique<inject::FaultyRuntime>(*sim, sys_config.seed);
     system = std::make_unique<core::SafeAdaptationSystem>(*faulty, sys_config);
     core::configure_paper_system(*system);
+    for (ScriptedProcess* process : {&server, &handheld, &laptop}) {
+      process->registry = &system->registry();
+    }
     system->attach_process(kServerProcess, server, /*stage=*/0);
     system->attach_process(kHandheldProcess, handheld, /*stage=*/1);
     system->attach_process(kLaptopProcess, laptop, /*stage=*/1);
@@ -329,6 +333,7 @@ TEST(ManagerRunToCompletion, PartitionBeforeResumeDeliveryStallsButCommits) {
   system.add_action("SWAP", {"X0", "X1"}, {"Y0", "Y1"}, 10, "swap both halves");
 
   ScriptedProcess a, b;
+  a.registry = b.registry = &system.registry();
   system.attach_process(0, a, /*stage=*/0);
   system.attach_process(1, b, /*stage=*/1);
   system.finalize();

@@ -154,6 +154,33 @@ TEST_F(SocketObservation, NoObserverNoEvents) {
   EXPECT_EQ(counter("sent"), 0u);
 }
 
+// A frame that reaches a local endpoint with no handler is dropped there:
+// counted, logged and observed as a drop, not silently swallowed.
+TEST_F(SocketObservation, FrameForAnEndpointWithNoHandlerIsADrop) {
+  open();
+  transport->connect(b, a);  // alpha has no handler
+  transport->set_observer(&recorder, &metrics);
+  transport->set_tracing(true);
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    EXPECT_TRUE(transport->send(b, a, std::make_shared<proto::ResetDoneMsg>()));
+  }
+  // The drop is counted and reported under one hold of the transport's lock,
+  // so once the count is complete so are the events.
+  ASSERT_TRUE(
+      eventually([&] { return transport->channel_stats(b, a).dropped_loss == kSends; }));
+  EXPECT_EQ(transport->channel_stats(b, a).delivered, 0u);
+  EXPECT_EQ(count(EventKind::MessageSent), kSends);
+  EXPECT_EQ(count(EventKind::MessageDropped), kSends);
+  EXPECT_EQ(count(EventKind::MessageDelivered), 0u);
+  EXPECT_EQ(counter("dropped"), kSends);
+  ASSERT_EQ(transport->trace().size(), kSends);
+  for (const runtime::TraceEntry& entry : transport->trace()) {
+    EXPECT_EQ(entry.from, b);
+    EXPECT_EQ(entry.to, a);
+    EXPECT_FALSE(entry.delivered);
+  }
+}
+
 // A frame over the TCP fallback to a port nothing listens on never reaches
 // the peer: send() says so, and the drop is counted, logged and observed.
 TEST_F(SocketObservation, FrameThatNeverLeftIsADrop) {

@@ -78,13 +78,16 @@ std::shared_ptr<const T> round_trip(const T& msg) {
   return typed;
 }
 
+// A v2 reset frame carries its command as two u64 component masks: the
+// payload is the StepRef (20 bytes), the masks (16) and the two flags (2).
 TEST_F(SocketWireTest, ResetRoundTrip) {
   proto::ResetMsg msg;
   msg.step = make_step();
-  msg.command.remove = {"D4", "D1"};
-  msg.command.add = {"D5", "D3", "E2"};
+  msg.command.remove = config::Configuration(0b101);  // ids 0 and 2
+  msg.command.add = config::Configuration(0x8000000000001040ULL);  // ids 6, 12 and 63
   msg.drain = true;
   msg.sole_participant = true;
+  EXPECT_EQ(encode_frame(1, 2, 9, 42, msg).size(), runtime::kWireHeaderBytes + 38);
   auto decoded = round_trip(msg);
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(decoded->step, msg.step);
@@ -203,8 +206,8 @@ TEST_F(SocketWireTest, VideoPacketRoundTrip) {
 std::vector<std::uint8_t> sample_frame() {
   proto::ResetMsg msg;
   msg.step = make_step();
-  msg.command.remove = {"D4"};
-  msg.command.add = {"D5", "D3"};
+  msg.command.remove = config::Configuration(0b0000100);
+  msg.command.add = config::Configuration(0b1010000);
   msg.drain = true;
   return encode_frame(1, 2, 9, 42, msg);
 }
@@ -464,6 +467,24 @@ TEST_F(SocketTransportTest, MalformedDatagramsAreCountedAndDropped) {
   auto msg = std::dynamic_pointer_cast<const proto::ResetDoneMsg>(received[0].second);
   ASSERT_NE(msg, nullptr);
   EXPECT_EQ(msg->step.step_index, 7u);
+}
+
+// A send after stop() never reaches the kernel: it is a drop, so every send
+// stays accounted for as delivered or dropped.
+TEST_F(SocketTransportTest, SendAfterStopIsADrop) {
+  ASSERT_TRUE(transport->send(a, b, step_msg(1)));
+  ASSERT_TRUE(inbox_b.wait_for_count(1, std::chrono::seconds(5)));
+  transport->set_tracing(true);
+  transport->stop();
+  EXPECT_FALSE(transport->send(a, b, step_msg(2)));
+  const runtime::ChannelStats stats = transport->channel_stats(a, b);
+  EXPECT_EQ(stats.sent, 2u);
+  EXPECT_EQ(stats.delivered, 1u);
+  EXPECT_EQ(stats.dropped_loss, 1u);
+  EXPECT_EQ(stats.sent, stats.delivered + stats.dropped_loss);
+  ASSERT_EQ(transport->trace().size(), 1u);
+  EXPECT_FALSE(transport->trace().front().delivered);
+  EXPECT_EQ(inbox_b.snapshot().size(), 1u);
 }
 
 TEST_F(SocketTransportTest, TraceRecordsWallClockDeliveries) {
